@@ -1,91 +1,4 @@
 """Exact verification that the inner-minor ideal of a rectangle-minus-
 rectangle polyomino equals the toric ideal of its vertex labelling."""
 
-from .binom import (
-    DEGREVLEX,
-    LEX,
-    ZERO,
-    Binomial,
-    CertTerm,
-    Certificate,
-    GroebnerBasis,
-    Monomial,
-    TermOrder,
-    UNIT,
-    Variable,
-    buchberger,
-    certificate_is_exact,
-    expand_certificate,
-    format_binomial,
-    format_monomial,
-    ideal_equal,
-    parse_binomial,
-    parse_monomial,
-    r_var,
-    reduce,
-    s_var,
-    spoly,
-    t_var,
-    vertex_var,
-)
-from .errors import (
-    ConfigInvalid,
-    DegenerateInterval,
-    EmptyCollection,
-    NotInKernel,
-    ParseError,
-    PolytoricError,
-    ResourceBudgetExceeded,
-    VertexOutsidePolyomino,
-)
-from .grid import (
-    Cell,
-    GridInterval,
-    GridPoint,
-    Polyomino,
-    RectDiffConfig,
-    build_rect_diff,
-    edge_set,
-    enumerate_inner_minors,
-    inner_intervals,
-    inner_minor,
-    is_inner_interval,
-    is_polyomino,
-    vertex_set,
-)
-from .labelling import (
-    LabelMap,
-    RegionReport,
-    build_label_map,
-    check_region_consistency,
-    label,
-    label_map_from_json_dict,
-    label_map_to_json_dict,
-    render_label_csv,
-    render_label_grid,
-    render_label_json,
-)
-from .toric import (
-    ExponentMatrix,
-    LatticeVector,
-    build_matrix,
-    lattice_kernel,
-    lattice_vector_to_binomial,
-    matrix_csv,
-    phi_image,
-    saturate_generators,
-    toric_generators,
-)
-from .verify import (
-    MembershipCertifier,
-    QuadraticScan,
-    VerificationReport,
-    certify_membership,
-    check_ip_in_jp,
-    check_theorem,
-    hole_containment_violations,
-    quadratic_classification,
-    quadratic_scan,
-)
-
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ term-order comparison an integer comparison as well.
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -265,9 +265,6 @@ class TermOrder:
                 return ea < eb
         return False
 
-    def leading(self, a: Monomial, b: Monomial) -> Monomial:
-        return a if self.greater(a, b) else b
-
 
 DEGREVLEX = TermOrder("degrevlex")
 LEX = TermOrder("lex")
@@ -347,6 +344,12 @@ _GUARD = 1 << (_FIELD - 1)
 _DEGREE_CAP = 1 << 12
 
 
+def _degree_cap_exceeded() -> ResourceBudgetExceeded:
+    return ResourceBudgetExceeded(
+        f"degree cap {_DEGREE_CAP} exceeded; input outside supported scale"
+    )
+
+
 class _Engine:
     """Packed arithmetic for a fixed variable universe and term order.
 
@@ -391,7 +394,9 @@ class _Engine:
             if i is None:
                 raise ValueError(f"variable {v} outside the engine universe")
             if e >= _GUARD:
-                raise ValueError("exponent too large for packed representation")
+                raise ResourceBudgetExceeded(
+                    f"exponent {e} of {v} exceeds the packed field limit {_GUARD - 1}"
+                )
             packed += e << self.shift[i]
             deg += e
         return deg, packed
@@ -447,9 +452,6 @@ class _Engine:
             deg += e
         return deg, out
 
-    def exponent_at(self, packed: int, var_index: int) -> int:
-        return (packed >> self.shift[var_index]) & _FMASK
-
 
 class _Elem:
     """A basis element with cached leading-term data."""
@@ -459,9 +461,6 @@ class _Elem:
     def __init__(self, engine: _Engine, b4):
         self.ld, self.lp, self.td, self.tp = b4
         self.mask = engine.mask_of(self.lp)
-
-    def b4(self):
-        return (self.ld, self.lp, self.td, self.tp)
 
 
 class _Basis:
@@ -481,27 +480,16 @@ class _Basis:
         self._keys: list[tuple] = []   # sorted reducer keys
         self._order: list[int] = []    # element indices aligned with _keys
 
-    def append(self, b4, prov) -> int:
-        e = _Elem(self.engine, b4)
+    def append(self, e: _Elem, prov) -> int:
         idx = len(self.elems)
         self.elems.append(e)
         if self.track:
             self.prov.append(prov)
         key = self.engine.sort_key(e.ld, e.lp) + (idx,)
-        pos = self._insort(key)
+        pos = bisect_left(self._keys, key)
+        self._keys.insert(pos, key)
         self._order.insert(pos, idx)
         return idx
-
-    def _insort(self, key) -> int:
-        lo, hi = 0, len(self._keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._keys.insert(lo, key)
-        return lo
 
     def find_reducer(self, deg: int, packed: int, mask: int) -> int:
         """Index of the first (smallest-lead) element whose lead divides
@@ -538,7 +526,7 @@ class _Basis:
                 steps.append((k, mult, sigma))
             ad, ap = mult[0] + e.td, mult[1] + e.tp
             if ad >= _DEGREE_CAP:
-                raise ValueError("degree cap exceeded; input outside supported scale")
+                raise _degree_cap_exceeded()
             if ap == tp:
                 return None, steps, sigma
             if engine.greater((ad, ap), (td, tp)):
@@ -556,7 +544,7 @@ class _Basis:
                 steps.append((k, mult, -sigma))
             td, tp = mult[0] + e.td, mult[1] + e.tp
             if td >= _DEGREE_CAP:
-                raise ValueError("degree cap exceeded; input outside supported scale")
+                raise _degree_cap_exceeded()
         return (ld, lp, td, tp), steps, sigma
 
 
@@ -568,7 +556,7 @@ def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
     """
     ldeg, lpk = engine.lcm(f.lp, g.lp)
     if ldeg >= _DEGREE_CAP:
-        raise ValueError("degree cap exceeded; input outside supported scale")
+        raise _degree_cap_exceeded()
     uf = (ldeg - f.ld, lpk - f.lp)
     ug = (ldeg - g.ld, lpk - g.lp)
     a = (uf[0] + f.td, uf[1] + f.tp)
@@ -608,7 +596,7 @@ def _gm_update(engine: _Engine, basis: _Basis, pairs: dict, b4, prov):
         if any(basis.elems[i].mask & maskf == 0 for i in group):
             continue
         pairs[(min(group), m)] = (deg, lpk)
-    basis.append(b4, prov)
+    basis.append(new_elem, prov)
 
 
 def _interreduce(engine: _Engine, basis: _Basis):
@@ -625,8 +613,8 @@ def _interreduce(engine: _Engine, basis: _Basis):
     kept: list[int] = []
     for idx in order:
         e = basis.elems[idx]
-        if minimal.find_reducer(e.ld, e.lp, engine.mask_of(e.lp)) < 0:
-            minimal.append(e.b4(), None)
+        if minimal.find_reducer(e.ld, e.lp, e.mask) < 0:
+            minimal.append(e, None)
             kept.append(idx)
     final = []
     final_prov = []
@@ -774,7 +762,6 @@ def reduce(
     basis: Sequence[Binomial] | GroebnerBasis,
     order: TermOrder = DEGREVLEX,
     track: bool = False,
-    variables: Iterable[Variable] | None = None,
 ):
     """Normal form of f modulo the basis; with track, also a Certificate.
 
@@ -787,10 +774,10 @@ def reduce(
             raise ValueError("basis elements must be nonzero binomials")
     if f is ZERO:
         return (ZERO, None) if track else ZERO
-    engine = _Engine(_universe(order, gens + (f,), variables), order)
+    engine = _Engine(_universe(order, gens + (f,), None), order)
     b = _Basis(engine, track=False)
     for g in gens:
-        b.append(engine.to_binomial4(g), None)
+        b.append(_Elem(engine, engine.to_binomial4(g)), None)
     nf4, steps, sigma = b.reduce(engine.to_binomial4(f), collect_steps=track)
     nf: BinomialOrZero = ZERO if nf4 is None else engine.from_binomial4(nf4)
     # The engine reduced the normalized image of f, and its lead/trail
@@ -830,21 +817,6 @@ def buchberger(
     engine = _Engine(_universe(order, gens, variables), order)
     elements, construction = _run_buchberger(engine, gens, budget, track)
     return GroebnerBasis(order, elements, construction)
-
-
-def ideal_equal(
-    gens1: Sequence[Binomial],
-    gens2: Sequence[Binomial],
-    order: TermOrder = DEGREVLEX,
-    variables: Iterable[Variable] | None = None,
-    budget: int | None = None,
-) -> bool:
-    """True iff both generator lists span the same ideal (reduced
-    Groebner bases under the given order coincide element-for-element)."""
-    uni = _universe(order, tuple(gens1) + tuple(gens2), variables)
-    g1 = buchberger(gens1, order, variables=uni, budget=budget)
-    g2 = buchberger(gens2, order, variables=uni, budget=budget)
-    return g1.elements == g2.elements
 
 
 # --------------------------------------------------------------------------
@@ -889,11 +861,3 @@ def parse_binomial(text: str) -> Binomial:
     if plus == minus:
         raise ParseError("zero binomial (both monomials equal)")
     return Binomial(plus, minus)
-
-
-def format_monomial(m: Monomial) -> str:
-    return str(m)
-
-
-def format_binomial(b: Binomial) -> str:
-    return str(b)

@@ -17,7 +17,6 @@ from .binom import (
     DEGREVLEX,
     TermOrder,
     ZERO,
-    format_binomial,
     parse_binomial,
     reduce as binom_reduce,
 )
@@ -49,9 +48,11 @@ def _pair(value, where: str) -> tuple[int, int]:
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+        or not all(
+            isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in value
+        )
     ):
-        raise ParseError(f"field {where} must be a pair of integers")
+        raise ParseError(f"field {where} must be a pair of non-negative integers")
     return (value[0], value[1])
 
 
@@ -103,15 +104,14 @@ def cmd_label(args) -> int:
 def cmd_minors(args) -> int:
     cfg = load_instance(args.instance)
     for minor in enumerate_inner_minors(build_rect_diff(cfg)):
-        print(format_binomial(minor))
+        print(minor)
     return 0
 
 
 def cmd_toric(args) -> int:
-    cfg = load_instance(args.instance)
-    for g in toric_generators(cfg, order=TermOrder(args.order),
-                              budget=args.budget):
-        print(format_binomial(g))
+    lm = build_label_map(load_instance(args.instance))
+    for g in toric_generators(lm, order=TermOrder(args.order), budget=args.budget):
+        print(g)
     return 0
 
 
@@ -140,7 +140,7 @@ def cmd_certify(args) -> int:
         return 1
     for term in cert.terms:
         sign = "+" if term.sign > 0 else "-"
-        print(f"{sign} ({term.multiplier}) * ({format_binomial(term.generator)})")
+        print(f"{sign} ({term.multiplier}) * ({term.generator})")
     print("EXPANSION OK")
     return 0
 
@@ -193,7 +193,7 @@ def cmd_oracle(args) -> int:
           f"{len(kernel)}, rationally expected {expected}")
 
     try:
-        jp = toric_generators(cfg, budget=args.budget)
+        jp = toric_generators(lm, budget=args.budget)
     except ResourceBudgetExceeded:
         print("FAIL toric basis: budget exceeded")
         return 3

@@ -26,7 +26,8 @@ class NotInKernel(PolytoricError):
 
 
 class ResourceBudgetExceeded(PolytoricError):
-    """A Groebner computation exceeded its S-pair reduction budget."""
+    """A Groebner computation exceeded its S-pair reduction budget or the
+    engine's scale limits (degree cap, packed exponent field)."""
 
     def __init__(self, message: str, stage: str = "buchberger"):
         super().__init__(message)

@@ -71,11 +71,6 @@ class GridInterval:
         e1, e2 = self.anti_diagonal()
         return (self.lo, self.hi, e1, e2)
 
-    def points(self) -> Iterator[GridPoint]:
-        for x in range(self.lo.x, self.hi.x + 1):
-            for y in range(self.lo.y, self.hi.y + 1):
-                yield GridPoint(x, y)
-
     def cells(self) -> Iterator["Cell"]:
         for x in range(self.lo.x, self.hi.x):
             for y in range(self.lo.y, self.hi.y):
@@ -98,16 +93,6 @@ class Cell:
         c = self.corner
         return (c, c.shifted(1, 0), c.shifted(0, 1), c.shifted(1, 1))
 
-    def edges(self) -> tuple[frozenset, ...]:
-        c = self.corner
-        e, n, ne = c.shifted(1, 0), c.shifted(0, 1), c.shifted(1, 1)
-        return (
-            frozenset((c, e)),
-            frozenset((c, n)),
-            frozenset((e, ne)),
-            frozenset((n, ne)),
-        )
-
 
 @dataclass(frozen=True)
 class Polyomino:
@@ -124,10 +109,8 @@ class Polyomino:
         return cls(frozenset(cells))
 
     def vertex_set(self) -> frozenset[GridPoint]:
+        """Union of the vertices of the member cells."""
         return frozenset(v for c in self.cells for v in c.vertices())
-
-    def edge_set(self) -> frozenset[frozenset]:
-        return frozenset(e for c in self.cells for e in c.edges())
 
     def bounding_box(self) -> GridInterval:
         xs = [c.corner.x for c in self.cells]
@@ -181,16 +164,6 @@ def build_rect_diff(cfg: RectDiffConfig) -> Polyomino:
     """The polyomino with every cell of [a, b] not contained in the hole."""
     hole_cells = set(cfg.hole().cells())
     return Polyomino.of(c for c in cfg.outer().cells() if c not in hole_cells)
-
-
-def vertex_set(p: Polyomino) -> frozenset[GridPoint]:
-    """Union of the vertices of the member cells."""
-    return p.vertex_set()
-
-
-def edge_set(p: Polyomino) -> frozenset[frozenset]:
-    """Union of the edges of the member cells."""
-    return p.edge_set()
 
 
 def is_polyomino(cells: Iterable[Cell]) -> bool:

@@ -23,50 +23,51 @@ from dataclasses import dataclass
 from .errors import VertexOutsidePolyomino
 from .grid import GridPoint, RectDiffConfig, build_rect_diff, point_key
 
-# One row per region: (name, raw membership, implemented membership,
-# label formula).  Implemented membership differs from the raw
-# inequalities only for the bottom strip (y < b'_2 instead of <=).
+# One row per region: (name, membership by the raw inequalities, label
+# formula).
 _REGIONS = (
     ("block_bottom_left",
-     lambda c, x, y: c.a.x <= x <= c.a_inner.x and c.a.y <= y <= c.a_inner.y,
      lambda c, x, y: c.a.x <= x <= c.a_inner.x and c.a.y <= y <= c.a_inner.y,
      lambda c, x, y: 1),
     ("block_top_right",
      lambda c, x, y: c.b_inner.x <= x <= c.b.x and c.b_inner.y <= y <= c.b.y,
-     lambda c, x, y: c.b_inner.x <= x <= c.b.x and c.b_inner.y <= y <= c.b.y,
      lambda c, x, y: 1),
     ("block_top_left",
-     lambda c, x, y: c.a.x <= x <= c.a_inner.x and c.b_inner.y <= y <= c.b.y,
      lambda c, x, y: c.a.x <= x <= c.a_inner.x and c.b_inner.y <= y <= c.b.y,
      lambda c, x, y: 2),
     ("block_bottom_right",
      lambda c, x, y: c.b_inner.x <= x <= c.b.x and c.a.y <= y <= c.a_inner.y,
-     lambda c, x, y: c.b_inner.x <= x <= c.b.x and c.a.y <= y <= c.a_inner.y,
      lambda c, x, y: 2),
     ("strip_bottom",
      lambda c, x, y: c.a_inner.x < x < c.b_inner.x and c.a.y <= y <= c.b_inner.y,
-     lambda c, x, y: c.a_inner.x < x < c.b_inner.x and c.a.y <= y < c.b_inner.y,
      lambda c, x, y: x - c.a_inner.x + 2),
     ("strip_right",
-     lambda c, x, y: c.b_inner.x <= x <= c.b.x and c.a_inner.y < y < c.b_inner.y,
      lambda c, x, y: c.b_inner.x <= x <= c.b.x and c.a_inner.y < y < c.b_inner.y,
      lambda c, x, y: y - c.a_inner.y + (c.b_inner.x - c.a_inner.x) + 1),
     ("strip_top",
      lambda c, x, y: c.a_inner.x < x < c.b_inner.x and c.b_inner.y <= y <= c.b.y,
-     lambda c, x, y: c.a_inner.x < x < c.b_inner.x and c.b_inner.y <= y <= c.b.y,
      lambda c, x, y: c.b_inner.x - x + (c.b_inner.x - c.a_inner.x) + (c.b_inner.y - c.a_inner.y)),
     ("strip_left",
-     lambda c, x, y: c.a.x <= x <= c.a_inner.x and c.a_inner.y < y < c.b_inner.y,
      lambda c, x, y: c.a.x <= x <= c.a_inner.x and c.a_inner.y < y < c.b_inner.y,
      lambda c, x, y: c.b_inner.y - y + 2 * (c.b_inner.x - c.a_inner.x) + (c.b_inner.y - c.a_inner.y) - 1),
 )
 
 
-def _implemented_regions(cfg: RectDiffConfig, v: GridPoint) -> list[tuple[str, int]]:
+def _raw_regions(cfg: RectDiffConfig, v: GridPoint) -> list[tuple[str, int]]:
     return [
         (name, value(cfg, v.x, v.y))
-        for name, _, member, value in _REGIONS
+        for name, member, value in _REGIONS
         if member(cfg, v.x, v.y)
+    ]
+
+
+def _implemented_regions(cfg: RectDiffConfig, v: GridPoint) -> list[tuple[str, int]]:
+    # The one override of the raw inequalities: the bottom strip is
+    # half-open (y < b'_2), so the top strip owns the row y = b'_2.
+    return [
+        (name, k)
+        for name, k in _raw_regions(cfg, v)
+        if not (name == "strip_bottom" and v.y == cfg.b_inner.y)
     ]
 
 
@@ -143,11 +144,7 @@ def check_region_consistency(cfg: RectDiffConfig) -> RegionReport:
             if len(matched) > 1:
                 disjoint = False
             region_of[v] = matched[0][0]
-        raw = {
-            name: value(cfg, v.x, v.y)
-            for name, member, _, value in _REGIONS
-            if member(cfg, v.x, v.y)
-        }
+        raw = dict(_raw_regions(cfg, v))
         if len(set(raw.values())) > 1:
             raw_conflicts[v] = raw
             resolved[v] = label(cfg, v)

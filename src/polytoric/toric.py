@@ -35,8 +35,8 @@ from .binom import (
     vertex_var,
 )
 from .errors import VertexOutsidePolyomino
-from .grid import GridPoint, RectDiffConfig, point_key
-from .labelling import LabelMap, build_label_map
+from .grid import GridPoint
+from .labelling import LabelMap
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,6 @@ def build_matrix_from_labels(lm: LabelMap) -> ExponentMatrix:
     return ExponentMatrix(tuple(rows), cols, tuple(tuple(r) for r in entries))
 
 
-def build_matrix(cfg: RectDiffConfig) -> ExponentMatrix:
-    """Exponent matrix of the monomial map for a configuration."""
-    return build_matrix_from_labels(build_label_map(cfg))
-
-
 def phi_image_from_labels(m: Monomial, lm: LabelMap) -> Monomial:
     """Image of a vertex monomial under the monomial map."""
     exps: dict[Variable, int] = {}
@@ -97,11 +92,6 @@ def phi_image_from_labels(m: Monomial, lm: LabelMap) -> Monomial:
         for w in (r_var(p.x), s_var(p.y), t_var(lm.labels[p])):
             exps[w] = exps.get(w, 0) + e
     return Monomial(exps.items())
-
-
-def phi_image(m: Monomial, cfg: RectDiffConfig) -> Monomial:
-    """Convenience wrapper building the label map from the configuration."""
-    return phi_image_from_labels(m, build_label_map(cfg))
 
 
 def lattice_kernel(a: ExponentMatrix) -> list[LatticeVector]:
@@ -193,14 +183,13 @@ def saturate_generators(
 
 
 def toric_generators(
-    cfg: RectDiffConfig,
+    lm: LabelMap,
     order: TermOrder = DEGREVLEX,
     budget: int | None = None,
 ) -> list[Binomial]:
-    """Reduced Groebner basis of the toric ideal of the monomial map,
-    computed from a lattice-kernel basis by iterated saturation; no
-    inner-minor data enters the computation."""
-    lm = build_label_map(cfg)
+    """Reduced Groebner basis of the toric ideal of the monomial map of a
+    label map, computed from a lattice-kernel basis by iterated
+    saturation; no inner-minor data enters the computation."""
     matrix = build_matrix_from_labels(lm)
     kernel = lattice_kernel(matrix)
     gens = [lattice_vector_to_binomial(z, matrix.cols) for z in kernel]
@@ -221,9 +210,3 @@ def matrix_csv(a: ExponentMatrix) -> str:
     for v, row in zip(a.rows, a.entries):
         writer.writerow([str(v)] + list(row))
     return buf.getvalue()
-
-
-def sorted_vertex_variables(cfg: RectDiffConfig) -> list[Variable]:
-    """Vertex variables of the configuration in canonical point order."""
-    lm = build_label_map(cfg)
-    return [vertex_var(p) for p in sorted(lm.labels, key=point_key)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -28,7 +29,7 @@ from .binom import (
     reduce as binom_reduce,
     vertex_var,
 )
-from .errors import NotInKernel, ResourceBudgetExceeded, VertexOutsidePolyomino
+from .errors import NotInKernel, ResourceBudgetExceeded
 from .grid import (
     GridInterval,
     GridPoint,
@@ -103,11 +104,6 @@ def minors_balanced(lm: LabelMap) -> bool:
     return True
 
 
-def check_ip_in_jp(cfg: RectDiffConfig) -> bool:
-    """The easy inclusion: every inner minor lies in the map's kernel."""
-    return minors_balanced(build_label_map(cfg))
-
-
 @dataclass(frozen=True)
 class QuadraticScan:
     """Exhaustive classification of the kernel's quadratic binomials."""
@@ -177,40 +173,32 @@ def _is_minor_pair(p, m1: tuple[GridPoint, GridPoint], m2) -> bool:
     return is_inner_interval(p, iv)
 
 
-def hole_containing_intervals(cfg: RectDiffConfig, strict: bool = True):
+def hole_containing_intervals(cfg: RectDiffConfig):
     """Proper intervals within the outer rectangle whose cell region
-    contains the hole's cell region (strictly larger unless strict is
-    False)."""
+    strictly contains the hole's cell region."""
     out = []
     for cx in range(cfg.a.x, cfg.a_inner.x + 1):
         for cy in range(cfg.a.y, cfg.a_inner.y + 1):
             for dx in range(cfg.b_inner.x, cfg.b.x + 1):
                 for dy in range(cfg.b_inner.y, cfg.b.y + 1):
                     lo, hi = GridPoint(cx, cy), GridPoint(dx, dy)
-                    if strict and lo == cfg.a_inner and hi == cfg.b_inner:
+                    if lo == cfg.a_inner and hi == cfg.b_inner:
                         continue
                     out.append(GridInterval(lo, hi))
     return out
 
 
-def hole_containment_violations(lm: LabelMap, strict: bool = True) -> list:
+def hole_containment_violations(lm: LabelMap) -> list:
     """Intervals strictly containing the hole whose diagonal labels are
     not {1, 1} or anti-diagonal labels not {2, 2}."""
     violations = []
-    for iv in hole_containing_intervals(lm.cfg, strict=strict):
+    for iv in hole_containing_intervals(lm.cfg):
         diag, anti = _t_multisets(lm, iv)
         if diag != (1, 1) or anti != (2, 2):
             violations.append(
                 _violation("hole_containment", lm, list(iv.corners()))
             )
     return violations
-
-
-def quadratic_classification(cfg: RectDiffConfig) -> list:
-    """All violations found by the exhaustive quadratic scan (expected
-    empty); includes the hole-containment subcase."""
-    scan = quadratic_scan(build_label_map(cfg))
-    return scan.violations + scan.hole_violations
 
 
 def kernel_binomials_up_to_degree(lm: LabelMap, max_degree: int) -> list[Binomial]:
@@ -247,71 +235,64 @@ def check_theorem(
     marked and the equality flags left False.
     """
     report = VerificationReport(instance=cfg)
-    clock = time.perf_counter
-    t0 = clock()
-    p = build_rect_diff(cfg)
-    lm = build_label_map(cfg)
-    report.num_cells = len(p.cells)
-    report.num_vertices = len(lm.labels)
-    report.max_label = lm.max_label
-    report.timings["build_ms"] = (clock() - t0) * 1000.0
 
-    t0 = clock()
-    minors = enumerate_inner_minors(p)
-    report.num_inner_minors = len(minors)
-    report.ip_in_jp = minors_balanced(lm)
-    report.timings["inner_minors_ms"] = (clock() - t0) * 1000.0
+    @contextmanager
+    def stage(name: str):
+        # The time is recorded even when the stage overruns its budget.
+        t0 = time.perf_counter()
+        try:
+            yield
+        except ResourceBudgetExceeded:
+            report.budget_exceeded_stage = name
+            raise
+        finally:
+            report.timings[f"{name}_ms"] = (time.perf_counter() - t0) * 1000.0
 
-    t0 = clock()
-    scan = quadratic_scan(lm)
-    report.quadratic_classification_violations = (
-        scan.violations + scan.hole_violations
-    )
-    report.timings["quadratic_scan_ms"] = (clock() - t0) * 1000.0
-
-    t0 = clock()
     try:
-        jp = toric_generators(cfg, order=order, budget=budget)
-    except ResourceBudgetExceeded:
-        report.budget_exceeded_stage = "toric_generators"
-        report.timings["toric_generators_ms"] = (clock() - t0) * 1000.0
-        return report
-    report.timings["toric_generators_ms"] = (clock() - t0) * 1000.0
+        with stage("build"):
+            p = build_rect_diff(cfg)
+            lm = build_label_map(cfg)
+            report.num_cells = len(p.cells)
+            report.num_vertices = len(lm.labels)
+            report.max_label = lm.max_label
 
-    t0 = clock()
-    try:
-        gb_ip = buchberger(minors, order, budget=budget)
-    except ResourceBudgetExceeded:
-        report.budget_exceeded_stage = "groebner_inner_minors"
-        report.timings["groebner_inner_minors_ms"] = (clock() - t0) * 1000.0
-        return report
-    report.timings["groebner_inner_minors_ms"] = (clock() - t0) * 1000.0
+        with stage("inner_minors"):
+            minors = enumerate_inner_minors(p)
+            report.num_inner_minors = len(minors)
+            report.ip_in_jp = minors_balanced(lm)
 
-    t0 = clock()
-    report.gb_sizes = (len(gb_ip.elements), len(jp))
-    degrees = [g.degree for g in gb_ip.elements] + [g.degree for g in jp]
-    report.max_gb_degree = max(degrees, default=0)
-    report.ideals_equal = list(gb_ip.elements) == list(jp)
-    report.prime_corollary = report.ideals_equal
-    report.timings["compare_ms"] = (clock() - t0) * 1000.0
+        with stage("quadratic_scan"):
+            scan = quadratic_scan(lm)
+            report.quadratic_classification_violations = (
+                scan.violations + scan.hole_violations
+            )
+
+        with stage("toric_generators"):
+            jp = toric_generators(lm, order=order, budget=budget)
+
+        with stage("groebner_inner_minors"):
+            gb_ip = buchberger(minors, order, budget=budget)
+
+        with stage("compare"):
+            report.gb_sizes = (len(gb_ip.elements), len(jp))
+            degrees = [g.degree for g in gb_ip.elements] + [g.degree for g in jp]
+            report.max_gb_degree = max(degrees, default=0)
+            report.ideals_equal = list(gb_ip.elements) == list(jp)
+            report.prime_corollary = report.ideals_equal
+    except ResourceBudgetExceeded:
+        pass
     return report
 
 
 class MembershipCertifier:
-    """Reusable certifier: tracked Groebner basis of the inner minors,
-    ready to express kernel binomials as combinations of minors."""
+    """Reusable certifier: tracked degrevlex Groebner basis of the inner
+    minors, ready to express kernel binomials as combinations of minors."""
 
-    def __init__(
-        self,
-        cfg: RectDiffConfig,
-        order: TermOrder = DEGREVLEX,
-        budget: int | None = None,
-    ):
+    def __init__(self, cfg: RectDiffConfig):
         self.cfg = cfg
-        self.order = order
         self.labels = build_label_map(cfg)
         self.minors = enumerate_inner_minors(build_rect_diff(cfg))
-        self.basis = buchberger(self.minors, order, budget=budget, track=True)
+        self.basis = buchberger(self.minors, DEGREVLEX, track=True)
 
     def certify(self, f: Binomial) -> Certificate:
         if phi_image_from_labels(f.plus, self.labels) != phi_image_from_labels(
@@ -320,7 +301,7 @@ class MembershipCertifier:
             raise NotInKernel(
                 f"images differ, {f} is provably outside the ideal"
             )
-        nf, cert = binom_reduce(f, self.basis, self.order, track=True)
+        nf, cert = binom_reduce(f, self.basis, DEGREVLEX, track=True)
         if nf is not ZERO:
             raise AssertionError(
                 f"kernel binomial {f} did not reduce to zero against the basis"
@@ -340,9 +321,3 @@ class MembershipCertifier:
         if not certificate_is_exact(out):
             raise AssertionError("certificate expansion does not telescope")
         return out
-
-
-def certify_membership(f: Binomial, cfg: RectDiffConfig) -> Certificate:
-    """Express a kernel binomial as a telescoping combination of inner
-    minors; raises NotInKernel when the images differ."""
-    return MembershipCertifier(cfg).certify(f)

@@ -17,8 +17,6 @@ from polytoric.binom import (
     buchberger,
     certificate_is_exact,
     expand_certificate,
-    format_binomial,
-    ideal_equal,
     parse_binomial,
     parse_monomial,
     r_var,
@@ -293,13 +291,16 @@ def test_buchberger_tracked_constructions_are_exact():
 
 
 def test_ideal_equal():
+    def same_ideal(gens1, gens2):
+        return (buchberger(gens1, DEGREVLEX).elements
+                == buchberger(gens2, DEGREVLEX).elements)
+
     f = bino((1, 4), (2, 3))
-    assert ideal_equal([f], [f], DEGREVLEX)
-    assert not ideal_equal([bino((1,), (2,))], [bino((1,), (3,))], DEGREVLEX)
-    assert ideal_equal(
+    assert same_ideal([f], [f])
+    assert not same_ideal([bino((1,), (2,))], [bino((1,), (3,))])
+    assert same_ideal(
         [bino((1,), (2,)), bino((2,), (3,))],
         [bino((1,), (3,)), bino((2,), (3,))],
-        DEGREVLEX,
     )
 
 
@@ -323,9 +324,9 @@ def test_normalized_orients_leading_monomial():
 def test_parse_format_round_trip():
     text = "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
     b = parse_binomial(text)
-    assert format_binomial(b) == text
+    assert str(b) == text
     powered = parse_binomial("x[1,2]^2*r[3] - t[1]^3")
-    assert parse_binomial(format_binomial(powered)) == powered
+    assert parse_binomial(str(powered)) == powered
     assert parse_monomial("1") == UNIT
     assert parse_monomial("x[1,1] ^ 2") == parse_monomial("x[1,1]*x[1,1]")
 

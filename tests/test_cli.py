@@ -7,7 +7,7 @@ from polytoric.binom import parse_binomial
 from polytoric.cli import instance_from_dict, load_instance, main
 from polytoric.errors import ParseError
 from polytoric.labelling import build_label_map, label_map_from_json_dict
-from polytoric.toric import phi_image
+from polytoric.toric import phi_image_from_labels
 
 
 def write_instance(tmp_path, coords, name="instance.json"):
@@ -85,6 +85,17 @@ def test_field_precise_errors():
     with pytest.raises(ParseError, match=r"outer\.b"):
         instance_from_dict({"outer": {"a": [1, 1], "b": [4.5, 4]},
                             "hole": {"a": [2, 2], "b": [3, 3]}})
+    with pytest.raises(ParseError, match=r"outer\.a"):
+        instance_from_dict({"outer": {"a": [-1, 1], "b": [4, 4]},
+                            "hole": {"a": [2, 2], "b": [3, 3]}})
+
+
+def test_negative_coordinate_exit_2(tmp_path, capsys):
+    path = write_instance(tmp_path, ((-1, 1), (4, 4), (2, 2), (3, 3)))
+    assert main(["label", "--instance", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outer.a" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_small_exit_0(tmp_path, capsys):
@@ -137,9 +148,9 @@ def test_toric_listing_balanced(tmp_path, capsys):
     assert main(["toric", "--instance", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 20
-    cfg = RectDiffConfig.of(*SMALL)
+    lm = build_label_map(RectDiffConfig.of(*SMALL))
     first = parse_binomial(lines[0])
-    assert phi_image(first.plus, cfg) == phi_image(first.minus, cfg)
+    assert phi_image_from_labels(first.plus, lm) == phi_image_from_labels(first.minus, lm)
 
 
 def test_certify_inner_minor(tmp_path, capsys):
@@ -165,6 +176,17 @@ def test_certify_garbage_exit_2(tmp_path, capsys):
     assert main(["certify", "--instance", path, "this is not a binomial"]) == 2
     assert main(["certify", "--instance", path,
                  "x[9,9]*x[1,1] - x[1,9]*x[9,1]"]) == 2
+
+
+@pytest.mark.parametrize("power", [2100, 40000])  # degree cap; packed field limit
+def test_certify_beyond_engine_scale_exit_3(tmp_path, capsys, power):
+    path = write_instance(tmp_path, SMALL)
+    binomial = (f"x[1,1]^{power}*x[2,2]^{power} - "
+                f"x[1,2]^{power}*x[2,1]^{power}")
+    assert main(["certify", "--instance", path, binomial]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_oracle_small(tmp_path, capsys):

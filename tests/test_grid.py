@@ -16,7 +16,6 @@ from polytoric.grid import (
     inner_intervals,
     is_inner_interval,
     is_polyomino,
-    vertex_set,
 )
 
 ALL_INSTANCES = (SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5)
@@ -41,13 +40,11 @@ def test_interval_validation_and_corners():
         GridInterval(GridPoint(2, 2), GridPoint(1, 3))
 
 
-def test_cell_vertices_and_edges():
+def test_cell_vertices():
     c = Cell(GridPoint(1, 1))
     assert set(c.vertices()) == {
         GridPoint(1, 1), GridPoint(2, 1), GridPoint(1, 2), GridPoint(2, 2)
     }
-    assert len(c.edges()) == 4
-    assert frozenset((GridPoint(1, 1), GridPoint(2, 1))) in c.edges()
 
 
 def test_config_validation():
@@ -68,18 +65,18 @@ def test_build_rect_diff_cell_counts():
 
 def test_vertex_set_single_cell():
     p = Polyomino.of([Cell(GridPoint(1, 1))])
-    assert vertex_set(p) == {
+    assert p.vertex_set() == {
         GridPoint(1, 1), GridPoint(2, 1), GridPoint(1, 2), GridPoint(2, 2)
     }
 
 
 def test_vertex_set_excludes_hole_interior():
     p = build_rect_diff(cfg_of(FRAME_7X5))
-    vs = vertex_set(p)
+    vs = p.vertex_set()
     assert len(vs) == 33
     assert GridPoint(3, 3) not in vs and GridPoint(4, 3) not in vs
     # single-cell hole has no interior lattice point
-    assert len(vertex_set(build_rect_diff(cfg_of(SMALL)))) == 16
+    assert len(build_rect_diff(cfg_of(SMALL)).vertex_set()) == 16
 
 
 def test_is_polyomino():
@@ -124,7 +121,7 @@ def test_single_cell_minor():
 def test_minor_corners_are_vertices():
     for coords in ALL_INSTANCES:
         p = build_rect_diff(cfg_of(coords))
-        vs = vertex_set(p)
+        vs = p.vertex_set()
         for iv in inner_intervals(p):
             assert all(c in vs for c in iv.corners())
 

@@ -27,7 +27,6 @@ from polytoric.grid import (
 )
 from polytoric.labelling import build_label_map
 from polytoric.toric import (
-    build_matrix,
     build_matrix_from_labels,
     lattice_kernel,
     phi_image_from_labels,
@@ -35,14 +34,11 @@ from polytoric.toric import (
 )
 from polytoric.verify import (
     MembershipCertifier,
-    certify_membership,
-    check_ip_in_jp,
     check_theorem,
     hole_containing_intervals,
     hole_containment_violations,
     kernel_binomials_up_to_degree,
     minors_balanced,
-    quadratic_classification,
     quadratic_scan,
 )
 
@@ -56,7 +52,7 @@ def x(i, j) -> Monomial:
 
 @pytest.mark.parametrize("coords", [SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5])
 def test_check_ip_in_jp(coords):
-    assert check_ip_in_jp(cfg_of(coords))
+    assert minors_balanced(build_label_map(cfg_of(coords)))
 
 
 def test_minor_balance_breaks_under_any_label_perturbation():
@@ -105,7 +101,7 @@ def test_quadratic_scan_counts(coords, expected_pairs):
     scan = quadratic_scan(build_label_map(cfg))
     assert scan.violations == []
     assert len(scan.balanced_pairs) == expected_pairs
-    assert quadratic_classification(cfg) == []
+    assert scan.violations + scan.hole_violations == []
 
 
 def test_quadratic_scan_matches_quadruple_loop_oracle():
@@ -140,15 +136,13 @@ def test_quadratic_scan_flags_corrupted_labelling():
 
 def test_hole_containing_interval_count_frame():
     cfg = cfg_of(FRAME_7X5)
-    assert len(hole_containing_intervals(cfg, strict=True)) == 23  # 4*6 - 1
-    assert len(hole_containing_intervals(cfg, strict=False)) == 24
+    assert len(hole_containing_intervals(cfg)) == 23  # 4*6 - 1
 
 
 @pytest.mark.parametrize("coords", [SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5])
 def test_hole_containment_clean(coords):
     lm = build_label_map(cfg_of(coords))
     assert hole_containment_violations(lm) == []
-    assert hole_containment_violations(lm, strict=False) == []
 
 
 def test_outer_box_has_unbalanced_corner_labels():
@@ -218,7 +212,7 @@ def test_double_inclusion_cross_check():
     divisions give an independent confirmation of both inclusions."""
     cfg = cfg_of(SMALL)
     minors = enumerate_inner_minors(build_rect_diff(cfg))
-    jp = toric_generators(cfg)
+    jp = toric_generators(build_label_map(cfg))
     gb_ip = buchberger(minors, DEGREVLEX)
     gb_jp = buchberger(jp, DEGREVLEX)
     for m in minors:
@@ -233,7 +227,7 @@ def test_double_inclusion_cross_check():
 def test_certify_inner_minor_single_term():
     cfg = cfg_of(SMALL)
     minor = parse_binomial("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
-    cert = certify_membership(minor, cfg)
+    cert = MembershipCertifier(cfg).certify(minor)
     assert len(cert.terms) == 1
     assert cert.terms[0].multiplier == UNIT
     assert cert.terms[0].sign == 1
@@ -244,7 +238,7 @@ def test_certify_inner_minor_single_term():
 def test_certify_cubic_kernel_binomial():
     cfg = cfg_of(SMALL)
     member = Binomial(x(1, 2) * x(2, 4) * x(4, 1), x(1, 4) * x(2, 1) * x(4, 2))
-    cert = certify_membership(member, cfg)
+    cert = MembershipCertifier(cfg).certify(member)
     assert len(cert.terms) >= 2
     assert certificate_is_exact(cert)
     minors = set(enumerate_inner_minors(build_rect_diff(cfg)))
@@ -252,14 +246,13 @@ def test_certify_cubic_kernel_binomial():
 
 
 def test_certify_rejects_unbalanced_binomial():
-    cfg = cfg_of(SMALL)
+    certifier = MembershipCertifier(cfg_of(SMALL))
     with pytest.raises(NotInKernel):
-        certify_membership(parse_binomial("x[1,1]*x[4,4] - x[1,4]*x[4,1]"), cfg)
+        certifier.certify(parse_binomial("x[1,1]*x[4,4] - x[1,4]*x[4,1]"))
     # the spelled-out cubic with one corner swapped is outside too
     with pytest.raises(NotInKernel):
-        certify_membership(
-            Binomial(x(1, 1) * x(2, 4) * x(4, 2), x(1, 2) * x(2, 1) * x(4, 4)),
-            cfg,
+        certifier.certify(
+            Binomial(x(1, 1) * x(2, 4) * x(4, 2), x(1, 2) * x(2, 1) * x(4, 4))
         )
 
 
