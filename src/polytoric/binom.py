@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ResourceBudgetExceeded
@@ -339,8 +340,7 @@ class GroebnerBasis:
 _FIELD = 16
 _FMASK = (1 << _FIELD) - 1
 _GUARD = 1 << (_FIELD - 1)
-# Exponents must stay below _GUARD for the divisibility trick; anything
-# close to it means the computation left the intended problem class.
+# Engine monomials stay below this degree; see _Engine for why.
 _DEGREE_CAP = 1 << 12
 
 
@@ -361,8 +361,22 @@ class _Engine:
       lex:       highest-priority variable in the most significant field,
                  so a > b iff packed a > packed b.
 
-    All fields stay below 2**15, so `a divides b` is the guard-bit test
-    ((b | H) - a) & H == H with H holding bit 15 of every field.
+    ``H`` holds bit 15 (the guard bit) of every field.  The primitives act
+    on all fields at once (SWAR) and rest on two invariants:
+
+      * every engine monomial has degree below _DEGREE_CAP < 2**15, so
+        every field stays below 2**15: `a divides b` is the guard-bit
+        test ((b | H) - a) & H == H, and no field ever borrows from the
+        next;
+      * the degree of an lcm is the packed value mod 0xFFFF, because
+        2**16 = 1 (mod 0xFFFF); it is exact since that degree is below
+        2 * _DEGREE_CAP < 0xFFFF.  `pack`, `_spoly4`, `_Basis.reduce` and
+        `_interreduce` raise ResourceBudgetExceeded before a monomial
+        reaches the cap.
+
+    A support mask (`mask_of`) holds the guard bit of each nonzero field,
+    so `e.mask & m == e.mask` tests support inclusion and `ma & mb == 0`
+    tests coprimality.
 
     Engine monomials are (degree, packed) pairs; engine binomials are
     4-tuples (lead_deg, lead, trail_deg, trail) with lead > trail.
@@ -382,6 +396,7 @@ class _Engine:
             slot = {v: len(pr) - 1 - k for k, v in enumerate(pr)}
         self.shift = tuple(_FIELD * slot[v] for v in self.vars)
         self.H = sum(_GUARD << (_FIELD * s) for s in range(self.n))
+        self.ONES = self.H >> (_FIELD - 1)
         self._drl = order.kind == "degrevlex"
 
     # -- conversions -------------------------------------------------------
@@ -393,12 +408,10 @@ class _Engine:
             i = self.index.get(v)
             if i is None:
                 raise ValueError(f"variable {v} outside the engine universe")
-            if e >= _GUARD:
-                raise ResourceBudgetExceeded(
-                    f"exponent {e} of {v} exceeds the packed field limit {_GUARD - 1}"
-                )
             packed += e << self.shift[i]
             deg += e
+        if deg >= _DEGREE_CAP:
+            raise _degree_cap_exceeded()
         return deg, packed
 
     def unpack(self, packed: int) -> Monomial:
@@ -410,11 +423,7 @@ class _Engine:
         return Monomial(pairs)
 
     def mask_of(self, packed: int) -> int:
-        m = 0
-        for i in range(self.n):
-            if (packed >> self.shift[i]) & _FMASK:
-                m |= 1 << i
-        return m
+        return ((packed | self.H) - self.ONES) & self.H
 
     def to_binomial4(self, b: Binomial):
         p = self.pack(b.plus)
@@ -444,13 +453,11 @@ class _Engine:
         return ((b_packed | self.H) - a_packed) & self.H == self.H
 
     def lcm(self, a_packed: int, b_packed: int) -> tuple[int, int]:
-        out = 0
-        deg = 0
-        for sh in self.shift:
-            e = max((a_packed >> sh) & _FMASK, (b_packed >> sh) & _FMASK)
-            out += e << sh
-            deg += e
-        return deg, out
+        # Bit 15 of a field of (a | H) - b is set iff that field of a is
+        # at least that of b; spread it to a 0xFFFF selector per field.
+        sel = ((((a_packed | self.H) - b_packed) & self.H) >> (_FIELD - 1)) * _FMASK
+        out = b_packed ^ ((a_packed ^ b_packed) & sel)
+        return out % _FMASK, out
 
 
 class _Elem:
@@ -561,6 +568,9 @@ def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
     ug = (ldeg - g.ld, lpk - g.lp)
     a = (uf[0] + f.td, uf[1] + f.tp)
     b = (ug[0] + g.td, ug[1] + g.tp)
+    # Below ldeg under degrevlex; a lex trail may be heavier than its lead.
+    if a[0] >= _DEGREE_CAP or b[0] >= _DEGREE_CAP:
+        raise _degree_cap_exceeded()
     # u_f * f - u_g * g = (L - a) - (L - b) = b - a
     if a[1] == b[1]:
         return None, 1, uf, ug
@@ -569,15 +579,21 @@ def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
     return a + b, -1, uf, ug
 
 
-def _gm_update(engine: _Engine, basis: _Basis, pairs: dict, b4, prov):
+def _gm_update(engine: _Engine, basis: _Basis, pairs: dict, heap: list, b4, prov):
     """Add an element and refresh the S-pair queue with the
-    Gebauer-Moeller criteria."""
+    Gebauer-Moeller criteria.
+
+    ``pairs`` maps each live pair (i, j) to its packed lcm; ``heap``
+    orders them by (lcm degree, i, j) and may still hold pairs pruned
+    here, which the caller skips when it pops them.
+    """
     new_elem = _Elem(engine, b4)
     m = len(basis.elems)
     lmf, maskf = new_elem.lp, new_elem.mask
+    H = engine.H
     # Prune existing pairs strictly dominated by the new element.
-    for (i, j), (_, lpk) in list(pairs.items()):
-        if engine.divides(lmf, lpk):
+    for (i, j), lpk in list(pairs.items()):
+        if ((lpk | H) - lmf) & H == H:
             li = engine.lcm(basis.elems[i].lp, lmf)[1]
             lj = engine.lcm(basis.elems[j].lp, lmf)[1]
             if lpk != li and lpk != lj:
@@ -589,13 +605,15 @@ def _gm_update(engine: _Engine, basis: _Basis, pairs: dict, b4, prov):
         by_lcm.setdefault(lpk, (deg, []))[1].append(i)
     kept: list[int] = []
     for lpk in sorted(by_lcm, key=lambda p: (by_lcm[p][0], p)):
-        if any(engine.divides(other, lpk) for other in kept):
+        if any(((lpk | H) - other) & H == H for other in kept):
             continue
         kept.append(lpk)
         deg, group = by_lcm[lpk]
         if any(basis.elems[i].mask & maskf == 0 for i in group):
             continue
-        pairs[(min(group), m)] = (deg, lpk)
+        first = min(group)
+        pairs[(first, m)] = lpk
+        heappush(heap, (deg, first, m))
     basis.append(new_elem, prov)
 
 
@@ -633,6 +651,8 @@ def _interreduce(engine: _Engine, basis: _Basis):
             mult = (td - r.ld, tp - r.lp)
             steps.append((kept[k], mult, -1))
             td, tp = mult[0] + r.td, mult[1] + r.tp
+            if td >= _DEGREE_CAP:
+                raise _degree_cap_exceeded()
         final.append((e.ld, e.lp, td, tp))
         if basis.track:
             comb = (((idx, (0, 0), 1),) + tuple((i, m, -s) for i, m, s in steps))
@@ -679,24 +699,25 @@ def _expand_provenance(basis: _Basis, entries, flips):
 
 def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
     basis = _Basis(engine, track)
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    pairs: dict[tuple[int, int], int] = {}
+    heap: list[tuple[int, int, int]] = []
     flips = []
     for k, g in enumerate(gens):
         p = engine.pack(g.plus)
         m = engine.pack(g.minus)
         flips.append(1 if engine.greater(p, m) else -1)
         b4 = p + m if flips[-1] == 1 else m + p
-        _gm_update(engine, basis, pairs, b4, ("gen", k))
+        _gm_update(engine, basis, pairs, heap, b4, ("gen", k))
     reductions = 0
-    while pairs:
-        ij = min(pairs, key=lambda p: (pairs[p][0], p[0], p[1]))
-        del pairs[ij]
+    while heap:
+        _, i, j = heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue  # pruned after it was queued
         reductions += 1
         if budget is not None and reductions > budget:
             raise ResourceBudgetExceeded(
                 f"S-pair reduction budget of {budget} exceeded"
             )
-        i, j = ij
         s, sig_s, ui, uj = _spoly4(engine, basis.elems[i], basis.elems[j])
         if s is None:
             continue
@@ -711,7 +732,7 @@ def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
                 (k, m, -sig_f * sg) for k, m, sg in steps
             )
             prov = ("comb", comb)
-        _gm_update(engine, basis, pairs, nf, prov)
+        _gm_update(engine, basis, pairs, heap, nf, prov)
     final, final_prov = _interreduce(engine, basis)
     elements = tuple(engine.from_binomial4(b4) for b4 in final)
     construction = None

@@ -2,7 +2,7 @@
 
 Instance files are JSON: {"outer": {"a": [1,1], "b": [7,5]},
 "hole": {"a": [2,2], "b": [5,4]}}.  Exit codes: 0 verified/ok,
-1 violation, 2 input error, 3 budget exceeded.
+1 violation, 2 input or file error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -120,7 +120,10 @@ def cmd_verify(args) -> int:
     report = check_theorem(cfg, order=TermOrder(args.order), budget=args.budget)
     payload = report.to_json()
     if args.report:
-        Path(args.report).write_text(payload)
+        try:
+            Path(args.report).write_text(payload)
+        except OSError as exc:
+            raise ParseError(f"cannot write report file: {exc}") from exc
     else:
         sys.stdout.write(payload)
     if report.budget_exceeded_stage is not None:
@@ -194,9 +197,10 @@ def cmd_oracle(args) -> int:
 
     try:
         jp = toric_generators(lm, budget=args.budget)
-    except ResourceBudgetExceeded:
-        print("FAIL toric basis: budget exceeded")
-        return 3
+    except ResourceBudgetExceeded as exc:
+        raise ResourceBudgetExceeded(
+            f"budget exceeded in stage toric_generators: {exc}"
+        ) from exc
     low_degree = kernel_binomials_up_to_degree(lm, 3)
     bad = sum(1 for f in low_degree if binom_reduce(f, jp, DEGREVLEX) is not ZERO)
     ok = bad == 0

@@ -27,11 +27,7 @@ class NotInKernel(PolytoricError):
 
 class ResourceBudgetExceeded(PolytoricError):
     """A Groebner computation exceeded its S-pair reduction budget or the
-    engine's scale limits (degree cap, packed exponent field)."""
-
-    def __init__(self, message: str, stage: str = "buchberger"):
-        super().__init__(message)
-        self.stage = stage
+    engine's degree cap."""
 
 
 class ParseError(PolytoricError):

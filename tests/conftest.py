@@ -10,11 +10,12 @@ import pytest
 
 from polytoric.grid import RectDiffConfig
 
-# The four standard instances: (a, b, a', b').
+# The standard instances: (a, b, a', b').
 SMALL = ((1, 1), (4, 4), (2, 2), (3, 3))
 MEDIUM_A = ((1, 1), (5, 4), (2, 2), (4, 3))
 MEDIUM_B = ((1, 1), (5, 5), (2, 2), (4, 4))
 FRAME_7X5 = ((1, 1), (7, 5), (2, 2), (5, 4))
+THICK_FRAME = ((1, 1), (6, 6), (3, 3), (4, 4))  # slow: about 15 s
 
 
 def cfg_of(coords) -> RectDiffConfig:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 from conftest import SMALL, cfg_of
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polytoric.binom import (
+    _DEGREE_CAP,
+    _Engine,
     DEGREVLEX,
     LEX,
     UNIT,
@@ -21,6 +23,7 @@ from polytoric.binom import (
     parse_monomial,
     r_var,
     reduce,
+    s_var,
     spoly,
     t_var,
     vertex_var,
@@ -302,6 +305,92 @@ def test_ideal_equal():
         [bino((1,), (2,)), bino((2,), (3,))],
         [bino((1,), (3,)), bino((2,), (3,))],
     )
+
+
+# -- packed engine -------------------------------------------------------------
+
+# Ten variables of every kind; the engine universe is a prefix of it.
+ENGINE_POOL = [vertex_var((i, j)) for i in (1, 2) for j in (1, 2, 3)] + [
+    r_var(1), r_var(2), s_var(1), t_var(1)]
+
+
+@st.composite
+def engine_monomial_pairs(draw):
+    """A universe of at most ten variables and two monomials over it,
+    each exponent below 2**15 and each degree below the engine cap."""
+    n = draw(st.integers(min_value=1, max_value=len(ENGINE_POOL)))
+    universe = ENGINE_POOL[:n]
+
+    def monomial():
+        room = draw(st.integers(min_value=0, max_value=_DEGREE_CAP - 1))
+        exps = []
+        for v in universe:
+            e = draw(st.one_of(st.just(0), st.integers(0, min(room, 3)),
+                               st.integers(0, room)))
+            room -= e
+            exps.append((v, e))
+        return Monomial(exps)
+
+    return universe, monomial(), monomial()
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+@given(case=engine_monomial_pairs())
+@settings(max_examples=300)
+def test_packed_primitives_match_sparse_reference(order, case):
+    universe, a, b = case
+    engine = _Engine(universe, order)
+    pa, pb = engine.pack(a), engine.pack(b)
+    assert pa[0] == a.degree and engine.unpack(pa[1]) == a
+    # The lcm may pass the cap (up to twice it), so compare it unpacked.
+    lcm_deg, lcm = engine.lcm(pa[1], pb[1])
+    assert engine.unpack(lcm) == a.lcm(b) and lcm_deg == a.lcm(b).degree
+    assert engine.divides(pa[1], pb[1]) == a.divides(b)
+    assert engine.divides(pb[1], pa[1]) == b.divides(a)
+    coprime = engine.mask_of(pa[1]) & engine.mask_of(pb[1]) == 0
+    assert coprime == a.gcd(b).is_unit
+    assert engine.mask_of(pa[1]) | engine.mask_of(pb[1]) == engine.mask_of(lcm)
+
+
+PERM_POOL = ENGINE_POOL[:6]
+
+
+@st.composite
+def homogeneous_binomials(draw):
+    """Two distinct products of d variables each.  Homogeneous, like the
+    inner minors, so no run comes near the degree cap."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    factors = st.lists(st.sampled_from(PERM_POOL), min_size=d, max_size=d)
+    plus, minus = draw(factors), draw(factors)
+    assume(sorted(plus, key=Variable.sort_key) != sorted(minus, key=Variable.sort_key))
+    return Binomial(*(Monomial((v, side.count(v)) for v in set(side))
+                      for side in (plus, minus)))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_buchberger_random_input_order_is_irrelevant(order, data):
+    gens = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=5))
+    shuffled = data.draw(st.permutations(gens))
+    assert buchberger(shuffled, order).elements == buchberger(gens, order).elements
+
+
+# A = x[1,1]^21900 * x[1,2]^21900 * x[1,3]^21900: every field fits its 2**15
+# limit, but the degree 65700 is past the engine's degree cap.
+_HEAVY = "x[1,1]^21900*x[1,2]^21900*x[1,3]^21900"
+_HEAVY_COPRIME = "x[2,1]^21900*x[2,2]^21900*x[2,3]^21900"
+
+
+@pytest.mark.parametrize("gens", [
+    # The lcm of the leads has degree 65702 = 167 (mod 0xFFFF).
+    [f"{_HEAVY}*x[4,4] - x[5,5]", f"{_HEAVY}*x[4,5] - x[5,6]"],
+    # Coprime leads: the pair is never formed, so only pack sees the degree.
+    [f"{_HEAVY}*x[4,4] - x[5,5]", f"{_HEAVY_COPRIME}*x[4,5] - x[5,6]"],
+])
+def test_buchberger_degree_past_cap_raises(gens):
+    with pytest.raises(ResourceBudgetExceeded):
+        buchberger([parse_binomial(g) for g in gens], DEGREVLEX)
 
 
 # -- binomial type and text syntax -------------------------------------------

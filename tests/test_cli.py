@@ -118,6 +118,15 @@ def test_verify_budget_exit_3(tmp_path, capsys):
     assert report["budget_exceeded_stage"] == "toric_generators"
 
 
+def test_verify_unwritable_report_exit_2(tmp_path, capsys):
+    path = write_instance(tmp_path, SMALL)
+    report_path = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--instance", path, "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report file")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_reports_byte_identical_modulo_timings(tmp_path):
     path = write_instance(tmp_path, SMALL)
     payloads = []
@@ -178,7 +187,7 @@ def test_certify_garbage_exit_2(tmp_path, capsys):
                  "x[9,9]*x[1,1] - x[1,9]*x[9,1]"]) == 2
 
 
-@pytest.mark.parametrize("power", [2100, 40000])  # degree cap; packed field limit
+@pytest.mark.parametrize("power", [2100, 40000])  # both past the degree cap
 def test_certify_beyond_engine_scale_exit_3(tmp_path, capsys, power):
     path = write_instance(tmp_path, SMALL)
     binomial = (f"x[1,1]^{power}*x[2,2]^{power} - "
@@ -195,3 +204,12 @@ def test_oracle_small(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == 4
     assert "FAIL" not in out
+
+
+def test_oracle_budget_exit_3(tmp_path, capsys):
+    path = write_instance(tmp_path, SMALL)
+    assert main(["oracle", "--instance", path, "--budget", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: budget exceeded in stage toric_generators")
+    assert len(captured.err.splitlines()) == 1
+    assert "FAIL" not in captured.out

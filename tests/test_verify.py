@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, cfg_of
+from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, THICK_FRAME, cfg_of
 
 from polytoric.binom import (
     DEGREVLEX,
@@ -342,3 +342,10 @@ def test_minor_mutation_flips_balance_check():
     g = corrupted[0]
     corrupted[0] = Binomial(g.plus * x(4, 4), g.minus * x(1, 1))
     assert not all_balanced(corrupted)
+
+
+@pytest.mark.slow
+def test_theorem_thick_frame():
+    report = check_theorem(cfg_of(THICK_FRAME))
+    assert report.ideals_equal
+    assert report.gb_sizes == (144, 144)
