@@ -316,7 +316,10 @@ def certificate_is_exact(cert: Certificate) -> bool:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis, sorted ascending by leading monomial.
+    """A reduced Groebner basis, sorted by leading monomial: by degree
+    first, then ascending in the term order.  Under degrevlex that is the
+    term order itself; under lex a low-degree lead comes first even when
+    it is the larger monomial.
 
     When built with tracking, ``construction`` holds one certificate per
     element expressing it in terms of the input generators.
@@ -371,8 +374,8 @@ class _Engine:
       * the degree of an lcm is the packed value mod 0xFFFF, because
         2**16 = 1 (mod 0xFFFF); it is exact since that degree is below
         2 * _DEGREE_CAP < 0xFFFF.  `pack`, `_spoly4`, `_Basis.reduce` and
-        `_interreduce` raise ResourceBudgetExceeded before a monomial
-        reaches the cap.
+        `_Basis.reduce_tail` raise ResourceBudgetExceeded before a
+        monomial reaches the cap.
 
     A support mask (`mask_of`) holds the guard bit of each nonzero field,
     so `e.mask & m == e.mask` tests support inclusion and `ma & mb == 0`
@@ -384,10 +387,8 @@ class _Engine:
 
     def __init__(self, variables: Sequence[Variable], order: TermOrder):
         self.vars = tuple(variables)
-        self.order = order
-        self.n = len(self.vars)
         self.index = {v: i for i, v in enumerate(self.vars)}
-        if len(self.index) != self.n:
+        if len(self.index) != len(self.vars):
             raise ValueError("duplicate variables in universe")
         pr = order.priority_sorted(self.vars)
         if order.kind == "degrevlex":
@@ -395,7 +396,7 @@ class _Engine:
         else:
             slot = {v: len(pr) - 1 - k for k, v in enumerate(pr)}
         self.shift = tuple(_FIELD * slot[v] for v in self.vars)
-        self.H = sum(_GUARD << (_FIELD * s) for s in range(self.n))
+        self.H = sum(_GUARD << (_FIELD * s) for s in range(len(self.vars)))
         self.ONES = self.H >> (_FIELD - 1)
         self._drl = order.kind == "degrevlex"
 
@@ -425,12 +426,14 @@ class _Engine:
     def mask_of(self, packed: int) -> int:
         return ((packed | self.H) - self.ONES) & self.H
 
-    def to_binomial4(self, b: Binomial):
+    def orient(self, b: Binomial):
+        """(b4, flip): the engine binomial, lead first, and +1 if the
+        plus side of ``b`` leads, else -1 (so b = flip * b4)."""
         p = self.pack(b.plus)
         m = self.pack(b.minus)
         if self.greater(p, m):
-            return p + m
-        return m + p
+            return p + m, 1
+        return m + p, -1
 
     def from_binomial4(self, b4) -> Binomial:
         return Binomial(self.unpack(b4[1]), self.unpack(b4[3]))
@@ -445,8 +448,9 @@ class _Engine:
         return a[1] > b[1]
 
     def sort_key(self, deg: int, packed: int):
-        # Ascending in the term order; degree first is harmless for lex
-        # because it is only used to sort reducers.
+        # Ascending in the term order under degrevlex.  Degree comes first
+        # under lex too: find_reducer's early exit needs it, and it fixes
+        # the element order of a GroebnerBasis.
         return (deg, -packed) if self._drl else (deg, packed)
 
     def divides(self, a_packed: int, b_packed: int) -> bool:
@@ -471,31 +475,28 @@ class _Elem:
 
 
 class _Basis:
-    """Growing basis with a degree-sorted reducer index and, when
-    tracking, a provenance record per element.
+    """Growing basis with a degree-sorted reducer index and a provenance
+    record per element (None when not tracking).
 
-    Provenance entries are ("gen", k) for input generator k, or
-    ("comb", steps) with steps a tuple of (elem_index, (deg, packed),
-    sign) meaning value = sum sign * multiplier * value(elem_index).
+    A provenance entry is a flat tuple of (gen_index, (deg, packed),
+    sign) meaning value = sum sign * multiplier * gens[gen_index].
     """
 
-    def __init__(self, engine: _Engine, track: bool):
+    def __init__(self, engine: _Engine):
         self.engine = engine
-        self.track = track
         self.elems: list[_Elem] = []
         self.prov: list[tuple] = []
         self._keys: list[tuple] = []   # sorted reducer keys
-        self._order: list[int] = []    # element indices aligned with _keys
+        self.order: list[int] = []     # element indices aligned with _keys
 
     def append(self, e: _Elem, prov) -> int:
         idx = len(self.elems)
         self.elems.append(e)
-        if self.track:
-            self.prov.append(prov)
+        self.prov.append(prov)
         key = self.engine.sort_key(e.ld, e.lp) + (idx,)
         pos = bisect_left(self._keys, key)
         self._keys.insert(pos, key)
-        self._order.insert(pos, idx)
+        self.order.insert(pos, idx)
         return idx
 
     def find_reducer(self, deg: int, packed: int, mask: int) -> int:
@@ -503,7 +504,7 @@ class _Basis:
         the monomial, or -1."""
         engine = self.engine
         elems = self.elems
-        for pos, idx in enumerate(self._order):
+        for idx in self.order:
             e = elems[idx]
             if e.ld > deg:
                 return -1
@@ -511,48 +512,64 @@ class _Basis:
                 return idx
         return -1
 
-    def reduce(self, b4, collect_steps: bool):
+    def flatten(self, comb):
+        """Flat provenance of sum(sign * mult * elems[idx]) over the
+        (idx, (deg, packed), sign) steps of ``comb``."""
+        return tuple(
+            (k, (md + md2, mp + mp2), sg * sg2)
+            for idx, (md, mp), sg in comb
+            for k, (md2, mp2), sg2 in self.prov[idx]
+        )
+
+    def reduce_tail(self, td: int, tp: int, steps: list | None, sign: int):
+        """Normal form (deg, packed) of a trail monomial.  Each step adds
+        mult * elems[idx] to lead - trail and is recorded as (idx, mult,
+        sign) in ``steps`` unless that is None."""
+        engine = self.engine
+        while True:
+            k = self.find_reducer(td, tp, engine.mask_of(tp))
+            if k < 0:
+                return td, tp
+            e = self.elems[k]
+            mult = (td - e.ld, tp - e.lp)
+            if steps is not None:
+                steps.append((k, mult, sign))
+            td, tp = mult[0] + e.td, mult[1] + e.tp
+            if td >= _DEGREE_CAP:
+                raise _degree_cap_exceeded()
+
+    def reduce(self, b4, steps: list | None):
         """Full normal form of an engine binomial against the basis.
 
-        Returns (result_or_None, steps, sigma).  The input polynomial
-        equals sigma * result + sum(sign * mult * elems[idx]) over the
-        steps: the lead/trail representation is sign-agnostic, so a
-        running sign tracks every step that swaps the two sides.
+        Returns (result_or_None, sigma) and appends the steps to
+        ``steps`` unless it is None.  The input polynomial equals
+        sigma * result + sum(sign * mult * elems[idx]) over the steps:
+        the lead/trail representation is sign-agnostic, so a running sign
+        tracks every step that swaps the two sides.
         """
         engine = self.engine
         ld, lp, td, tp = b4
         sigma = 1
-        steps: list[tuple[int, tuple[int, int], int]] = []
         while True:
             k = self.find_reducer(ld, lp, engine.mask_of(lp))
             if k < 0:
                 break
             e = self.elems[k]
             mult = (ld - e.ld, lp - e.lp)
-            if collect_steps:
+            if steps is not None:
                 steps.append((k, mult, sigma))
             ad, ap = mult[0] + e.td, mult[1] + e.tp
             if ad >= _DEGREE_CAP:
                 raise _degree_cap_exceeded()
             if ap == tp:
-                return None, steps, sigma
+                return None, sigma
             if engine.greater((ad, ap), (td, tp)):
                 ld, lp = ad, ap
             else:
                 ld, lp, td, tp = td, tp, ad, ap
                 sigma = -sigma
-        while True:
-            k = self.find_reducer(td, tp, engine.mask_of(tp))
-            if k < 0:
-                break
-            e = self.elems[k]
-            mult = (td - e.ld, tp - e.lp)
-            if collect_steps:
-                steps.append((k, mult, -sigma))
-            td, tp = mult[0] + e.td, mult[1] + e.tp
-            if td >= _DEGREE_CAP:
-                raise _degree_cap_exceeded()
-        return (ld, lp, td, tp), steps, sigma
+        td, tp = self.reduce_tail(td, tp, steps, -sigma)
+        return (ld, lp, td, tp), sigma
 
 
 def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
@@ -617,97 +634,38 @@ def _gm_update(engine: _Engine, basis: _Basis, pairs: dict, heap: list, b4, prov
     basis.append(new_elem, prov)
 
 
-def _interreduce(engine: _Engine, basis: _Basis):
+def _interreduce(engine: _Engine, basis: _Basis, track: bool):
     """Reduced basis from a Groebner basis: minimal leads, reduced tails.
 
-    Returns (elements as b4 tuples sorted ascending by lead, provenance
-    per element when tracking).
+    Returns (elements as b4 tuples in ``engine.sort_key`` order of their
+    leads, flat provenance per element when tracking).
     """
-    order = sorted(
-        range(len(basis.elems)),
-        key=lambda i: engine.sort_key(basis.elems[i].ld, basis.elems[i].lp) + (i,),
-    )
-    minimal = _Basis(engine, track=False)
-    kept: list[int] = []
-    for idx in order:
+    minimal = _Basis(engine)
+    for idx in basis.order:
         e = basis.elems[idx]
         if minimal.find_reducer(e.ld, e.lp, e.mask) < 0:
-            minimal.append(e, None)
-            kept.append(idx)
+            minimal.append(e, basis.prov[idx])
     final = []
     final_prov = []
-    for idx in kept:
-        e = basis.elems[idx]
-        td, tp = e.td, e.tp
-        steps = []
-        while True:
-            # The element's own lead never divides its tail (that would
-            # force tail >= lead), so reducing against all kept leads is
-            # safe.
-            k = minimal.find_reducer(td, tp, engine.mask_of(tp))
-            if k < 0:
-                break
-            r = minimal.elems[k]
-            mult = (td - r.ld, tp - r.lp)
-            steps.append((kept[k], mult, -1))
-            td, tp = mult[0] + r.td, mult[1] + r.tp
-            if td >= _DEGREE_CAP:
-                raise _degree_cap_exceeded()
+    for k, e in enumerate(minimal.elems):
+        # The element's own lead never divides its tail (that would
+        # force tail >= lead), so reducing against all kept leads is
+        # safe.
+        steps = [(k, (0, 0), 1)] if track else None
+        td, tp = minimal.reduce_tail(e.td, e.tp, steps, 1)
         final.append((e.ld, e.lp, td, tp))
-        if basis.track:
-            comb = (((idx, (0, 0), 1),) + tuple((i, m, -s) for i, m, s in steps))
-            final_prov.append(("comb", comb))
+        if track:
+            final_prov.append(minimal.flatten(steps))
     return final, final_prov
 
 
-def _flatten_entry(entry, memo, flips):
-    """Flatten one provenance entry against fully-expanded references."""
-    if entry[0] == "gen":
-        k = entry[1]
-        return ((k, (0, 0), flips[k]),)
-    flat = []
-    for ref, (md, mp), sg in entry[1]:
-        for k, (md2, mp2), sg2 in memo[ref]:
-            flat.append((k, (md + md2, mp + mp2), sg * sg2))
-    return tuple(flat)
-
-
-def _expand_provenance(basis: _Basis, entries, flips):
-    """Flatten provenance entries to ((gen_index, (deg, packed), sign), ...).
-
-    References always point to earlier basis indices, so one ascending
-    pass expands everything without recursion.
-    """
-    needed = set()
-    stack = []
-    for entry in entries:
-        if entry[0] == "comb":
-            stack.extend(ref for ref, _, _ in entry[1])
-    while stack:
-        ref = stack.pop()
-        if ref in needed:
-            continue
-        needed.add(ref)
-        entry = basis.prov[ref]
-        if entry[0] == "comb":
-            stack.extend(r for r, _, _ in entry[1])
-    memo: dict[int, tuple] = {}
-    for ref in sorted(needed):
-        memo[ref] = _flatten_entry(basis.prov[ref], memo, flips)
-    return [_flatten_entry(entry, memo, flips) for entry in entries]
-
-
 def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
-    basis = _Basis(engine, track)
+    basis = _Basis(engine)
     pairs: dict[tuple[int, int], int] = {}
     heap: list[tuple[int, int, int]] = []
-    flips = []
     for k, g in enumerate(gens):
-        p = engine.pack(g.plus)
-        m = engine.pack(g.minus)
-        flips.append(1 if engine.greater(p, m) else -1)
-        b4 = p + m if flips[-1] == 1 else m + p
-        _gm_update(engine, basis, pairs, heap, b4, ("gen", k))
+        b4, flip = engine.orient(g)
+        _gm_update(engine, basis, pairs, heap, b4, ((k, (0, 0), flip),))
     reductions = 0
     while heap:
         _, i, j = heappop(heap)
@@ -721,29 +679,28 @@ def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
         s, sig_s, ui, uj = _spoly4(engine, basis.elems[i], basis.elems[j])
         if s is None:
             continue
-        nf, steps, sig_f = basis.reduce(s, collect_steps=track)
+        steps = [] if track else None
+        nf, sig_f = basis.reduce(s, steps)
         if nf is None:
             continue
         prov = None
         if track:
             # stored = sig_f * (s - sum steps) and s = sig_s * (ui*e_i - uj*e_j)
             sf = sig_f * sig_s
-            comb = ((i, ui, sf), (j, uj, -sf)) + tuple(
+            prov = basis.flatten(((i, ui, sf), (j, uj, -sf)) + tuple(
                 (k, m, -sig_f * sg) for k, m, sg in steps
-            )
-            prov = ("comb", comb)
+            ))
         _gm_update(engine, basis, pairs, heap, nf, prov)
-    final, final_prov = _interreduce(engine, basis)
+    final, final_prov = _interreduce(engine, basis, track)
     elements = tuple(engine.from_binomial4(b4) for b4 in final)
     construction = None
     if track:
-        certs = []
-        for b4, flat in zip(final, _expand_provenance(basis, final_prov, flips)):
-            terms = tuple(
+        construction = tuple(
+            Certificate(b, tuple(
                 CertTerm(gens[k], engine.unpack(mp), sg) for k, (_, mp), sg in flat
-            )
-            certs.append(Certificate(engine.from_binomial4(b4), terms))
-        construction = tuple(certs)
+            ))
+            for b, flat in zip(elements, final_prov)
+        )
     return elements, construction
 
 
@@ -752,14 +709,8 @@ def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
 # --------------------------------------------------------------------------
 
 
-def _universe(
-    order: TermOrder,
-    binomials: Iterable[Binomial],
-    variables: Iterable[Variable] | None,
-) -> tuple[Variable, ...]:
+def _universe(order: TermOrder, binomials: Iterable[Binomial]) -> tuple[Variable, ...]:
     seen: dict[Variable, None] = {}
-    if variables is not None:
-        seen.update(dict.fromkeys(variables))
     for b in binomials:
         seen.update(dict.fromkeys(b.variables()))
     seen.update(dict.fromkeys(order.head))
@@ -769,13 +720,11 @@ def _universe(
 
 def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZero:
     """S-polynomial of two pure-difference binomials (or ZERO)."""
-    engine = _Engine(_universe(order, (f, g), None), order)
-    ef = _Elem(engine, engine.to_binomial4(f))
-    eg = _Elem(engine, engine.to_binomial4(g))
-    s, _, _, _ = _spoly4(engine, ef, eg)
-    if s is None:
-        return ZERO
-    return engine.from_binomial4(s)
+    engine = _Engine(_universe(order, (f, g)), order)
+    ef = _Elem(engine, engine.orient(f)[0])
+    eg = _Elem(engine, engine.orient(g)[0])
+    s = _spoly4(engine, ef, eg)[0]
+    return ZERO if s is None else engine.from_binomial4(s)
 
 
 def reduce(
@@ -795,38 +744,42 @@ def reduce(
             raise ValueError("basis elements must be nonzero binomials")
     if f is ZERO:
         return (ZERO, None) if track else ZERO
-    engine = _Engine(_universe(order, gens + (f,), None), order)
-    b = _Basis(engine, track=False)
-    for g in gens:
-        b.append(_Elem(engine, engine.to_binomial4(g)), None)
-    nf4, steps, sigma = b.reduce(engine.to_binomial4(f), collect_steps=track)
+    engine = _Engine(_universe(order, gens + (f,)), order)
+    b = _Basis(engine)
+    for k, g in enumerate(gens):
+        g4, flip = engine.orient(g)
+        b.append(_Elem(engine, g4), ((k, (0, 0), flip),))
+    f4, f_flip = engine.orient(f)
+    steps = [] if track else None
+    nf4, sigma = b.reduce(f4, steps)
     nf: BinomialOrZero = ZERO if nf4 is None else engine.from_binomial4(nf4)
-    # The engine reduced the normalized image of f, and its lead/trail
+    # The engine reduced f4 = f_flip * f, and its lead/trail
     # representation may carry an extra sign; undo both so the identity
     # f = nf + sum(sign * mult * gen) holds over the inputs as given.
-    f_flip = 1 if order.greater(f.plus, f.minus) else -1
     if f_flip * sigma < 0 and nf is not ZERO:
         nf = Binomial(nf.minus, nf.plus)
     if not track:
         return nf
-    terms = []
-    for k, (_, mp), sg in steps:
-        gen = gens[k]
-        gen_flip = 1 if order.greater(gen.plus, gen.minus) else -1
-        terms.append(CertTerm(gen, engine.unpack(mp), sg * gen_flip * f_flip))
-    return nf, Certificate(f, tuple(terms))
+    terms = tuple(
+        CertTerm(gens[k], engine.unpack(mp), sg * f_flip)
+        for k, (_, mp), sg in b.flatten(steps)
+    )
+    return nf, Certificate(f, terms)
 
 
 def buchberger(
     gens: Sequence[Binomial],
     order: TermOrder = DEGREVLEX,
-    variables: Iterable[Variable] | None = None,
     budget: int | None = None,
     track: bool = False,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by pure-difference
-    binomials; canonical for a fixed order, independent of input order.
+    binomials.
 
+    Whenever the run returns, the basis is canonical for the order: the
+    same for every input order.  Whether it returns can depend on the
+    input order, since the intermediate degrees (checked against the
+    engine's degree cap) and the number of S-pair reductions do.
     ``budget`` caps the number of S-pair reductions and raises
     ResourceBudgetExceeded beyond it.  With ``track``, each basis element
     carries a certificate over the input generators.
@@ -835,7 +788,7 @@ def buchberger(
     for g in gens:
         if g is ZERO or not isinstance(g, Binomial):
             raise ValueError("generators must be nonzero binomials")
-    engine = _Engine(_universe(order, gens, variables), order)
+    engine = _Engine(_universe(order, gens), order)
     elements, construction = _run_buchberger(engine, gens, budget, track)
     return GroebnerBasis(order, elements, construction)
 

@@ -63,7 +63,7 @@ class LatticeVector:
     coords: tuple[int, ...]
 
 
-def build_matrix_from_labels(lm: LabelMap) -> ExponentMatrix:
+def build_matrix(lm: LabelMap) -> ExponentMatrix:
     cfg = lm.cfg
     rows = (
         [r_var(i) for i in range(cfg.a.x, cfg.b.x + 1)]
@@ -80,7 +80,7 @@ def build_matrix_from_labels(lm: LabelMap) -> ExponentMatrix:
     return ExponentMatrix(tuple(rows), cols, tuple(tuple(r) for r in entries))
 
 
-def phi_image_from_labels(m: Monomial, lm: LabelMap) -> Monomial:
+def phi_image(m: Monomial, lm: LabelMap) -> Monomial:
     """Image of a vertex monomial under the monomial map."""
     exps: dict[Variable, int] = {}
     for v, e in m.exps:
@@ -177,7 +177,7 @@ def saturate_generators(
     current = list(gens)
     for v in variables:
         order = TermOrder("degrevlex", last=(v,))
-        gb = buchberger(current, order, variables=variables, budget=budget)
+        gb = buchberger(current, order, budget=budget)
         current = [_divide_common_power(g, v) for g in gb.elements]
     return current
 
@@ -190,14 +190,14 @@ def toric_generators(
     """Reduced Groebner basis of the toric ideal of the monomial map of a
     label map, computed from a lattice-kernel basis by iterated
     saturation; no inner-minor data enters the computation."""
-    matrix = build_matrix_from_labels(lm)
+    matrix = build_matrix(lm)
     kernel = lattice_kernel(matrix)
     gens = [lattice_vector_to_binomial(z, matrix.cols) for z in kernel]
     variables = [vertex_var(p) for p in matrix.cols]
     if not gens:
         return []
     saturated = saturate_generators(gens, variables, budget=budget)
-    final = buchberger(saturated, order, variables=variables, budget=budget)
+    final = buchberger(saturated, order, budget=budget)
     return list(final.elements)
 
 

@@ -41,7 +41,7 @@ from .grid import (
     point_key,
 )
 from .labelling import LabelMap, build_label_map
-from .toric import phi_image_from_labels, toric_generators
+from .toric import phi_image, toric_generators
 
 
 @dataclass
@@ -215,7 +215,7 @@ def kernel_binomials_up_to_degree(lm: LabelMap, max_degree: int) -> list[Binomia
             for v in combo:
                 exps[v] = exps.get(v, 0) + 1
             mono = Monomial(exps.items())
-            groups.setdefault(phi_image_from_labels(mono, lm), []).append(mono)
+            groups.setdefault(phi_image(mono, lm), []).append(mono)
         for image in sorted(groups, key=str):
             members = groups[image]
             for i in range(len(members)):
@@ -295,9 +295,7 @@ class MembershipCertifier:
         self.basis = buchberger(self.minors, DEGREVLEX, track=True)
 
     def certify(self, f: Binomial) -> Certificate:
-        if phi_image_from_labels(f.plus, self.labels) != phi_image_from_labels(
-            f.minus, self.labels
-        ):
+        if phi_image(f.plus, self.labels) != phi_image(f.minus, self.labels):
             raise NotInKernel(
                 f"images differ, {f} is provably outside the ideal"
             )

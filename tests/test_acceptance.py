@@ -26,7 +26,7 @@ from polytoric.binom import DEGREVLEX, buchberger, expand_certificate
 from polytoric.cli import main
 from polytoric.grid import GridPoint, build_rect_diff, enumerate_inner_minors
 from polytoric.labelling import build_label_map, render_label_grid
-from polytoric.toric import build_matrix_from_labels, lattice_kernel
+from polytoric.toric import build_matrix, lattice_kernel
 from polytoric.verify import (
     MembershipCertifier,
     check_theorem,
@@ -129,7 +129,7 @@ def test_criterion_6_hole_containment():
 def test_criterion_7_kernel_exactness():
     with criterion(7, "integer kernel exactness", 30.0):
         for coords in (SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5):
-            matrix = build_matrix_from_labels(build_label_map(cfg_of(coords)))
+            matrix = build_matrix(build_label_map(cfg_of(coords)))
             kernel = lattice_kernel(matrix)
             for z in kernel:
                 for row in matrix.entries:

@@ -170,7 +170,7 @@ def test_reduce_kernel_cubic_small_instance():
     """Degree-3 kernel binomials of the small instance reduce to zero
     against the Groebner basis of its inner minors."""
     from polytoric.labelling import build_label_map
-    from polytoric.toric import phi_image_from_labels
+    from polytoric.toric import phi_image
 
     cfg = cfg_of(SMALL)
     lm = build_label_map(cfg)
@@ -180,10 +180,7 @@ def test_reduce_kernel_cubic_small_instance():
     member = Binomial(
         x(1, 2) * x(2, 4) * x(4, 1), x(1, 4) * x(2, 1) * x(4, 2)
     )
-    images = (
-        phi_image_from_labels(member.plus, lm),
-        phi_image_from_labels(member.minus, lm),
-    )
+    images = (phi_image(member.plus, lm), phi_image(member.minus, lm))
     assert images[0] == images[1]
     assert str(images[0]) == "r[1]*r[2]*r[4]*s[1]*s[2]*s[4]*t[1]*t[2]^2"
     assert reduce(member, gb, DEGREVLEX) is ZERO
@@ -193,9 +190,7 @@ def test_reduce_kernel_cubic_small_instance():
     outside = Binomial(
         x(1, 1) * x(2, 4) * x(4, 2), x(1, 2) * x(2, 1) * x(4, 4)
     )
-    assert phi_image_from_labels(outside.plus, lm) != phi_image_from_labels(
-        outside.minus, lm
-    )
+    assert phi_image(outside.plus, lm) != phi_image(outside.minus, lm)
     assert reduce(outside, gb, DEGREVLEX) is not ZERO
 
 
@@ -209,15 +204,18 @@ def test_tracked_reduce_division_identity():
     from polytoric.verify import kernel_binomials_up_to_degree
 
     pool = kernel_binomials_up_to_degree(build_label_map(cfg), 3)
+    # The same basis with every element written trail first.
+    flipped = [Binomial(g.minus, g.plus) for g in gb.elements]
     for f in rng.sample(pool, 40):
-        nf, cert = reduce(f, gb, DEGREVLEX, track=True)
-        total = expand_certificate(cert)
-        if nf is not ZERO:
-            for m, c in ((nf.plus, 1), (nf.minus, -1)):
-                total[m] = total.get(m, 0) + c
-                if not total[m]:
-                    del total[m]
-        assert total == {f.plus: 1, f.minus: -1}
+        for basis in (gb, flipped):
+            nf, cert = reduce(f, basis, DEGREVLEX, track=True)
+            total = expand_certificate(cert)
+            if nf is not ZERO:
+                for m, c in ((nf.plus, 1), (nf.minus, -1)):
+                    total[m] = total.get(m, 0) + c
+                    if not total[m]:
+                        del total[m]
+            assert total == {f.plus: 1, f.minus: -1}
 
 
 # -- buchberger --------------------------------------------------------------
@@ -249,6 +247,16 @@ def test_buchberger_linear_chain_lex():
     order = TermOrder("lex", head=(X[1], X[2], X[3]))
     gb = buchberger([bino((1,), (2,)), bino((2,), (3,))], order)
     assert set(gb.elements) == {bino((1,), (3,)), bino((2,), (3,))}
+
+
+def test_buchberger_lex_elements_sorted_by_degree_first():
+    order = TermOrder("lex", head=(X[1], X[2], X[3]))
+    linear = bino((1,), (3,))
+    cubic = bino((2, 2, 2), (3, 3, 3))
+    # x1 > x2^3 under this lex order, yet the linear element comes first.
+    assert order.greater(linear.plus, cubic.plus)
+    assert buchberger([linear, cubic], order).elements == (linear, cubic)
+    assert buchberger([cubic, linear], order).elements == (linear, cubic)
 
 
 def test_buchberger_canonical_under_permutation():
@@ -334,7 +342,12 @@ def engine_monomial_pairs(draw):
     return universe, monomial(), monomial()
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+@pytest.mark.parametrize("order", [
+    DEGREVLEX,
+    LEX,
+    TermOrder("degrevlex", last=(ENGINE_POOL[0],)),  # a saturation step
+    TermOrder("lex", head=(ENGINE_POOL[2], ENGINE_POOL[0])),
+])
 @given(case=engine_monomial_pairs())
 @settings(max_examples=300)
 def test_packed_primitives_match_sparse_reference(order, case):
@@ -342,6 +355,13 @@ def test_packed_primitives_match_sparse_reference(order, case):
     engine = _Engine(universe, order)
     pa, pb = engine.pack(a), engine.pack(b)
     assert pa[0] == a.degree and engine.unpack(pa[1]) == a
+    # The packed order, which orients every binomial the engine sees,
+    # against the sparse reference.  A rotation c of a's exponents has
+    # a's degree, so degrevlex always reaches its tie-break on (a, c).
+    exps = [a.exponent(v) for v in universe]
+    c = Monomial(zip(universe, exps[1:] + exps[:1]))
+    for x, y in ((a, b), (b, a), (a, c), (c, a)):
+        assert engine.greater(engine.pack(x), engine.pack(y)) == order.greater(x, y)
     # The lcm may pass the cap (up to twice it), so compare it unpacked.
     lcm_deg, lcm = engine.lcm(pa[1], pb[1])
     assert engine.unpack(lcm) == a.lcm(b) and lcm_deg == a.lcm(b).degree
@@ -374,6 +394,30 @@ def test_buchberger_random_input_order_is_irrelevant(order, data):
     gens = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=5))
     shuffled = data.draw(st.permutations(gens))
     assert buchberger(shuffled, order).elements == buchberger(gens, order).elements
+
+
+# Inhomogeneous lex input near the degree cap: 60 of the 120 input orders
+# return the basis below, the other 60 pass the cap on the way.
+_LEX_NEAR_CAP = [
+    "1 - x[1,1]^2*x[2,1]^2*x[2,3]",
+    "x[2,2] - x[1,3]*x[2,1]^2*x[2,3]",
+    "x[2,2] - x[1,3]^2*x[2,2]^2*x[2,3]",
+    "x[2,1] - x[1,1]*x[1,2]*x[1,3]*x[2,3]^2",
+    "x[2,2] - x[1,1]*x[1,2]*x[1,3]^2*x[2,1]^2*x[2,2]^2",
+]
+
+
+def test_buchberger_input_order_decides_only_whether_it_returns():
+    gens = [parse_binomial(g) for g in _LEX_NEAR_CAP]
+    assert [str(g) for g in buchberger(gens, LEX).elements] == [
+        "x[1,3] - x[1,1]^4*x[1,2]^4",
+        "x[2,1] - x[1,1]^4*x[1,2]^6",
+        "x[2,2] - x[1,1]^2*x[1,2]^4",
+        "x[2,3] - x[1,1]^9*x[1,2]^13",
+        "x[1,1]^19*x[1,2]^25 - 1",
+    ]
+    with pytest.raises(ResourceBudgetExceeded, match="degree cap"):
+        buchberger([gens[1], gens[0]] + gens[2:], LEX)
 
 
 # A = x[1,1]^21900 * x[1,2]^21900 * x[1,3]^21900: every field fits its 2**15

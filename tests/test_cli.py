@@ -3,11 +3,11 @@ import json
 import pytest
 from conftest import FRAME_7X5, SMALL
 
-from polytoric.binom import parse_binomial
-from polytoric.cli import instance_from_dict, load_instance, main
+from polytoric.binom import LEX, buchberger, parse_binomial
+from polytoric.cli import MAX_SIDE, instance_from_dict, load_instance, main
 from polytoric.errors import ParseError
 from polytoric.labelling import build_label_map, label_map_from_json_dict
-from polytoric.toric import phi_image_from_labels
+from polytoric.toric import phi_image
 
 
 def write_instance(tmp_path, coords, name="instance.json"):
@@ -98,6 +98,18 @@ def test_negative_coordinate_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_outer_box_past_size_limit_exit_2(tmp_path, capsys):
+    at_limit = instance_from_dict({"outer": {"a": [0, 0], "b": [MAX_SIDE, MAX_SIDE]},
+                                   "hole": {"a": [1, 1], "b": [2, 2]}})
+    assert at_limit.b.x == at_limit.b.y == MAX_SIDE
+    for b in ((MAX_SIDE + 1, 3), (3, MAX_SIDE + 1)):
+        path = write_instance(tmp_path, ((0, 0), b, (1, 1), (2, 2)))
+        assert main(["minors", "--instance", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"more than {MAX_SIDE}" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_verify_small_exit_0(tmp_path, capsys):
     path = write_instance(tmp_path, SMALL)
     report_path = tmp_path / "report.json"
@@ -159,7 +171,23 @@ def test_toric_listing_balanced(tmp_path, capsys):
     assert len(lines) == 20
     lm = build_label_map(RectDiffConfig.of(*SMALL))
     first = parse_binomial(lines[0])
-    assert phi_image_from_labels(first.plus, lm) == phi_image_from_labels(first.minus, lm)
+    assert phi_image(first.plus, lm) == phi_image(first.minus, lm)
+
+
+def test_toric_lex_listing_is_the_lex_basis_of_the_minors(tmp_path, capsys):
+    from polytoric.grid import RectDiffConfig, build_rect_diff, enumerate_inner_minors
+
+    path = write_instance(tmp_path, SMALL)
+    assert main(["toric", "--instance", path, "--order", "lex"]) == 0
+    minors = enumerate_inner_minors(build_rect_diff(RectDiffConfig.of(*SMALL)))
+    expected = "".join(f"{g}\n" for g in buchberger(minors, LEX).elements)
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_lex_small_exit_0(tmp_path, capsys):
+    path = write_instance(tmp_path, SMALL)
+    assert main(["verify", "--instance", path, "--order", "lex"]) == 0
+    assert json.loads(capsys.readouterr().out)["ideals_equal"] is True
 
 
 def test_certify_inner_minor(tmp_path, capsys):

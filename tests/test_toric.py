@@ -20,18 +20,18 @@ from polytoric.grid import GridPoint, build_rect_diff, enumerate_inner_minors
 from polytoric.labelling import build_label_map
 from polytoric.toric import (
     ExponentMatrix,
-    build_matrix_from_labels,
+    build_matrix,
     lattice_kernel,
     lattice_vector_to_binomial,
     matrix_csv,
-    phi_image_from_labels,
+    phi_image,
     saturate_generators,
     toric_generators,
 )
 
 
 def test_matrix_shape_frame():
-    a = build_matrix_from_labels(build_label_map(cfg_of(FRAME_7X5)))
+    a = build_matrix(build_label_map(cfg_of(FRAME_7X5)))
     assert a.shape() == (20, 33)  # 7 r-rows, 5 s-rows, 8 t-rows
     assert a.rows[:7] == tuple(r_var(i) for i in range(1, 8))
     assert a.rows[7:12] == tuple(s_var(j) for j in range(1, 6))
@@ -39,12 +39,12 @@ def test_matrix_shape_frame():
 
 
 def test_matrix_shape_small():
-    a = build_matrix_from_labels(build_label_map(cfg_of(SMALL)))
+    a = build_matrix(build_label_map(cfg_of(SMALL)))
     assert a.shape() == (10, 16)  # 4 + 4 + 2 rows
 
 
 def test_matrix_column_pattern():
-    a = build_matrix_from_labels(build_label_map(cfg_of(FRAME_7X5)))
+    a = build_matrix(build_label_map(cfg_of(FRAME_7X5)))
     j = a.cols.index(GridPoint(1, 5))
     col = a.column(j)
     ones = {a.rows[i] for i, e in enumerate(col) if e == 1}
@@ -59,7 +59,7 @@ def test_matrix_column_pattern():
 
 def test_matrix_block_row_sums_agree():
     for coords in (SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5):
-        a = build_matrix_from_labels(build_label_map(cfg_of(coords)))
+        a = build_matrix(build_label_map(cfg_of(coords)))
         nr = sum(1 for v in a.rows if v.kind == "r")
         ns = sum(1 for v in a.rows if v.kind == "s")
         blocks = (a.entries[:nr], a.entries[nr:nr + ns], a.entries[nr + ns:])
@@ -74,16 +74,16 @@ def test_matrix_block_row_sums_agree():
 def test_phi_image_values():
     lm = build_label_map(cfg_of(FRAME_7X5))
     x = lambda i, j: Monomial([(vertex_var((i, j)), 1)])
-    assert str(phi_image_from_labels(x(3, 1), lm)) == "r[3]*s[1]*t[3]"
-    diag = phi_image_from_labels(x(1, 1) * x(2, 2), lm)
-    anti = phi_image_from_labels(x(1, 2) * x(2, 1), lm)
+    assert str(phi_image(x(3, 1), lm)) == "r[3]*s[1]*t[3]"
+    diag = phi_image(x(1, 1) * x(2, 2), lm)
+    anti = phi_image(x(1, 2) * x(2, 1), lm)
     assert diag == anti
     assert str(diag) == "r[1]*r[2]*s[1]*s[2]*t[1]^2"
-    assert phi_image_from_labels(UNIT, lm) == UNIT
+    assert phi_image(UNIT, lm) == UNIT
     with pytest.raises(VertexOutsidePolyomino):
-        phi_image_from_labels(x(3, 3), lm)
+        phi_image(x(3, 3), lm)
     with pytest.raises(VertexOutsidePolyomino):
-        phi_image_from_labels(Monomial([(r_var(1), 1)]), lm)
+        phi_image(Monomial([(r_var(1), 1)]), lm)
 
 
 def test_lattice_kernel_duplicate_columns():
@@ -107,7 +107,7 @@ def test_lattice_kernel_injective_matrix():
 
 @pytest.mark.parametrize("coords", [SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5])
 def test_lattice_kernel_exactness_and_dimension(coords):
-    a = build_matrix_from_labels(build_label_map(cfg_of(coords)))
+    a = build_matrix(build_label_map(cfg_of(coords)))
     kernel = lattice_kernel(a)
     n = len(a.cols)
     for z in kernel:
@@ -157,12 +157,12 @@ def test_toric_generators_match_inner_minors(coords):
 def test_toric_generators_are_balanced():
     lm = build_label_map(cfg_of(MEDIUM_A))
     for g in toric_generators(lm):
-        assert phi_image_from_labels(g.plus, lm) == phi_image_from_labels(g.minus, lm)
+        assert phi_image(g.plus, lm) == phi_image(g.minus, lm)
 
 
 def test_saturation_idempotent():
     cfg = cfg_of(SMALL)
-    matrix = build_matrix_from_labels(build_label_map(cfg))
+    matrix = build_matrix(build_label_map(cfg))
     variables = [vertex_var(p) for p in matrix.cols]
     gens = [lattice_vector_to_binomial(z, matrix.cols)
             for z in lattice_kernel(matrix)]
@@ -188,7 +188,7 @@ def test_matrix_csv():
     import csv
     import io
 
-    a = build_matrix_from_labels(build_label_map(cfg_of(SMALL)))
+    a = build_matrix(build_label_map(cfg_of(SMALL)))
     text = matrix_csv(a)
     rows = list(csv.reader(io.StringIO(text)))
     assert len(rows) == 1 + 10

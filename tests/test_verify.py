@@ -27,9 +27,9 @@ from polytoric.grid import (
 )
 from polytoric.labelling import build_label_map
 from polytoric.toric import (
-    build_matrix_from_labels,
+    build_matrix,
     lattice_kernel,
-    phi_image_from_labels,
+    phi_image,
     toric_generators,
 )
 from polytoric.verify import (
@@ -80,9 +80,7 @@ def test_phi_annihilation_matches_label_balance():
                         e1, e2 = iv.anti_diagonal()
                         diag = x(lx, ly) * x(hx, hy)
                         anti = x(e1.x, e1.y) * x(e2.x, e2.y)
-                        annihilated = phi_image_from_labels(
-                            diag, lm
-                        ) == phi_image_from_labels(anti, lm)
+                        annihilated = phi_image(diag, lm) == phi_image(anti, lm)
                         balanced = sorted(
                             (lm.labels[iv.lo], lm.labels[iv.hi])
                         ) == sorted((lm.labels[e1], lm.labels[e2]))
@@ -275,9 +273,7 @@ def test_kernel_enumeration_properties():
     degree2 = [f for f in pool if f.degree == 2]
     assert len(degree2) == 20  # exactly the inner-minor pairs
     for f in pool:
-        assert phi_image_from_labels(f.plus, lm) == phi_image_from_labels(
-            f.minus, lm
-        )
+        assert phi_image(f.plus, lm) == phi_image(f.minus, lm)
 
 
 # -- mutation sensitivity -----------------------------------------------------
@@ -300,7 +296,7 @@ def test_label_mutation_flips_some_check():
 def test_matrix_mutation_flips_kernel_or_pattern():
     cfg = cfg_of(SMALL)
     lm = build_label_map(cfg)
-    a = build_matrix_from_labels(lm)
+    a = build_matrix(lm)
     kernel = lattice_kernel(a)
 
     def column_pattern_ok(matrix) -> bool:
@@ -332,10 +328,7 @@ def test_minor_mutation_flips_balance_check():
     minors = enumerate_inner_minors(build_rect_diff(cfg))
 
     def all_balanced(gens) -> bool:
-        return all(
-            phi_image_from_labels(g.plus, lm) == phi_image_from_labels(g.minus, lm)
-            for g in gens
-        )
+        return all(phi_image(g.plus, lm) == phi_image(g.minus, lm) for g in gens)
 
     assert all_balanced(minors)
     corrupted = list(minors)
