@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, Sequence, Union
 
@@ -323,11 +323,16 @@ class GroebnerBasis:
 
     When built with tracking, ``construction`` holds one certificate per
     element expressing it in terms of the input generators.
+
+    :func:`reduce` packs the elements once per term order and keeps the
+    packed form here, so later normal forms against this basis reuse it.
     """
 
     order: TermOrder
     elements: tuple[Binomial, ...]
     construction: tuple[Certificate, ...] | None = None
+    # TermOrder -> (_Engine, _Basis); only read after it is stored.
+    _packed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -727,6 +732,17 @@ def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZ
     return ZERO if s is None else engine.from_binomial4(s)
 
 
+def _pack_basis(gens: tuple[Binomial, ...], order: TermOrder, f: Binomial):
+    """(engine, basis) holding ``gens`` over their variables and those of
+    ``f``, each element with its generator as provenance."""
+    engine = _Engine(_universe(order, gens + (f,)), order)
+    b = _Basis(engine)
+    for k, g in enumerate(gens):
+        g4, flip = engine.orient(g)
+        b.append(_Elem(engine, g4), ((k, (0, 0), flip),))
+    return engine, b
+
+
 def reduce(
     f: BinomialOrZero,
     basis: Sequence[Binomial] | GroebnerBasis,
@@ -737,18 +753,28 @@ def reduce(
 
     The certificate satisfies f = normal_form + sum(sign * mult * gen)
     over its terms, exactly at the exponent level.
+
+    A plain sequence is packed on each call.  A GroebnerBasis is packed
+    once per order and the packed form is reused while the variables of
+    f lie in its universe; the result is the same either way.
     """
-    gens = tuple(basis.elements if isinstance(basis, GroebnerBasis) else basis)
-    for g in gens:
-        if not isinstance(g, Binomial):
-            raise ValueError("basis elements must be nonzero binomials")
+    if isinstance(basis, GroebnerBasis):
+        gens, memo = basis.elements, basis._packed
+    else:
+        gens, memo = tuple(basis), {}
+    packed = memo.get(order)
+    if packed is None:
+        for g in gens:
+            if not isinstance(g, Binomial):
+                raise ValueError("basis elements must be nonzero binomials")
     if f is ZERO:
         return (ZERO, None) if track else ZERO
-    engine = _Engine(_universe(order, gens + (f,)), order)
-    b = _Basis(engine)
-    for k, g in enumerate(gens):
-        g4, flip = engine.orient(g)
-        b.append(_Elem(engine, g4), ((k, (0, 0), flip),))
+    if packed is None or any(
+        v not in packed[0].index for v, _ in f.plus.exps + f.minus.exps
+    ):
+        packed = _pack_basis(gens, order, f)
+        memo.setdefault(order, packed)
+    engine, b = packed
     f4, f_flip = engine.orient(f)
     steps = [] if track else None
     nf4, sigma = b.reduce(f4, steps)

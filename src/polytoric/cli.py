@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .binom import (
     DEGREVLEX,
+    GroebnerBasis,
     TermOrder,
     ZERO,
     parse_binomial,
@@ -29,7 +30,7 @@ from .errors import (
     ResourceBudgetExceeded,
     VertexOutsidePolyomino,
 )
-from .grid import RectDiffConfig, build_rect_diff, enumerate_inner_minors
+from .grid import MAX_SIDE, RectDiffConfig, build_rect_diff, enumerate_inner_minors
 from .labelling import (
     build_label_map,
     render_label_csv,
@@ -43,12 +44,6 @@ from .verify import (
     kernel_binomials_up_to_degree,
     quadratic_scan,
 )
-
-# Widest and tallest outer box accepted, in cells.  Listing the inner
-# intervals costs O(W^2 H^2): on a shared 2-vCPU machine `polytoric
-# minors` took 2.4 s on a 16x16 box and 8.4 s on a 20x20 one.
-MAX_SIDE = 16
-
 
 def _pair(value, where: str) -> tuple[int, int]:
     if (
@@ -74,19 +69,12 @@ def instance_from_dict(data, where: str = "instance") -> RectDiffConfig:
             if corner not in block:
                 raise ParseError(f"{where}: missing field {rect}.{corner}")
             corners[(rect, corner)] = _pair(block[corner], f"{rect}.{corner}")
-    cfg = RectDiffConfig.of(
+    return RectDiffConfig.of(
         corners[("outer", "a")],
         corners[("outer", "b")],
         corners[("hole", "a")],
         corners[("hole", "b")],
     )
-    width, height = cfg.b.x - cfg.a.x, cfg.b.y - cfg.a.y
-    if max(width, height) > MAX_SIDE:
-        raise ParseError(
-            f"{where}: outer box is {width}x{height} cells, "
-            f"more than {MAX_SIDE} on a side"
-        )
-    return cfg
 
 
 def load_instance(path: str) -> RectDiffConfig:
@@ -209,7 +197,10 @@ def cmd_oracle(args) -> int:
           f"{len(kernel)}, rationally expected {expected}")
 
     try:
-        jp = toric_generators(lm, budget=args.budget)
+        # Wrapped once, so every reduce below reuses one packed basis.
+        jp = GroebnerBasis(
+            DEGREVLEX, tuple(toric_generators(lm, budget=args.budget))
+        )
     except ResourceBudgetExceeded as exc:
         raise ResourceBudgetExceeded(
             f"budget exceeded in stage toric_generators: {exc}"

@@ -120,11 +120,17 @@ class Polyomino:
         )
 
 
+# Widest and tallest outer box accepted, in cells.  Listing the inner
+# intervals costs O(W^2 H^2): on a shared 2-vCPU machine `polytoric
+# minors` took 2.4 s on a 16x16 box and 8.4 s on a 20x20 one.
+MAX_SIDE = 16
+
+
 @dataclass(frozen=True)
 class RectDiffConfig:
     """Outer rectangle [a, b] minus inner rectangle [a_inner, b_inner];
     the chain a < a_inner < b_inner < b must be strict in both
-    coordinates."""
+    coordinates, and the outer box at most MAX_SIDE cells on a side."""
 
     a: GridPoint
     b: GridPoint
@@ -140,6 +146,12 @@ class RectDiffConfig:
                     f"{self.a.as_tuple()} {self.a_inner.as_tuple()} "
                     f"{self.b_inner.as_tuple()} {self.b.as_tuple()}"
                 )
+        width, height = self.b.x - self.a.x, self.b.y - self.a.y
+        if max(width, height) > MAX_SIDE:
+            raise ConfigInvalid(
+                f"outer box is {width}x{height} cells, "
+                f"more than {MAX_SIDE} on a side"
+            )
 
     @classmethod
     def of(cls, a, b, a_inner, b_inner) -> "RectDiffConfig":

@@ -293,6 +293,7 @@ class MembershipCertifier:
         self.labels = build_label_map(cfg)
         self.minors = enumerate_inner_minors(build_rect_diff(cfg))
         self.basis = buchberger(self.minors, DEGREVLEX, track=True)
+        self._index = {g: k for k, g in enumerate(self.basis.elements)}
 
     def certify(self, f: Binomial) -> Certificate:
         if phi_image(f.plus, self.labels) != phi_image(f.minus, self.labels):
@@ -306,8 +307,7 @@ class MembershipCertifier:
             )
         terms = []
         for step in cert.terms:
-            idx = self.basis.elements.index(step.generator)
-            for inner in self.basis.construction[idx].terms:
+            for inner in self.basis.construction[self._index[step.generator]].terms:
                 terms.append(
                     CertTerm(
                         inner.generator,

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import SMALL, cfg_of
+from conftest import MEDIUM_A, SMALL, cfg_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from polytoric.binom import (
     UNIT,
     ZERO,
     Binomial,
+    GroebnerBasis,
     Monomial,
     TermOrder,
     Variable,
@@ -435,6 +436,101 @@ _HEAVY_COPRIME = "x[2,1]^21900*x[2,2]^21900*x[2,3]^21900"
 def test_buchberger_degree_past_cap_raises(gens):
     with pytest.raises(ResourceBudgetExceeded):
         buchberger([parse_binomial(g) for g in gens], DEGREVLEX)
+
+
+# -- packed basis memo ---------------------------------------------------------
+
+
+def assert_memo_matches_list(f, gb, order):
+    """reduce against the GroebnerBasis, whose packed form is memoized,
+    gives what it gives against the same elements as a plain list,
+    which is packed afresh on every call: untracked and tracked."""
+    plain = list(gb.elements)
+    assert reduce(f, gb, order) == reduce(f, plain, order)
+    nf, cert = reduce(f, gb, order, track=True)
+    nf_plain, cert_plain = reduce(f, plain, order, track=True)
+    assert nf == nf_plain
+    assert cert.terms == cert_plain.terms
+
+
+def kernel_and_mixed(coords, k, seed):
+    """k kernel binomials of degree <= 3 of an instance (normal form
+    zero), and k binomials that pair the plus side of one with the minus
+    side of another (mostly a nonzero normal form)."""
+    from polytoric.labelling import build_label_map
+    from polytoric.verify import kernel_binomials_up_to_degree
+
+    pool = kernel_binomials_up_to_degree(build_label_map(cfg_of(coords)), 3)
+    rng = random.Random(seed)
+    kernel = rng.sample(pool, k)
+    mixed = [Binomial(f.plus, g.minus)
+             for f, g in zip(kernel, rng.sample(pool, k)) if f.plus != g.minus]
+    return kernel + mixed
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_memo_matches_list_on_random_sets(order, data):
+    gens = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=5))
+    fs = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=6))
+    gb = buchberger(gens, order)
+    for f in fs:
+        assert_memo_matches_list(f, gb, order)
+
+
+@pytest.mark.parametrize("coords", [SMALL, MEDIUM_A])
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+def test_reduce_memo_matches_list_on_instances(coords, order):
+    minors = enumerate_inner_minors(build_rect_diff(cfg_of(coords)))
+    gb = buchberger(minors, order)
+    fs = kernel_and_mixed(coords, 25, seed=5)
+    for f in fs:
+        assert_memo_matches_list(f, gb, order)
+    assert all(reduce(f, gb, order) is ZERO for f in fs[:25])  # I_P = J_P
+    assert any(reduce(f, gb, order) is not ZERO for f in fs[25:])
+
+
+@pytest.mark.parametrize("orders", [(DEGREVLEX, LEX), (LEX, DEGREVLEX)])
+def test_reduce_memo_keeps_one_packed_form_per_order(orders):
+    minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
+    gb = buchberger(minors, DEGREVLEX)
+    fs = kernel_and_mixed(SMALL, 15, seed=8)
+    plain = list(gb.elements)
+    # The two orders give different normal forms, so a packed form
+    # reused across them would show.
+    assert any(reduce(f, plain, DEGREVLEX) != reduce(f, plain, LEX) for f in fs)
+    for _ in range(2):
+        for order in orders:
+            for f in fs:
+                assert_memo_matches_list(f, gb, order)
+
+
+def test_reduce_memo_with_variables_outside_the_basis():
+    minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
+    inside = kernel_and_mixed(SMALL, 5, seed=3)
+    extra = Monomial([(vertex_var((9, 9)), 2), (r_var(1), 1)])
+    outside = [Binomial(f.plus * extra, f.minus) for f in inside] + [
+        Binomial(f.plus * extra, f.minus * extra) for f in inside]
+    # Either call sequence: the first call packs the basis, over the
+    # variables of its own f.
+    for first, then in ((inside, outside), (outside, inside)):
+        gb = buchberger(minors, DEGREVLEX)
+        for f in first + then + first:
+            assert_memo_matches_list(f, gb, DEGREVLEX)
+    # A kernel binomial times extra on both sides stays in the ideal.
+    assert reduce(outside[len(inside)], gb, DEGREVLEX) is ZERO
+
+
+def test_groebner_basis_equality_ignores_the_memo():
+    minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
+    for gb in (buchberger(minors, DEGREVLEX), buchberger(minors, DEGREVLEX, track=True)):
+        fresh = GroebnerBasis(gb.order, gb.elements, gb.construction)
+        for order in (DEGREVLEX, LEX):
+            for f in minors:
+                reduce(f, gb, order)
+        assert gb == fresh and hash(gb) == hash(fresh)
+        assert repr(gb) == repr(fresh)
 
 
 # -- binomial type and text syntax -------------------------------------------

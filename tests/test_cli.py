@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -232,6 +233,25 @@ def test_oracle_small(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == 4
     assert "FAIL" not in out
+
+
+def _oracle_sweep():
+    """Every configuration with a = (0,0) and b <= (4,4): 16 in all.  The
+    nine 4x4 ones take about 0.4-1.2 s each and are marked slow."""
+    for b in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        for hx in itertools.combinations(range(1, b[0]), 2):
+            for hy in itertools.combinations(range(1, b[1]), 2):
+                coords = ((0, 0), b, (hx[0], hy[0]), (hx[1], hy[1]))
+                marks = [pytest.mark.slow] if b == (4, 4) else []
+                yield pytest.param(coords, marks=marks, id=str(coords))
+
+
+@pytest.mark.parametrize("coords", list(_oracle_sweep()))
+def test_oracle_sweep_exit_0(tmp_path, capsys, coords):
+    path = write_instance(tmp_path, coords)
+    assert main(["oracle", "--instance", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("ok ") for line in lines)
 
 
 def test_oracle_budget_exit_3(tmp_path, capsys):

@@ -52,6 +52,12 @@ def test_config_validation():
         RectDiffConfig.of((1, 1), (3, 3), (1, 2), (2, 3))  # a'.x == a.x
     with pytest.raises(ConfigInvalid):
         RectDiffConfig.of((1, 1), (4, 4), (2, 2), (2, 3))  # b'.x == a'.x
+    # The outer box is at most 16 cells wide and tall, wherever it sits.
+    for b in ((17, 3), (3, 17)):
+        with pytest.raises(ConfigInvalid, match="more than 16 on a side"):
+            RectDiffConfig.of((0, 0), b, (1, 1), (2, 2))
+    RectDiffConfig.of((0, 0), (16, 16), (1, 1), (2, 2))
+    RectDiffConfig.of((4, 4), (20, 20), (5, 5), (6, 6))
     cfg = cfg_of(SMALL)
     assert cfg.hole().cells().__next__() == Cell(GridPoint(2, 2))
 

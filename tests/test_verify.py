@@ -265,6 +265,17 @@ def test_certifier_random_kernel_binomials():
         assert expand_certificate(cert) == {f.plus: 1, f.minus: -1}
 
 
+def test_certifier_reuse_gives_identical_certificates():
+    cfg = cfg_of(MEDIUM_A)
+    pool = kernel_binomials_up_to_degree(build_label_map(cfg), 3)
+    batch = random.Random(77).sample(pool, 12)
+    certifier = MembershipCertifier(cfg)
+    first = [certifier.certify(f) for f in batch]
+    again = [certifier.certify(f) for f in batch]
+    fresh = [MembershipCertifier(cfg).certify(f) for f in batch]
+    assert first == again == fresh
+
+
 def test_kernel_enumeration_properties():
     cfg = cfg_of(SMALL)
     lm = build_label_map(cfg)
