@@ -16,7 +16,7 @@ term-order comparison an integer comparison as well.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, Sequence, Union
@@ -337,9 +337,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.plus for g in self.elements)
-
 
 # --------------------------------------------------------------------------
 # Packed-exponent engine
@@ -480,8 +477,16 @@ class _Elem:
 
 
 class _Basis:
-    """Growing basis with a degree-sorted reducer index and a provenance
-    record per element (None when not tracking).
+    """Growing basis with a reducer index and a provenance record per
+    element (None when not tracking).
+
+    The reducer index buckets the leads by their lowest variable (the
+    lowest set guard bit of the lead's support mask).  A lead that
+    divides t has all its variables in t's support, its lowest one
+    included, so the elements whose lead divides t lie in the buckets of
+    t's set bits.  Each bucket is sorted by reducer key: ``sort_key`` of
+    the lead, then the element index.  The same buckets give the later
+    leads that criterion B tests when a pair is popped (``dominated``).
 
     A provenance entry is a flat tuple of (gen_index, (deg, packed),
     sign) meaning value = sum sign * multiplier * gens[gen_index].
@@ -491,31 +496,66 @@ class _Basis:
         self.engine = engine
         self.elems: list[_Elem] = []
         self.prov: list[tuple] = []
-        self._keys: list[tuple] = []   # sorted reducer keys
-        self.order: list[int] = []     # element indices aligned with _keys
+        # lowest guard bit -> sorted [(reducer key, element)]
+        self.buckets: dict[int, list[tuple]] = {}
+
+    def key(self, idx: int) -> tuple:
+        e = self.elems[idx]
+        return self.engine.sort_key(e.ld, e.lp) + (idx,)
 
     def append(self, e: _Elem, prov) -> int:
         idx = len(self.elems)
         self.elems.append(e)
         self.prov.append(prov)
-        key = self.engine.sort_key(e.ld, e.lp) + (idx,)
-        pos = bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self.order.insert(pos, idx)
+        bucket = self.buckets.setdefault(e.mask & -e.mask, [])
+        insort(bucket, (self.key(idx), e))
         return idx
 
+    def sorted_indices(self) -> list[int]:
+        """Element indices in reducer-key order."""
+        return sorted(range(len(self.elems)), key=self.key)
+
     def find_reducer(self, deg: int, packed: int, mask: int) -> int:
-        """Index of the first (smallest-lead) element whose lead divides
-        the monomial, or -1."""
+        """Index of the element with the smallest reducer key whose lead
+        divides the monomial, or -1: the first hit of a linear scan in
+        key order.  Only the buckets of the monomial's set bits can hold
+        a hit.  Each bucket is scanned up to its own first hit, and a
+        hit bounds the degree searched in the later buckets."""
+        H = self.engine.H
+        best = None
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for key, e in self.buckets.get(low, ()):
+                if e.ld > deg:
+                    break
+                if e.mask & mask == e.mask and ((packed | H) - e.lp) & H == H:
+                    if best is None or key < best:
+                        best, deg = key, e.ld
+                    break
+        return -1 if best is None else best[-1]
+
+    def dominated(self, i: int, j: int, lpk: int) -> bool:
+        """Gebauer-Moeller criterion B for the pair (i, j) with lcm
+        ``lpk``: some element m > j has a lead dividing the lcm, and
+        lcm(i, m) and lcm(j, m) both differ from it."""
         engine = self.engine
-        elems = self.elems
-        for idx in self.order:
-            e = elems[idx]
-            if e.ld > deg:
-                return -1
-            if (e.mask & mask) == e.mask and engine.divides(e.lp, packed):
-                return idx
-        return -1
+        H = engine.H
+        li, lj = self.elems[i].lp, self.elems[j].lp
+        deg = lpk % _FMASK
+        rest = engine.mask_of(lpk)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for key, e in self.buckets.get(low, ()):
+                if e.ld > deg:
+                    break
+                if (key[-1] > j and ((lpk | H) - e.lp) & H == H
+                        and engine.lcm(li, e.lp)[1] != lpk
+                        and engine.lcm(lj, e.lp)[1] != lpk):
+                    return True
+        return False
 
     def flatten(self, comb):
         """Flat provenance of sum(sign * mult * elems[idx]) over the
@@ -601,41 +641,55 @@ def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
     return a + b, -1, uf, ug
 
 
-def _gm_update(engine: _Engine, basis: _Basis, pairs: dict, heap: list, b4, prov):
-    """Add an element and refresh the S-pair queue with the
-    Gebauer-Moeller criteria.
+def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
+    """Add an element and queue its new S-pairs, thinned by the
+    Gebauer-Moeller chain and coprime criteria.
 
-    ``pairs`` maps each live pair (i, j) to its packed lcm; ``heap``
-    orders them by (lcm degree, i, j) and may still hold pairs pruned
-    here, which the caller skips when it pops them.
+    Every candidate lcm is lmf * q, with lmf the new lead and q the
+    quotient, so one kept lcm divides a later one exactly when its
+    quotient divides the later quotient.  A quotient of degree 1 is a
+    single variable: the kept ones are folded into one union mask, and a
+    later quotient meeting it is dropped with one AND.  Only quotients
+    of degree 0 or 2+ are scanned, and only by quotients of a higher
+    degree.  Candidates are taken by (lcm degree, packed lcm), one pair
+    per lcm, from the smallest partner index.
+
+    Criterion B, which drops an older pair whose lcm a later lead
+    divides, runs when the pair is popped (see ``_run_buchberger``).
     """
     new_elem = _Elem(engine, b4)
     m = len(basis.elems)
     lmf, maskf = new_elem.lp, new_elem.mask
-    H = engine.H
-    # Prune existing pairs strictly dominated by the new element.
-    for (i, j), lpk in list(pairs.items()):
-        if ((lpk | H) - lmf) & H == H:
-            li = engine.lcm(basis.elems[i].lp, lmf)[1]
-            lj = engine.lcm(basis.elems[j].lp, lmf)[1]
-            if lpk != li and lpk != lj:
-                del pairs[(i, j)]
-    # Minimal new lcms, one pair per lcm, coprime pairs dropped.
-    by_lcm: dict[int, tuple[int, list[int]]] = {}
+    H, ONES = engine.H, engine.ONES
+    by_q: dict[int, list[int]] = {}
     for i, e in enumerate(basis.elems):
-        deg, lpk = engine.lcm(e.lp, lmf)
-        by_lcm.setdefault(lpk, (deg, []))[1].append(i)
-    kept: list[int] = []
-    for lpk in sorted(by_lcm, key=lambda p: (by_lcm[p][0], p)):
-        if any(((lpk | H) - other) & H == H for other in kept):
+        # The quotient keeps lead - lmf in the fields where the lead is
+        # larger (guard bit of the SWAR difference set), and 0 elsewhere.
+        diff = (e.lp | H) - lmf
+        guards = diff & H
+        by_q.setdefault((diff & ((guards >> (_FIELD - 1)) * _FMASK)) ^ guards, []).append(i)
+    union = 0
+    # Kept quotients of degree 0 or 2+: those below the current degree,
+    # and those of it, which cannot divide a distinct quotient of the
+    # same degree and join the scan at the next degree.
+    lower: list[int] = []
+    level: list[int] = []
+    level_deg = 0
+    for qdeg, q in sorted((q % _FMASK, q) for q in by_q):
+        if qdeg != level_deg:
+            lower += level
+            level, level_deg = [], qdeg
+        qmask = ((q | H) - ONES) & H
+        if qmask & union or any(((q | H) - k) & H == H for k in lower):
             continue
-        kept.append(lpk)
-        deg, group = by_lcm[lpk]
+        if qdeg == 1:
+            union |= qmask
+        else:
+            level.append(q)
+        group = by_q[q]
         if any(basis.elems[i].mask & maskf == 0 for i in group):
             continue
-        first = min(group)
-        pairs[(first, m)] = lpk
-        heappush(heap, (deg, first, m))
+        heappush(heap, (new_elem.ld + qdeg, group[0], m, lmf + q))
     basis.append(new_elem, prov)
 
 
@@ -646,7 +700,7 @@ def _interreduce(engine: _Engine, basis: _Basis, track: bool):
     leads, flat provenance per element when tracking).
     """
     minimal = _Basis(engine)
-    for idx in basis.order:
+    for idx in basis.sorted_indices():
         e = basis.elems[idx]
         if minimal.find_reducer(e.ld, e.lp, e.mask) < 0:
             minimal.append(e, basis.prov[idx])
@@ -665,17 +719,26 @@ def _interreduce(engine: _Engine, basis: _Basis, track: bool):
 
 
 def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
+    """Buchberger completion with the Gebauer-Moeller criteria.
+
+    The heap holds (lcm degree, i, j, packed lcm) and pops the smallest.
+    Criterion B runs on the popped pair against the elements with index
+    above j, through ``_Basis.dominated``.  Those are exactly the
+    elements added while the pair waited in the queue, and the test
+    reads only leads, which never change, so it drops the same pairs as
+    testing each new element against every queued pair would.  A pair
+    dropped there does not count against ``budget``.
+    """
     basis = _Basis(engine)
-    pairs: dict[tuple[int, int], int] = {}
-    heap: list[tuple[int, int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []
     for k, g in enumerate(gens):
         b4, flip = engine.orient(g)
-        _gm_update(engine, basis, pairs, heap, b4, ((k, (0, 0), flip),))
+        _gm_update(engine, basis, heap, b4, ((k, (0, 0), flip),))
     reductions = 0
     while heap:
-        _, i, j = heappop(heap)
-        if pairs.pop((i, j), None) is None:
-            continue  # pruned after it was queued
+        _, i, j, lpk = heappop(heap)
+        if basis.dominated(i, j, lpk):
+            continue
         reductions += 1
         if budget is not None and reductions > budget:
             raise ResourceBudgetExceeded(
@@ -695,7 +758,7 @@ def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
             prov = basis.flatten(((i, ui, sf), (j, uj, -sf)) + tuple(
                 (k, m, -sig_f * sg) for k, m, sg in steps
             ))
-        _gm_update(engine, basis, pairs, heap, nf, prov)
+        _gm_update(engine, basis, heap, nf, prov)
     final, final_prov = _interreduce(engine, basis, track)
     elements = tuple(engine.from_binomial4(b4) for b4 in final)
     construction = None
@@ -721,15 +784,6 @@ def _universe(order: TermOrder, binomials: Iterable[Binomial]) -> tuple[Variable
     seen.update(dict.fromkeys(order.head))
     seen.update(dict.fromkeys(order.last))
     return tuple(sorted(seen, key=Variable.sort_key))
-
-
-def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZero:
-    """S-polynomial of two pure-difference binomials (or ZERO)."""
-    engine = _Engine(_universe(order, (f, g)), order)
-    ef = _Elem(engine, engine.orient(f)[0])
-    eg = _Elem(engine, engine.orient(g)[0])
-    s = _spoly4(engine, ef, eg)[0]
-    return ZERO if s is None else engine.from_binomial4(s)
 
 
 def _pack_basis(gens: tuple[Binomial, ...], order: TermOrder, f: Binomial):

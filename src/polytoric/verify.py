@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -201,23 +202,46 @@ def hole_containment_violations(lm: LabelMap) -> list:
     return violations
 
 
+def _image_text(image: tuple) -> str:
+    """``str`` of the image monomial r^xs * s^ys * t^labels, from the
+    sorted x, y and label multisets of a vertex monomial."""
+    return "*".join(
+        f"{kind}[{v}]" if c == 1 else f"{kind}[{v}]^{c}"
+        for kind, values in zip("rst", image)
+        for v, c in sorted(Counter(values).items())
+    )
+
+
 def kernel_binomials_up_to_degree(lm: LabelMap, max_degree: int) -> list[Binomial]:
     """Every binomial u - w with deg u = deg w <= max_degree over the
     vertex variables and equal images, by brute-force enumeration of
-    monomial pairs grouped by image."""
+    monomial pairs grouped by image.
+
+    A vertex monomial's image is fixed by the sorted x, y and label
+    multisets of its points, so the grouping reads ``lm.labels`` and
+    builds a ``Monomial`` only for images shared by two or more
+    monomials.  Per degree the groups come sorted by the text of their
+    image, and the members of a group in enumeration order."""
     points = sorted(lm.labels, key=point_key)
-    variables = [vertex_var(p) for p in points]
+    labels = lm.labels
+    variables = {p: vertex_var(p) for p in points}
     out = []
     for deg in range(1, max_degree + 1):
-        groups: dict[Monomial, list[Monomial]] = {}
-        for combo in combinations_with_replacement(variables, deg):
-            exps: dict = {}
-            for v in combo:
-                exps[v] = exps.get(v, 0) + 1
-            mono = Monomial(exps.items())
-            groups.setdefault(phi_image(mono, lm), []).append(mono)
-        for image in sorted(groups, key=str):
-            members = groups[image]
+        groups: dict[tuple, list[tuple]] = {}
+        for combo in combinations_with_replacement(points, deg):
+            # combo follows the (x, y) order of points, so its xs are sorted.
+            image = (
+                tuple(p.x for p in combo),
+                tuple(sorted(p.y for p in combo)),
+                tuple(sorted(labels[p] for p in combo)),
+            )
+            groups.setdefault(image, []).append(combo)
+        shared = [image for image, members in groups.items() if len(members) > 1]
+        for image in sorted(shared, key=_image_text):
+            members = [
+                Monomial(Counter(variables[p] for p in combo).items())
+                for combo in groups[image]
+            ]
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     out.append(Binomial(members[i], members[j]))

@@ -4,6 +4,7 @@ code paths."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,16 @@ SMALL = ((1, 1), (4, 4), (2, 2), (3, 3))
 MEDIUM_A = ((1, 1), (5, 4), (2, 2), (4, 3))
 MEDIUM_B = ((1, 1), (5, 5), (2, 2), (4, 4))
 FRAME_7X5 = ((1, 1), (7, 5), (2, 2), (5, 4))
-THICK_FRAME = ((1, 1), (6, 6), (3, 3), (4, 4))  # slow: about 15 s
+THICK_FRAME = ((1, 1), (6, 6), (3, 3), (4, 4))  # slow: about 8 s
+FRAME_8X5 = ((1, 1), (8, 5), (2, 2), (6, 4))
+
+
+def sweep_configs():
+    """Every configuration with a = (0,0) and b <= (4,4): 16 in all."""
+    for b in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        for hx in itertools.combinations(range(1, b[0]), 2):
+            for hy in itertools.combinations(range(1, b[1]), 2):
+                yield ((0, 0), b, (hx[0], hy[0]), (hx[1], hy[1]))
 
 
 def cfg_of(coords) -> RectDiffConfig:

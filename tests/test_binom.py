@@ -2,11 +2,14 @@ import random
 
 import pytest
 from conftest import MEDIUM_A, SMALL, cfg_of
+from helpers import leading_monomials, spoly
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polytoric.binom import (
     _DEGREE_CAP,
+    _Basis,
+    _Elem,
     _Engine,
     DEGREVLEX,
     LEX,
@@ -25,7 +28,6 @@ from polytoric.binom import (
     r_var,
     reduce,
     s_var,
-    spoly,
     t_var,
     vertex_var,
 )
@@ -273,7 +275,7 @@ def test_buchberger_canonical_under_permutation():
 def test_buchberger_reduced_basis_properties():
     minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
     gb = buchberger(minors, DEGREVLEX)
-    leads = gb.leading_monomials()
+    leads = leading_monomials(gb)
     for i, lm in enumerate(leads):
         for j, other in enumerate(leads):
             if i != j:
@@ -436,6 +438,45 @@ _HEAVY_COPRIME = "x[2,1]^21900*x[2,2]^21900*x[2,3]^21900"
 def test_buchberger_degree_past_cap_raises(gens):
     with pytest.raises(ResourceBudgetExceeded):
         buchberger([parse_binomial(g) for g in gens], DEGREVLEX)
+
+
+# -- reducer index -------------------------------------------------------------
+
+REDUCER_POOL = ENGINE_POOL[:5]
+# Exponents up to 2 over five variables: leads collide, divide one another
+# and share variables, so several buckets hold a divisor of one monomial.
+small_monomials = st.builds(
+    lambda exps: Monomial(zip(REDUCER_POOL, exps)),
+    st.lists(st.integers(min_value=0, max_value=2),
+             min_size=len(REDUCER_POOL), max_size=len(REDUCER_POOL)),
+)
+
+
+@pytest.mark.parametrize("order", [
+    DEGREVLEX,
+    LEX,
+    TermOrder("degrevlex", last=(REDUCER_POOL[1],)),
+])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_reducer_matches_linear_scan(order, data):
+    """The bucketed index returns what a linear scan in reducer-key order
+    returns: the first element whose lead divides the monomial."""
+    pairs = data.draw(st.lists(st.tuples(small_monomials, small_monomials)
+                               .filter(lambda p: p[0] != p[1]),
+                               min_size=1, max_size=12))
+    engine = _Engine(REDUCER_POOL, order)
+    basis = _Basis(engine)
+    for plus, minus in pairs:
+        basis.append(_Elem(engine, engine.orient(Binomial(plus, minus))[0]), None)
+    leads = [engine.unpack(e.lp) for e in basis.elems]
+    ranked = sorted(range(len(leads)),
+                    key=lambda k: engine.sort_key(*engine.pack(leads[k])) + (k,))
+    queries = data.draw(st.lists(small_monomials, max_size=8))
+    for t in queries + [a * b for a in leads[:3] for b in leads[:3]]:
+        expected = next((k for k in ranked if leads[k].divides(t)), -1)
+        deg, packed = engine.pack(t)
+        assert basis.find_reducer(deg, packed, engine.mask_of(packed)) == expected
 
 
 # -- packed basis memo ---------------------------------------------------------

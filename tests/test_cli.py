@@ -1,8 +1,7 @@
-import itertools
 import json
 
 import pytest
-from conftest import FRAME_7X5, SMALL
+from conftest import FRAME_7X5, SMALL, sweep_configs
 
 from polytoric.binom import LEX, buchberger, parse_binomial
 from polytoric.cli import MAX_SIDE, instance_from_dict, load_instance, main
@@ -236,14 +235,11 @@ def test_oracle_small(tmp_path, capsys):
 
 
 def _oracle_sweep():
-    """Every configuration with a = (0,0) and b <= (4,4): 16 in all.  The
-    nine 4x4 ones take about 0.4-1.2 s each and are marked slow."""
-    for b in ((3, 3), (3, 4), (4, 3), (4, 4)):
-        for hx in itertools.combinations(range(1, b[0]), 2):
-            for hy in itertools.combinations(range(1, b[1]), 2):
-                coords = ((0, 0), b, (hx[0], hy[0]), (hx[1], hy[1]))
-                marks = [pytest.mark.slow] if b == (4, 4) else []
-                yield pytest.param(coords, marks=marks, id=str(coords))
+    """The 16 sweep configurations.  The nine 4x4 ones take about
+    0.4-1.2 s each and are marked slow."""
+    for coords in sweep_configs():
+        marks = [pytest.mark.slow] if coords[1] == (4, 4) else []
+        yield pytest.param(coords, marks=marks, id=str(coords))
 
 
 @pytest.mark.parametrize("coords", list(_oracle_sweep()))

@@ -1,7 +1,17 @@
 import random
 
 import pytest
-from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, cfg_of, inner_minor_count_oracle
+from conftest import (
+    FRAME_7X5,
+    MEDIUM_A,
+    MEDIUM_B,
+    SMALL,
+    cfg_of,
+    inner_minor_count_oracle,
+    sweep_configs,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytoric.binom import Binomial, Monomial, vertex_var
 from polytoric.errors import ConfigInvalid, DegenerateInterval, EmptyCollection
@@ -178,3 +188,32 @@ def test_inner_interval_closed_form_equivalence():
             x_overlap = lx <= cfg.b_inner.x - 1 and hx - 1 >= cfg.a_inner.x
             y_overlap = ly <= cfg.b_inner.y - 1 and hy - 1 >= cfg.a_inner.y
             assert is_inner_interval(p, iv) == (not (x_overlap and y_overlap))
+
+
+def inner_intervals_cell_by_cell(p: Polyomino) -> list[GridInterval]:
+    """Reference for ``inner_intervals``: every proper interval of the
+    bounding box, kept when ``is_inner_interval`` walks all its cells."""
+    box = p.bounding_box()
+    out = []
+    for lx in range(box.lo.x, box.hi.x):
+        for ly in range(box.lo.y, box.hi.y):
+            for hx in range(lx + 1, box.hi.x + 1):
+                for hy in range(ly + 1, box.hi.y + 1):
+                    iv = GridInterval(GridPoint(lx, ly), GridPoint(hx, hy))
+                    if is_inner_interval(p, iv):
+                        out.append(iv)
+    return out
+
+
+@pytest.mark.parametrize("coords", list(sweep_configs()) + list(ALL_INSTANCES), ids=str)
+def test_inner_intervals_match_cell_by_cell_on_rect_diffs(coords):
+    p = build_rect_diff(cfg_of(coords))
+    assert inner_intervals(p) == inner_intervals_cell_by_cell(p)
+
+
+@given(cells=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 5)), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_inner_intervals_match_cell_by_cell_on_random_cell_sets(cells):
+    # Any nonempty cell set, connected or not, with holes anywhere.
+    p = Polyomino.of(Cell(GridPoint(x, y)) for x, y in cells)
+    assert inner_intervals(p) == inner_intervals_cell_by_cell(p)

@@ -1,6 +1,18 @@
-import pytest
-from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, cfg_of, fraction_rank
+import hashlib
 
+import pytest
+from conftest import (
+    FRAME_7X5,
+    FRAME_8X5,
+    MEDIUM_A,
+    MEDIUM_B,
+    SMALL,
+    THICK_FRAME,
+    cfg_of,
+    fraction_rank,
+)
+
+from polytoric import binom
 from polytoric.binom import (
     DEGREVLEX,
     UNIT,
@@ -195,3 +207,72 @@ def test_matrix_csv():
     assert rows[0][:3] == ["variable", "x[1,1]", "x[1,2]"]
     assert rows[1][:6] == ["r[1]", "1", "1", "1", "1", "0"]
     assert all(len(row) == 17 for row in rows)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the reduced toric basis, one element per line, recorded
+# before the Buchberger bookkeeping moved to quotient masks, pop-time
+# criterion B and a bucketed reducer index.
+@pytest.mark.parametrize("coords, size, digest", [
+    pytest.param(SMALL, 20,
+                 "fd5d243da2eb79d890a9c6cfbf17edc7c0b80abe8b951b1d571077c4567dac06",
+                 id="SMALL"),
+    pytest.param(MEDIUM_B, 36,
+                 "cf4d8160e0e686c7a5308ab0c4b521acee29257780e1bccf49ec3197c61038f5",
+                 id="MEDIUM_B"),
+    pytest.param(FRAME_7X5, 74,
+                 "8be0192216a4a39fa3e4fbdf49b17ec177201781a07d31f09d7e0ec3160eddb4",
+                 id="FRAME_7X5"),
+    pytest.param(FRAME_8X5, 88,
+                 "0cbb72b30c32373c74b8af07d83d1f67fd80d71f2b3f009df2491ae2df0577f5",
+                 id="FRAME_8X5", marks=pytest.mark.slow),
+    pytest.param(THICK_FRAME, 144,
+                 "b6f76a79c66a7a5a7d5909497840e236e4dee02f971afac09d5942a75259e694",
+                 id="THICK_FRAME", marks=pytest.mark.slow),
+])
+def test_toric_basis_digest(coords, size, digest):
+    basis = toric_generators(build_label_map(cfg_of(coords)))
+    assert len(basis) == size
+    assert sha256("\n".join(str(g) for g in basis)) == digest
+
+
+def spair_trace(monkeypatch, run):
+    """(count, SHA-256) of the leads of every S-pair the engine reduces
+    during ``run()``, in the order it reduces them."""
+    seen = []
+    real = binom._spoly4
+
+    def spy(engine, f, g):
+        seen.append(f"{engine.unpack(f.lp)} {engine.unpack(g.lp)}")
+        return real(engine, f, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_spoly4", spy)
+        run()
+    return len(seen), sha256("\n".join(seen))
+
+
+# The bases are canonical, so their digests cannot see a change in which
+# S-pairs the engine reduces; these traces can.  Recorded with the eager
+# Gebauer-Moeller update, before the bookkeeping rewrite.
+@pytest.mark.parametrize("coords, count, digest", [
+    pytest.param(SMALL, 1274,
+                 "f4a03b5a046385b8dd30ac5fc746364293a0cd4a6c3a121f2d60194183cb4da2",
+                 id="SMALL"),
+    pytest.param(MEDIUM_B, 4678,
+                 "a3304843269e1192c198185b4311609907c47d4c7ba87036bb992fd733d22d90",
+                 id="MEDIUM_B"),
+])
+def test_spair_trace_toric(monkeypatch, coords, count, digest):
+    lm = build_label_map(cfg_of(coords))
+    assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
+
+
+def test_spair_trace_minors_lex(monkeypatch):
+    minors = enumerate_inner_minors(build_rect_diff(cfg_of(MEDIUM_A)))
+    trace = spair_trace(monkeypatch, lambda: buchberger(minors, binom.LEX, track=True))
+    assert trace == (
+        80, "61df7729f60ca38fd3bb566beedf23ad8d68875a23a353d88fbf49b4206d8e8e")

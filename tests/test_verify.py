@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
-from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, THICK_FRAME, cfg_of
+from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, THICK_FRAME, cfg_of, sweep_configs
+from helpers import kernel_binomials_reference
 
 from polytoric.binom import (
     DEGREVLEX,
@@ -274,6 +276,27 @@ def test_certifier_reuse_gives_identical_certificates():
     again = [certifier.certify(f) for f in batch]
     fresh = [MembershipCertifier(cfg).certify(f) for f in batch]
     assert first == again == fresh
+
+
+def test_certifier_construction_digest():
+    """The tracked basis of MEDIUM_A's minors, every certificate term by
+    term, is pinned to its digest recorded before the Buchberger
+    bookkeeping moved to quotient masks, pop-time criterion B and a
+    bucketed reducer index."""
+    lines = []
+    for cert in MembershipCertifier(cfg_of(MEDIUM_A)).basis.construction:
+        lines.append(str(cert.target))
+        lines.extend(f"{t.sign:+d} {t.multiplier} * ({t.generator})" for t in cert.terms)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a35a7adfdae106d0757cf3e33f157000243f47471a7a8f21a3bf51d1563f246b"
+
+
+@pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
+def test_kernel_enumeration_matches_reference(coords):
+    lm = build_label_map(cfg_of(coords))
+    for degree in (1, 2, 3):
+        assert (kernel_binomials_up_to_degree(lm, degree)
+                == kernel_binomials_reference(lm, degree))
 
 
 def test_kernel_enumeration_properties():
