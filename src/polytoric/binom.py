@@ -431,8 +431,10 @@ class _Engine:
     def orient(self, b: Binomial):
         """(b4, flip): the engine binomial, lead first, and +1 if the
         plus side of ``b`` leads, else -1 (so b = flip * b4)."""
-        p = self.pack(b.plus)
-        m = self.pack(b.minus)
+        return self.orient_packed(self.pack(b.plus), self.pack(b.minus))
+
+    def orient_packed(self, p: tuple[int, int], m: tuple[int, int]):
+        """``orient`` for the engine monomials of p - m."""
         if self.greater(p, m):
             return p + m, 1
         return m + p, -1
@@ -718,8 +720,12 @@ def _interreduce(engine: _Engine, basis: _Basis, track: bool):
     return final, final_prov
 
 
-def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
+def _run_buchberger(engine: _Engine, oriented, budget, track):
     """Buchberger completion with the Gebauer-Moeller criteria.
+
+    ``oriented`` lists the generators as (b4, flip) pairs, as
+    ``_Engine.orient`` returns them; returns what ``_interreduce`` does,
+    provenance over the generators' indices in ``oriented``.
 
     The heap holds (lcm degree, i, j, packed lcm) and pops the smallest.
     Criterion B runs on the popped pair against the elements with index
@@ -731,8 +737,7 @@ def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
     """
     basis = _Basis(engine)
     heap: list[tuple[int, int, int, int]] = []
-    for k, g in enumerate(gens):
-        b4, flip = engine.orient(g)
+    for k, (b4, flip) in enumerate(oriented):
         _gm_update(engine, basis, heap, b4, ((k, (0, 0), flip),))
     reductions = 0
     while heap:
@@ -759,17 +764,175 @@ def _run_buchberger(engine: _Engine, gens: Sequence[Binomial], budget, track):
                 (k, m, -sig_f * sg) for k, m, sg in steps
             ))
         _gm_update(engine, basis, heap, nf, prov)
-    final, final_prov = _interreduce(engine, basis, track)
-    elements = tuple(engine.from_binomial4(b4) for b4 in final)
-    construction = None
-    if track:
-        construction = tuple(
-            Certificate(b, tuple(
-                CertTerm(gens[k], engine.unpack(mp), sg) for k, (_, mp), sg in flat
-            ))
-            for b, flat in zip(elements, final_prov)
-        )
-    return elements, construction
+    return _interreduce(engine, basis, track)
+
+
+# Largest node that _hilbert_numerator memoizes.  Over the 35 series of
+# the 7x5 frame's saturation, 97 % of memo hits were on nodes of at most
+# 16 generators, and memoizing every node held 2.5 MB against 0.6 MB.
+_MEMO_SIZE = 16
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials in t, coefficients lowest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divisible(p: int, mask: int, gens: list[tuple[int, int]], H: int) -> bool:
+    """True iff one of the (packed, mask) ``gens`` divides ``p``."""
+    return any(qm & mask == qm and ((p | H) - q) & H == H for q, qm in gens)
+
+
+def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tuple[int, ...]:
+    """Numerator K of the Hilbert series K(t) / (1 - t)^n of S / <leads>,
+    for packed monomials ``leads`` of ``engine``: K's coefficients from
+    t^0 up, trailing zeros dropped.
+
+    Bigatti's pivot algorithm on minimal generators.  A generator that
+    shares no variable with the others splits off as a factor
+    1 - t^deg, the variable-disjoint components of the rest multiply,
+    and a connected set pivots on the variable x in most generators:
+    K(I) = (1 - t) K(J) + t K(I : x), with J the generators free of x
+    (I + <x> = J + <x>).  Both branches strictly lower the total degree
+    of the shared generators, so the splitting ends.  It runs on an
+    explicit stack, post-order, so no input can exhaust Python's
+    recursion limit.
+
+    ``memo`` maps the frozenset of a node's shared generators to its K,
+    for nodes of at most ``_MEMO_SIZE`` generators.  K does not change
+    when variables are renamed, and a set of packed integers read in
+    another layout of the same universe is the same monomial ideal with
+    its variables renamed, so one memo serves the engines of every
+    layout over one universe.
+    """
+    H, ONES = engine.H, engine.ONES
+    shift = _FIELD - 1
+    # Minimal generators, in degree order.  The kept linear ones are one
+    # union mask; the others are bucketed by their lowest variable, and
+    # p scans only the buckets of its own variables.  The unit monomial
+    # (mask 0) stays, isolated, and its factor 1 - t^0 makes K zero.
+    minimal: list[tuple[int, int]] = []
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    linear = 0
+    for d, p in sorted((p % _FMASK, p) for p in set(leads)):
+        mask = ((p | H) - ONES) & H
+        if mask & linear:
+            continue
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if _divisible(p, mask, buckets.get(low, ()), H):
+                break
+        else:
+            minimal.append((p, mask))
+            if d == 1:
+                linear |= mask
+            else:
+                buckets.setdefault(mask & -mask, []).append((p, mask))
+    # A task is a generator list to evaluate, or a combine step
+    # (None, (key, factor, parts)) that pops ``parts`` values, the
+    # components' K, or when parts is 0 the two values K(J), K(I : x).
+    values: list[list[int]] = []
+    tasks: list = [(minimal, None)]
+    while tasks:
+        gens, step = tasks.pop()
+        if gens is None:
+            key, factor, parts = step
+            if parts:
+                k = [1]
+                for _ in range(parts):
+                    k = _poly_mul(k, values.pop())
+            else:
+                free, colon = values.pop(), values.pop()
+                k = [0] * (max(len(free), len(colon)) + 1)
+                for i, c in enumerate(free):
+                    k[i] += c
+                    k[i + 1] -= c
+                for i, c in enumerate(colon):
+                    k[i + 1] += c
+            if key is not None:
+                memo[key] = k
+            values.append(_poly_mul(factor, k))
+            continue
+        seen = twice = 0
+        for _, mask in gens:
+            twice |= seen & mask
+            seen |= mask
+        factor = [1]
+        shared = []
+        for g in gens:
+            if g[1] & twice:
+                shared.append(g)
+            else:
+                d = g[0] % _FMASK
+                factor = _poly_mul(factor, [1] + [0] * (d - 1) + [-1] if d else [0])
+        key = frozenset(p for p, _ in shared) if len(shared) <= _MEMO_SIZE else None
+        known = memo.get(key)
+        if known is not None or not shared:
+            values.append(factor if known is None else _poly_mul(factor, known))
+            continue
+        parts: list[tuple[int, list]] = []
+        for g in shared:
+            joined = [g]
+            cmask = g[1]
+            kept = []
+            for part in parts:
+                if part[0] & g[1]:
+                    cmask |= part[0]
+                    joined += part[1]
+                else:
+                    kept.append(part)
+            kept.append((cmask, joined))
+            parts = kept
+        if len(parts) > 1:
+            tasks.append((None, (key, factor, len(parts))))
+            tasks += [(part[1], None) for part in parts]
+            continue
+        # Per-field generator counts; a count past 2**16 - 1 carries into
+        # the next field, which only changes which shared variable is
+        # the pivot.
+        counts = sum(mask >> shift for _, mask in shared)
+        best = pivot = 0
+        rest = twice
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = (counts >> (low.bit_length() - 1 - shift)) & _FMASK
+            if c > best:
+                best, pivot = c, low
+        x = pivot >> shift
+        free = []
+        divided = []
+        for p, mask in shared:
+            if mask & pivot:
+                q = p - x
+                divided.append((q, ((q | H) - ONES) & H))
+            else:
+                free.append((p, mask))
+        # The divided generators divide none of each other, and no other
+        # generator divides one of them: both would break minimality.
+        linear = 0
+        heavier = []
+        for q, qm in divided:
+            if q % _FMASK == 1:
+                linear |= qm
+            else:
+                heavier.append((q, qm))
+        colon = divided + [
+            (p, mask) for p, mask in free
+            if not mask & linear and not _divisible(p, mask, heavier, H)
+        ]
+        tasks += [(None, (key, factor, 0)), (free, None), (colon, None)]
+    k = values.pop()
+    while k and not k[-1]:
+        k.pop()
+    return tuple(k)
 
 
 # --------------------------------------------------------------------------
@@ -869,8 +1032,107 @@ def buchberger(
         if g is ZERO or not isinstance(g, Binomial):
             raise ValueError("generators must be nonzero binomials")
     engine = _Engine(_universe(order, gens), order)
-    elements, construction = _run_buchberger(engine, gens, budget, track)
+    final, final_prov = _run_buchberger(
+        engine, [engine.orient(g) for g in gens], budget, track)
+    elements = tuple(engine.from_binomial4(b4) for b4 in final)
+    construction = None
+    if track:
+        construction = tuple(
+            Certificate(b, tuple(
+                CertTerm(gens[k], engine.unpack(mp), sg) for k, (_, mp), sg in flat
+            ))
+            for b, flat in zip(elements, final_prov)
+        )
     return GroebnerBasis(order, elements, construction)
+
+
+def _move_last(packed: int, ra: int, rb: int, top: int) -> int:
+    """Repack a monomial from the degrevlex layout with variable a last
+    to the one with variable b last, over one universe.
+
+    With no variable demoted, the variable of priority rank r (0 for the
+    highest) sits in field r.  Demoting v moves its field to the top,
+    field n - 1 at bit ``top``, and the fields above v's rank down by
+    one.  ``ra`` and ``rb`` are the ranks of a and b.
+    """
+    f = _FIELD
+    natural = (
+        (packed & ((1 << (f * ra)) - 1))
+        | ((packed >> top) << (f * ra))
+        | ((packed & ((1 << top) - 1)) >> (f * ra) << (f * (ra + 1)))
+    )
+    return (
+        (natural & ((1 << (f * rb)) - 1))
+        | ((natural >> (f * (rb + 1))) << (f * rb))
+        | (((natural >> (f * rb)) & _FMASK) << top)
+    )
+
+
+def saturate(
+    gens: Sequence[Binomial],
+    variables: Sequence[Variable],
+    budget: int | None = None,
+) -> list[Binomial]:
+    """Saturate by each variable v in turn: the reduced Groebner basis
+    under degrevlex with v last, then every element divided by the
+    largest power of v dividing both its terms.  ``budget`` caps the
+    S-pair reductions of each Buchberger run.
+
+    The basis stays packed from step to step, over one universe (the
+    variables of ``gens`` and ``variables``), and each step repacks it
+    with ``_move_last``.  A step after the first compares the Hilbert
+    series of its input's leads under the new order with the series of
+    the ideal; when they agree, the input is already a Groebner basis
+    for the new order and the step only interreduces it (the theorem
+    and its hypotheses are in ``toric.saturate_generators``).  The
+    ideal's series is read off the previous step's leads, and read again
+    only when dividing out a common power changed an element.  It is
+    never read for inhomogeneous ``gens``, since the division keeps a
+    Groebner basis only for homogeneous ones; then every step runs.
+    """
+    if not variables:
+        return list(gens)
+    gens = tuple(gens)
+    for g in gens:
+        if g is ZERO or not isinstance(g, Binomial):
+            raise ValueError("generators must be nonzero binomials")
+    universe = _universe(TermOrder("degrevlex", last=tuple(variables)), gens)
+    rank = {v: len(universe) - 1 - i for i, v in enumerate(universe)}
+    top = _FIELD * (len(universe) - 1)
+    homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
+    memo: dict = {}
+    series = prev = None
+    for v in variables:
+        engine = _Engine(universe, TermOrder("degrevlex", last=(v,)))
+        if prev is None:
+            oriented = [engine.orient(g) for g in gens]
+        else:
+            ra, rb = rank[prev], rank[v]
+            oriented = [
+                engine.orient_packed((ld, _move_last(lp, ra, rb, top)),
+                                     (td, _move_last(tp, ra, rb, top)))
+                for ld, lp, td, tp in current
+            ]
+        if series is not None and series == _hilbert_numerator(
+                engine, (b4[1] for b4, _ in oriented), memo):
+            basis = _Basis(engine)
+            for b4, _ in oriented:
+                basis.append(_Elem(engine, b4), None)
+            reduced = _interreduce(engine, basis, False)[0]
+        else:
+            reduced = _run_buchberger(engine, oriented, budget, False)[0]
+        current = []
+        changed = False
+        for ld, lp, td, tp in reduced:
+            k = min(lp >> top, tp >> top)
+            if k:
+                changed = True
+                ld, lp, td, tp = ld - k, lp - (k << top), td - k, tp - (k << top)
+            current.append((ld, lp, td, tp))
+        if homogeneous and (series is None or changed):
+            series = _hilbert_numerator(engine, (b4[1] for b4 in current), memo)
+        prev = v
+    return [engine.from_binomial4(b4) for b4 in current]
 
 
 # --------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def cmd_label(args) -> int:
 
 def cmd_minors(args) -> int:
     cfg = load_instance(args.instance)
-    for minor in enumerate_inner_minors(build_rect_diff(cfg)):
-        print(minor)
+    minors = enumerate_inner_minors(build_rect_diff(cfg))
+    sys.stdout.write("".join(f"{minor}\n" for minor in minors))
     return 0
 
 

@@ -238,15 +238,17 @@ def inner_intervals(p: Polyomino) -> list[GridInterval]:
     return out
 
 
-def inner_minor(interval: GridInterval) -> Binomial:
-    """The 2-minor of an interval: x_lo * x_hi - x_(lo.x,hi.y) * x_(hi.x,lo.y)."""
+def inner_minor(interval: GridInterval, var=vertex_var) -> Binomial:
+    """The 2-minor of an interval: x_lo * x_hi - x_(lo.x,hi.y) * x_(hi.x,lo.y).
+    ``var`` maps a corner to its variable."""
     e1, e2 = interval.anti_diagonal()
     return Binomial(
-        Monomial([(vertex_var(interval.lo), 1)]) * Monomial([(vertex_var(interval.hi), 1)]),
-        Monomial([(vertex_var(e1), 1)]) * Monomial([(vertex_var(e2), 1)]),
+        Monomial([(var(interval.lo), 1), (var(interval.hi), 1)]),
+        Monomial([(var(e1), 1), (var(e2), 1)]),
     )
 
 
 def enumerate_inner_minors(p: Polyomino) -> list[Binomial]:
     """One binomial per inner interval, in the canonical interval order."""
-    return [inner_minor(iv) for iv in inner_intervals(p)]
+    var = {v: vertex_var(v) for v in p.vertex_set()}.__getitem__
+    return [inner_minor(iv, var) for iv in inner_intervals(p)]

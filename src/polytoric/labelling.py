@@ -192,17 +192,6 @@ def render_label_json(lm: LabelMap) -> str:
     return json.dumps(label_map_to_json_dict(lm), indent=2, sort_keys=True) + "\n"
 
 
-def label_map_from_json_dict(data: dict) -> LabelMap:
-    inst = data["instance"]
-    cfg = RectDiffConfig.of(
-        inst["outer"]["a"], inst["outer"]["b"], inst["hole"]["a"], inst["hole"]["b"]
-    )
-    labels = {}
-    for rst in data["labels"].values():
-        labels[GridPoint(rst["r"], rst["s"])] = rst["t"]
-    return LabelMap(cfg, labels, data["max_label"])
-
-
 def render_label_csv(lm: LabelMap) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -2,23 +2,27 @@
 
 Each vertex variable x_v maps to r_{v.x} * s_{v.y} * t_{label(v)}.  The
 map is encoded as an integer matrix whose columns are the images of the
-vertex variables; the toric ideal is generated from a basis of the
-matrix's integer kernel by saturating with respect to every vertex
-variable in sequence.
+vertex variables.  The toric ideal J_P is the lattice ideal of the
+matrix's integer kernel L, and J_P = I : (prod of all x_v)^infinity for
+the ideal I generated by the binomials of any basis of L.
 
-Everything is exact integer arithmetic; the kernel comes from
-fraction-free column elimination (Hermite-style), and each
-single-variable saturation is one Groebner computation under a
-degrevlex order that makes the variable lowest, followed by dividing
-out the variable's common power.  The total-degree homogeneity of the
-kernel lattice (every column of the matrix has the same column sum) is
-what makes that saturation step valid.
+Everything is exact integer arithmetic.  The kernel comes from
+fraction-free column elimination (Hermite-style).  The saturation runs
+one vertex variable at a time: a reduced Groebner basis under degrevlex
+with the variable last, then every element divided by the variable's
+largest common power.  Every column of the matrix has the same sum, so
+every kernel binomial is homogeneous, which is what makes that step a
+saturation (Bayer and Stillman).
+
+A step after the first starts from a Groebner basis for the previous
+order.  When a Hilbert-series check proves that basis is already one
+for the new order, the step only interreduces it; see
+:func:`saturate_generators`.  A step is never skipped only because the
+basis stopped changing.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +35,7 @@ from .binom import (
     buchberger,
     r_var,
     s_var,
+    saturate,
     t_var,
     vertex_var,
 )
@@ -152,34 +157,38 @@ def lattice_vector_to_binomial(z: LatticeVector, cols: Sequence[GridPoint]) -> B
     return Binomial(Monomial(plus), Monomial(minus))
 
 
-def _divide_common_power(g: Binomial, v: Variable) -> Binomial:
-    k = min(g.plus.exponent(v), g.minus.exponent(v))
-    if k == 0:
-        return g
-    power = Monomial([(v, k)])
-    return Binomial(g.plus / power, g.minus / power)
-
-
 def saturate_generators(
     gens: Sequence[Binomial],
     variables: Sequence[Variable],
     budget: int | None = None,
 ) -> list[Binomial]:
-    """One full saturation pass: for each variable in sequence, compute a
-    Groebner basis under degrevlex with that variable lowest and divide
-    every element by the variable's largest common power.
+    """Saturate the ideal of ``gens`` with respect to each variable in
+    turn, as a list of binomials; ``budget`` caps the S-pair reductions
+    of each Buchberger run.
 
-    For a total-degree homogeneous binomial ideal this computes the
-    saturation with respect to the product of all the variables; a
-    second pass is a no-op (asserted in the test suite, not assumed
-    here beyond the one-pass contract).
+    Step k computes the reduced Groebner basis G_k under degrevlex with
+    v_k last, then divides every element by the largest power of v_k
+    dividing both its terms.  For homogeneous ``gens`` the result is a
+    Groebner basis, for that order, of the ideal saturated by v_k.
+
+    Skip rule.  Let G be the previous step's output and I its ideal.
+    Step k is only an interreduction of G when the monomial ideal of
+    G's leads under the new order has the Hilbert series of S / I.
+    Hypotheses: both orders are degree-compatible (degrevlex is), and G
+    is a Groebner basis of I for the previous order, which the division
+    keeps when ``gens`` are homogeneous.  Then the new leads generate an
+    ideal inside the new initial ideal, S / I and S / in(I) have the same
+    Hilbert series under either order (Macaulay), and a monomial ideal
+    inside another with the same series equals it.  So G is a Groebner
+    basis for the new order, and interreducing it gives the one reduced
+    basis, G_k, that a full run gives.  Any other step runs Buchberger
+    in full, and with inhomogeneous ``gens`` every step does.  No step
+    is skipped only because the basis stopped changing.  This is
+    Traverso's Hilbert-driven Buchberger ("Hilbert functions and the
+    Buchberger algorithm", JSC 1996), with the series from Bigatti's
+    pivot algorithm (JPAA 1997).
     """
-    current = list(gens)
-    for v in variables:
-        order = TermOrder("degrevlex", last=(v,))
-        gb = buchberger(current, order, budget=budget)
-        current = [_divide_common_power(g, v) for g in gb.elements]
-    return current
+    return saturate(gens, variables, budget=budget)
 
 
 def toric_generators(
@@ -199,14 +208,3 @@ def toric_generators(
     saturated = saturate_generators(gens, variables, budget=budget)
     final = buchberger(saturated, order, budget=budget)
     return list(final.elements)
-
-
-def matrix_csv(a: ExponentMatrix) -> str:
-    """CSV export: header of vertex labels, one row per r/s/t variable.
-    Labels such as x[1,1] contain commas and come out quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["variable"] + [f"x[{p.x},{p.y}]" for p in a.cols])
-    for v, row in zip(a.rows, a.entries):
-        writer.writerow([str(v)] + list(row))
-    return buf.getvalue()

@@ -3,7 +3,10 @@ reference versions of library functions kept as oracles."""
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+import csv
+import io
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from polytoric.binom import (
     DEGREVLEX,
@@ -13,15 +16,17 @@ from polytoric.binom import (
     GroebnerBasis,
     Monomial,
     TermOrder,
+    Variable,
     _Elem,
     _Engine,
     _spoly4,
     _universe,
+    buchberger,
     vertex_var,
 )
-from polytoric.grid import point_key
+from polytoric.grid import GridPoint, RectDiffConfig, point_key
 from polytoric.labelling import LabelMap
-from polytoric.toric import phi_image
+from polytoric.toric import ExponentMatrix, phi_image
 
 
 def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZero:
@@ -59,3 +64,83 @@ def kernel_binomials_reference(lm: LabelMap, max_degree: int) -> list[Binomial]:
                 for j in range(i + 1, len(members)):
                     out.append(Binomial(members[i], members[j]))
     return out
+
+
+def matrix_csv(a: ExponentMatrix) -> str:
+    """CSV export: header of vertex labels, one row per r/s/t variable.
+    Labels such as x[1,1] contain commas and come out quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["variable"] + [f"x[{p.x},{p.y}]" for p in a.cols])
+    for v, row in zip(a.rows, a.entries):
+        writer.writerow([str(v)] + list(row))
+    return buf.getvalue()
+
+
+def label_map_from_json_dict(data: dict) -> LabelMap:
+    """Inverse of ``labelling.label_map_to_json_dict``."""
+    inst = data["instance"]
+    cfg = RectDiffConfig.of(
+        inst["outer"]["a"], inst["outer"]["b"], inst["hole"]["a"], inst["hole"]["b"]
+    )
+    labels = {}
+    for rst in data["labels"].values():
+        labels[GridPoint(rst["r"], rst["s"])] = rst["t"]
+    return LabelMap(cfg, labels, data["max_label"])
+
+
+def divide_common_power(g: Binomial, v: Variable) -> Binomial:
+    k = min(g.plus.exponent(v), g.minus.exponent(v))
+    if k == 0:
+        return g
+    power = Monomial([(v, k)])
+    return Binomial(g.plus / power, g.minus / power)
+
+
+def saturation_steps_reference(gens, variables):
+    """The saturation loop with a full Buchberger run at every step, over
+    the sparse types: each step's reduced basis (before the common power
+    is divided out) and the loop's output."""
+    steps = []
+    current = list(gens)
+    for v in variables:
+        gb = buchberger(current, TermOrder("degrevlex", last=(v,)))
+        steps.append(gb.elements)
+        current = [divide_common_power(g, v) for g in gb.elements]
+    return steps, current
+
+
+def standard_monomial_counts(gens, nvars: int, max_degree: int) -> list[int]:
+    """Brute force: for d = 0..max_degree, the number of exponent vectors
+    of degree d over ``nvars`` variables divisible by none of ``gens``
+    (exponent tuples)."""
+    counts = []
+    for d in range(max_degree + 1):
+        n = 0
+        for combo in combinations_with_replacement(range(nvars), d):
+            e = [combo.count(i) for i in range(nvars)]
+            n += not any(all(a >= b for a, b in zip(e, g)) for g in gens)
+        counts.append(n)
+    return counts
+
+
+def series_coefficients(numerator, nvars: int, max_degree: int) -> list[int]:
+    """Coefficients of numerator(t) / (1 - t)^nvars up to t^max_degree."""
+    out = []
+    for d in range(max_degree + 1):
+        out.append(sum(c * comb(nvars - 1 + d - i, nvars - 1)
+                       for i, c in enumerate(numerator) if i <= d))
+    return out
+
+
+def numerator_by_inclusion_exclusion(gens) -> tuple[int, ...]:
+    """Hilbert-series numerator of a monomial ideal (exponent tuples) as
+    the sum over subsets S of the generators of (-1)^|S| t^deg lcm(S),
+    trailing zeros dropped.  Exponential in the number of generators."""
+    coeffs: dict[int, int] = {}
+    for size in range(len(gens) + 1):
+        for subset in combinations(gens, size):
+            d = sum(max(col, default=0) for col in zip(*subset)) if subset else 0
+            coeffs[d] = coeffs.get(d, 0) + (-1) ** size
+    top = max((d for d, c in coeffs.items() if c), default=-1)
+    return tuple(coeffs.get(d, 0) for d in range(top + 1))

@@ -2,7 +2,13 @@ import random
 
 import pytest
 from conftest import MEDIUM_A, SMALL, cfg_of
-from helpers import leading_monomials, spoly
+from helpers import (
+    leading_monomials,
+    numerator_by_inclusion_exclusion,
+    series_coefficients,
+    spoly,
+    standard_monomial_counts,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +17,8 @@ from polytoric.binom import (
     _Basis,
     _Elem,
     _Engine,
+    _hilbert_numerator,
+    _move_last,
     DEGREVLEX,
     LEX,
     UNIT,
@@ -438,6 +446,100 @@ _HEAVY_COPRIME = "x[2,1]^21900*x[2,2]^21900*x[2,3]^21900"
 def test_buchberger_degree_past_cap_raises(gens):
     with pytest.raises(ResourceBudgetExceeded):
         buchberger([parse_binomial(g) for g in gens], DEGREVLEX)
+
+
+# -- Hilbert series ------------------------------------------------------------
+
+SERIES_POOL = ENGINE_POOL[:6]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """At most six variables and up to seven generators with exponents up
+    to 3, the unit monomial included."""
+    n = draw(st.integers(min_value=1, max_value=len(SERIES_POOL)))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=7))
+    return n, gens
+
+
+def packed(engine, exps) -> int:
+    return engine.pack(Monomial(zip(engine.vars, exps)))[1]
+
+
+@given(ideal=monomial_ideals())
+@settings(max_examples=150, deadline=None)
+def test_hilbert_numerator_counts_standard_monomials(ideal):
+    n, gens = ideal
+    engine = _Engine(SERIES_POOL[:n], DEGREVLEX)
+    numerator = _hilbert_numerator(engine, [packed(engine, g) for g in gens], {})
+    assert not numerator or numerator[-1] != 0
+    assert series_coefficients(numerator, n, 8) == standard_monomial_counts(gens, n, 8)
+
+
+@given(ideal=monomial_ideals(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_hilbert_numerator_memo_holds_across_layouts(ideal, data):
+    """One memo serves two layouts of one universe: the packed sets of one
+    layout read in another are renamed ideals with the same series."""
+    n, gens = ideal
+    universe = SERIES_POOL[:n]
+    orders = [DEGREVLEX, TermOrder("degrevlex", last=(data.draw(st.sampled_from(universe)),))]
+    memo: dict = {}
+    for order in orders + orders[::-1]:
+        engine = _Engine(universe, order)
+        leads = [packed(engine, g) for g in gens]
+        assert _hilbert_numerator(engine, leads, memo) == _hilbert_numerator(engine, leads, {})
+
+
+def _times(poly, d):
+    out = list(poly) + [0] * d
+    for k, c in enumerate(poly):
+        out[k + d] -= c
+    return out
+
+
+def test_hilbert_numerator_closed_forms():
+    engine = _Engine(SERIES_POOL, DEGREVLEX)
+    assert _hilbert_numerator(engine, [], {}) == (1,)
+    # The unit ideal: S / S is zero.
+    for gens in ([], [(0, 1, 0, 0, 0, 0)], [(1, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0)]):
+        leads = [0] + [packed(engine, g) for g in gens]
+        assert _hilbert_numerator(engine, leads, {}) == ()
+    # Pairwise coprime generators, and the same with redundant multiples.
+    coprime = [(2, 1, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0), (0, 0, 0, 1, 1, 1)]
+    expected = [1]
+    for g in coprime:
+        expected = _times(expected, sum(g))
+    redundant = [(2, 1, 1, 0, 0, 0), (0, 1, 3, 0, 0, 2)]
+    for gens in (coprime, coprime + redundant):
+        leads = [packed(engine, g) for g in gens]
+        assert _hilbert_numerator(engine, leads, {}) == tuple(expected)
+
+
+def test_hilbert_numerator_deep_pivot_chain():
+    # x is in most generators of <x^k y1, x^k y2, x^k y3, y1 y2>, and of
+    # its colon by x, so the pivots go k deep, past Python's default
+    # recursion limit of 1000.
+    k = 1500
+    gens = [(k, 1, 0, 0), (k, 0, 1, 0), (k, 0, 0, 1), (0, 1, 1, 0)]
+    engine = _Engine(SERIES_POOL[:4], DEGREVLEX)
+    leads = [packed(engine, g) for g in gens]
+    assert _hilbert_numerator(engine, leads, {}) == numerator_by_inclusion_exclusion(gens)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_move_last_matches_repacking(data):
+    n = data.draw(st.integers(min_value=1, max_value=len(ENGINE_POOL)))
+    universe = sorted(ENGINE_POOL[:n], key=Variable.sort_key)
+    a, b = data.draw(st.sampled_from(universe)), data.draw(st.sampled_from(universe))
+    mono = Monomial(zip(universe, data.draw(st.lists(
+        st.integers(0, 40), min_size=n, max_size=n))))
+    src = _Engine(universe, TermOrder("degrevlex", last=(a,)))
+    dst = _Engine(universe, TermOrder("degrevlex", last=(b,)))
+    rank = {v: n - 1 - i for i, v in enumerate(universe)}
+    moved = _move_last(src.pack(mono)[1], rank[a], rank[b], 16 * (n - 1))
+    assert moved == dst.pack(mono)[1]
 
 
 # -- reducer index -------------------------------------------------------------

@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import pytest
 from conftest import FRAME_7X5, SMALL, sweep_configs
+from helpers import label_map_from_json_dict
 
 from polytoric.binom import LEX, buchberger, parse_binomial
 from polytoric.cli import MAX_SIDE, instance_from_dict, load_instance, main
 from polytoric.errors import ParseError
-from polytoric.labelling import build_label_map, label_map_from_json_dict
+from polytoric.labelling import build_label_map
 from polytoric.toric import phi_image
 
 
@@ -160,6 +162,18 @@ def test_minors_listing(tmp_path, capsys):
     assert first.splitlines()[0] == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
     assert main(["minors", "--instance", path]) == 0
     assert capsys.readouterr().out == first  # byte-identical across runs
+
+
+def test_minors_listing_digest_largest_box(tmp_path, capsys):
+    # 16x16 box with hole (1,1)-(2,2): 17,596 minors.  SHA-256 of stdout
+    # recorded before the minors were built from one variable per vertex
+    # and written in one piece.
+    path = write_instance(tmp_path, ((0, 0), (16, 16), (1, 1), (2, 2)))
+    assert main(["minors", "--instance", path]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 17596
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d4f94192e6846188de564c0c1a9c2eeff6a5f94275b5587603bb8d269d2307a")
 
 
 def test_toric_listing_balanced(tmp_path, capsys):

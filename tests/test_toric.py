@@ -10,7 +10,9 @@ from conftest import (
     THICK_FRAME,
     cfg_of,
     fraction_rank,
+    sweep_configs,
 )
+from helpers import matrix_csv, saturation_steps_reference
 
 from polytoric import binom
 from polytoric.binom import (
@@ -35,7 +37,6 @@ from polytoric.toric import (
     build_matrix,
     lattice_kernel,
     lattice_vector_to_binomial,
-    matrix_csv,
     phi_image,
     saturate_generators,
     toric_generators,
@@ -257,7 +258,10 @@ def spair_trace(monkeypatch, run):
 
 # The bases are canonical, so their digests cannot see a change in which
 # S-pairs the engine reduces; these traces can.  Recorded with the eager
-# Gebauer-Moeller update, before the bookkeeping rewrite.
+# Gebauer-Moeller update, before the bookkeeping rewrite, and with a full
+# Buchberger run at every saturation step: the Hilbert series is patched
+# to never match, so no step is skipped and every step reduces the
+# S-pairs it reduced before steps could be skipped.
 @pytest.mark.parametrize("coords, count, digest", [
     pytest.param(SMALL, 1274,
                  "f4a03b5a046385b8dd30ac5fc746364293a0cd4a6c3a121f2d60194183cb4da2",
@@ -268,6 +272,22 @@ def spair_trace(monkeypatch, run):
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
     lm = build_label_map(cfg_of(coords))
+    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
+    assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
+
+
+# The same traces with the Hilbert-series check on, recorded when it was
+# added: the skipped steps reduce no S-pair (see the test below).
+@pytest.mark.parametrize("coords, count, digest", [
+    pytest.param(SMALL, 543,
+                 "c8ea6009a01533f3b6ffcba4a587f7538a4cb9a9fcf6bb9b062c30de0a95c7ac",
+                 id="SMALL"),
+    pytest.param(MEDIUM_B, 1525,
+                 "1c492c4446e21f606b91af0c3fe4d1ed5ec171e63041195bcb8a173a7db1cc5a",
+                 id="MEDIUM_B"),
+])
+def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest):
+    lm = build_label_map(cfg_of(coords))
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
 
 
@@ -276,3 +296,115 @@ def test_spair_trace_minors_lex(monkeypatch):
     trace = spair_trace(monkeypatch, lambda: buchberger(minors, binom.LEX, track=True))
     assert trace == (
         80, "61df7729f60ca38fd3bb566beedf23ad8d68875a23a353d88fbf49b4206d8e8e")
+
+
+def spairs_per_step(monkeypatch, run):
+    """The leads of the S-pairs reduced during ``run()``, one list per
+    interreduction, that is per saturation step or Buchberger run."""
+    steps = [[]]
+    spoly, interreduce = binom._spoly4, binom._interreduce
+
+    def record_pair(engine, f, g):
+        steps[-1].append((engine.unpack(f.lp), engine.unpack(g.lp)))
+        return spoly(engine, f, g)
+
+    def close_step(*args):
+        steps.append([])
+        return interreduce(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_spoly4", record_pair)
+        m.setattr(binom, "_interreduce", close_step)
+        run()
+    return steps[:-1]
+
+
+@pytest.mark.parametrize("coords", [SMALL, MEDIUM_B], ids=["SMALL", "MEDIUM_B"])
+def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
+    lm = build_label_map(cfg_of(coords))
+    with_skips = spairs_per_step(monkeypatch, lambda: toric_generators(lm))
+    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
+    without = spairs_per_step(monkeypatch, lambda: toric_generators(lm))
+    assert len(with_skips) == len(without)
+    skipped = [k for k, (a, b) in enumerate(zip(with_skips, without)) if a != b]
+    assert skipped and all(with_skips[k] == [] for k in skipped)
+
+
+def saturation_input(coords):
+    matrix = build_matrix(build_label_map(cfg_of(coords)))
+    gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
+    return gens, [vertex_var(p) for p in matrix.cols]
+
+
+def recorded_saturation(monkeypatch, gens, variables):
+    """``saturate_generators``'s output, each step's reduced basis (the
+    output of its one interreduction, skipped step or full run), and the
+    number of full Buchberger runs."""
+    steps = []
+    runs = []
+    interreduce, run = binom._interreduce, binom._run_buchberger
+
+    def record_step(engine, basis, track):
+        out = interreduce(engine, basis, track)
+        steps.append(tuple(engine.from_binomial4(b4) for b4 in out[0]))
+        return out
+
+    def count_run(*args):
+        runs.append(None)
+        return run(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_interreduce", record_step)
+        m.setattr(binom, "_run_buchberger", count_run)
+        out = saturate_generators(gens, variables)
+    return out, steps, len(runs)
+
+
+def _saturation_cases():
+    yield pytest.param(SMALL, id="SMALL")
+    yield pytest.param(MEDIUM_B, id="MEDIUM_B")
+    yield pytest.param(FRAME_7X5, id="FRAME_7X5")
+    for coords in sweep_configs():
+        yield pytest.param(coords, id=str(coords))
+    yield pytest.param(FRAME_8X5, id="FRAME_8X5", marks=pytest.mark.slow)
+    yield pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("coords", list(_saturation_cases()))
+def test_saturation_steps_match_full_runs(monkeypatch, coords):
+    """Every step's reduced basis, skipped or run, is the one a full
+    Buchberger run from the previous step's output gives."""
+    gens, variables = saturation_input(coords)
+    out, steps, _ = recorded_saturation(monkeypatch, gens, variables)
+    ref_steps, ref_out = saturation_steps_reference(gens, variables)
+    assert steps == ref_steps
+    assert out == ref_out
+
+
+# Full Buchberger runs among the saturation steps, recorded when the
+# Hilbert-series check was added; the first step always runs.
+@pytest.mark.parametrize("coords, runs", [
+    pytest.param(SMALL, 5, id="SMALL"),
+    pytest.param(MEDIUM_B, 5, id="MEDIUM_B"),
+    pytest.param(FRAME_7X5, 7, id="FRAME_7X5"),
+])
+def test_saturation_skips_steps(monkeypatch, coords, runs):
+    gens, variables = saturation_input(coords)
+    _, steps, got = recorded_saturation(monkeypatch, gens, variables)
+    assert len(steps) == len(variables)
+    assert got == runs
+
+
+def test_saturation_of_inhomogeneous_input_runs_every_step(monkeypatch):
+    # Dividing out a common power keeps a Groebner basis only for
+    # homogeneous input, so here no step may be skipped: skipping the
+    # second step would give a different basis.
+    gens = [parse_binomial(g) for g in (
+        "r[2]*r[3] - r[1]^2*r[3]",
+        "r[1]*r[2]^2*r[3]^2 - r[1]*r[2]*r[4]",
+        "r[1]*r[2]*r[3]^2 - r[2]^2*r[4]",
+    )]
+    variables = [r_var(1), r_var(2)]
+    out, steps, runs = recorded_saturation(monkeypatch, gens, variables)
+    assert (steps, out) == saturation_steps_reference(gens, variables)
+    assert runs == len(variables)
