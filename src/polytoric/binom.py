@@ -19,29 +19,31 @@ import re
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ResourceBudgetExceeded
 
-_KIND_RANK = {"r": 0, "s": 1, "t": 2, "x": 3}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Variable:
-    """A ring variable: vertex variable x[i,j] or target variable r/s/t[i]."""
+    """A ring variable: vertex variable x[i,j] or target variable r/s/t[i].
+
+    Variables compare by their fields in order, kind first ("r" < "s" <
+    "t" < "x"), then i, then j.  That order fixes the order of a monomial's
+    factors and of every engine universe, so the packed layout, and with
+    it every basis, depends on the field order.
+    """
 
     kind: str
     i: int
     j: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANK:
+        if self.kind not in ("r", "s", "t", "x"):
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.i < 0 or self.j < 0:
             raise ValueError("variable indices must be non-negative")
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (_KIND_RANK[self.kind], self.i, self.j)
 
     def __str__(self) -> str:
         if self.kind == "x":
@@ -83,7 +85,7 @@ class Monomial:
         for _, e in items:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        items.sort(key=lambda p: p[0].sort_key())
+        items.sort(key=itemgetter(0))
         object.__setattr__(self, "exps", tuple(items))
         object.__setattr__(self, "_hash", hash(self.exps))
 
@@ -100,51 +102,11 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.exps
-
-    def exponent(self, v: Variable) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self.exps)
-
-    def as_dict(self) -> dict[Variable, int]:
-        return dict(self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
+        d = dict(self.exps)
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
         return Monomial(d.items())
-
-    def divides(self, other: "Monomial") -> bool:
-        od = other.as_dict()
-        return all(od.get(v, 0) >= e for v, e in self.exps)
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            r = d.get(v, 0) - e
-            if r < 0:
-                raise ValueError(f"{other} does not divide {self}")
-            d[v] = r
-        return Monomial(d.items())
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            if d.get(v, 0) < e:
-                d[v] = e
-        return Monomial(d.items())
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        od = other.as_dict()
-        return Monomial((v, min(e, od.get(v, 0))) for v, e in self.exps)
 
     def __str__(self) -> str:
         if not self.exps:
@@ -162,14 +124,8 @@ UNIT = Monomial()
 
 
 class _ZeroBinomial:
-    """Sentinel for the zero binomial; never encoded as plus == minus."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel for the zero binomial; never encoded as plus == minus.
+    ``ZERO`` is its one instance."""
 
     def __repr__(self):
         return "Zero"
@@ -198,17 +154,6 @@ class Binomial:
     def degree(self) -> int:
         return max(self.plus.degree, self.minus.degree)
 
-    def variables(self) -> tuple[Variable, ...]:
-        seen = dict.fromkeys(self.plus.variables())
-        seen.update(dict.fromkeys(self.minus.variables()))
-        return tuple(sorted(seen, key=Variable.sort_key))
-
-    def normalized(self, order: "TermOrder") -> "Binomial":
-        """Copy with plus the leading monomial under the given order."""
-        if order.greater(self.plus, self.minus):
-            return self
-        return Binomial(self.minus, self.plus)
-
     def __str__(self) -> str:
         return f"{self.plus} - {self.minus}"
 
@@ -220,15 +165,14 @@ class Binomial:
 class TermOrder:
     """A monomial well-order: degrevlex or lex over a variable priority.
 
-    The default priority compares variables by their sort key, larger
-    keys ranking higher (for vertex variables: later points have higher
-    priority).  ``head`` lists variables promoted above everything, most
-    significant first; ``last`` lists variables demoted below everything
-    (used to saturate with respect to one variable).
+    The default priority follows the order of :class:`Variable`, larger
+    variables ranking higher (for vertex variables: later points have
+    higher priority).  ``last`` lists variables demoted below everything,
+    most significant first (used to saturate with respect to one
+    variable).  The packed engine is the one implementation of the order.
     """
 
     kind: str = "degrevlex"
-    head: tuple[Variable, ...] = ()
     last: tuple[Variable, ...] = ()
 
     def __post_init__(self):
@@ -238,33 +182,8 @@ class TermOrder:
     def priority_sorted(self, variables: Iterable[Variable]) -> list[Variable]:
         """The universe sorted by descending priority."""
         universe = set(variables)
-        head = [v for v in self.head if v in universe]
-        last = [v for v in self.last if v in universe and v not in head]
-        special = set(head) | set(last)
-        mid = sorted((v for v in universe - special), key=Variable.sort_key, reverse=True)
-        return head + mid + last
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        """True iff a > b under this order."""
-        if a == b:
-            return False
-        if self.kind == "degrevlex":
-            da, db = a.degree, b.degree
-            if da != db:
-                return da > db
-        support = {v for v, _ in a.exps} | {v for v, _ in b.exps}
-        pr = self.priority_sorted(support)
-        if self.kind == "lex":
-            for v in pr:
-                ea, eb = a.exponent(v), b.exponent(v)
-                if ea != eb:
-                    return ea > eb
-            return False
-        for v in reversed(pr):
-            ea, eb = a.exponent(v), b.exponent(v)
-            if ea != eb:
-                return ea < eb
-        return False
+        last = [v for v in self.last if v in universe]
+        return sorted(universe.difference(last), reverse=True) + last
 
 
 DEGREVLEX = TermOrder("degrevlex")
@@ -456,9 +375,6 @@ class _Engine:
         # under lex too: find_reducer's early exit needs it, and it fixes
         # the element order of a GroebnerBasis.
         return (deg, -packed) if self._drl else (deg, packed)
-
-    def divides(self, a_packed: int, b_packed: int) -> bool:
-        return ((b_packed | self.H) - a_packed) & self.H == self.H
 
     def lcm(self, a_packed: int, b_packed: int) -> tuple[int, int]:
         # Bit 15 of a field of (a | H) - b is set iff that field of a is
@@ -941,12 +857,10 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
 
 
 def _universe(order: TermOrder, binomials: Iterable[Binomial]) -> tuple[Variable, ...]:
-    seen: dict[Variable, None] = {}
+    seen = set(order.last)
     for b in binomials:
-        seen.update(dict.fromkeys(b.variables()))
-    seen.update(dict.fromkeys(order.head))
-    seen.update(dict.fromkeys(order.last))
-    return tuple(sorted(seen, key=Variable.sort_key))
+        seen.update(v for v, _ in b.plus.exps + b.minus.exps)
+    return tuple(sorted(seen))
 
 
 def _pack_basis(gens: tuple[Binomial, ...], order: TermOrder, f: Binomial):

@@ -79,8 +79,8 @@ def instance_from_dict(data, where: str = "instance") -> RectDiffConfig:
 
 def load_instance(path: str) -> RectDiffConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read instance file: {exc}") from exc
     try:
         data = json.loads(text)
@@ -88,6 +88,10 @@ def load_instance(path: str) -> RectDiffConfig:
         raise ParseError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer past Python's
+        # digit limit for int(str).
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return instance_from_dict(data, where=path)
 
 

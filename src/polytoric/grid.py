@@ -172,33 +172,16 @@ class RectDiffConfig:
             self.b_inner.as_tuple(),
         )
 
+    def to_json_dict(self) -> dict:
+        """The instance in the JSON form that instance files use."""
+        a, b, ai, bi = map(list, self.as_tuples())
+        return {"outer": {"a": a, "b": b}, "hole": {"a": ai, "b": bi}}
+
 
 def build_rect_diff(cfg: RectDiffConfig) -> Polyomino:
     """The polyomino with every cell of [a, b] not contained in the hole."""
     hole_cells = set(cfg.hole().cells())
     return Polyomino.of(c for c in cfg.outer().cells() if c not in hole_cells)
-
-
-def is_polyomino(cells: Iterable[Cell]) -> bool:
-    """True iff the cells are pairwise connected through edge-adjacent
-    cell sequences within the collection."""
-    cell_set = set(cells)
-    if not cell_set:
-        raise EmptyCollection("connectivity of an empty cell collection")
-    start = next(iter(cell_set))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        c = frontier.pop()
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            cx, cy = c.corner.x + dx, c.corner.y + dy
-            if cx < 0 or cy < 0:
-                continue
-            nb = Cell(GridPoint(cx, cy))
-            if nb in cell_set and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == len(cell_set)
 
 
 def is_inner_interval(p: Polyomino, interval: GridInterval) -> bool:

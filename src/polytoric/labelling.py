@@ -8,9 +8,9 @@ clockwise around the hole, constant across each strip's thickness.
 The raw block/strip inequalities overlap on the row y = b'_2 inside the
 strip columns, where the bottom and top strip formulas disagree.  The
 implemented bottom strip is therefore half-open (y < b'_2), giving the
-top strip precedence on that row; :func:`check_region_consistency`
-reports exactly where the raw cases conflict so the fix stays
-auditable.
+top strip precedence on that row.  The audit that reports exactly
+where the raw cases conflict, so the fix stays auditable, lives with the
+tests, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -115,42 +115,6 @@ def build_label_map(cfg: RectDiffConfig) -> LabelMap:
     return LabelMap(cfg, labels, max(labels.values()))
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    """Audit of the labelling regions over the vertex set."""
-
-    exhaustive: bool
-    disjoint: bool
-    region_of: dict[GridPoint, str]
-    raw_conflicts: dict[GridPoint, dict[str, int]]
-    resolved: dict[GridPoint, int]
-
-
-def check_region_consistency(cfg: RectDiffConfig) -> RegionReport:
-    """Partition the vertex set into the implemented regions, check the
-    partition is exhaustive and pairwise disjoint, and report every
-    point where two raw (non-exclusive) cases disagree."""
-    vertices = sorted(build_rect_diff(cfg).vertex_set(), key=point_key)
-    region_of: dict[GridPoint, str] = {}
-    raw_conflicts: dict[GridPoint, dict[str, int]] = {}
-    resolved: dict[GridPoint, int] = {}
-    exhaustive = True
-    disjoint = True
-    for v in vertices:
-        matched = _implemented_regions(cfg, v)
-        if not matched:
-            exhaustive = False
-        else:
-            if len(matched) > 1:
-                disjoint = False
-            region_of[v] = matched[0][0]
-        raw = dict(_raw_regions(cfg, v))
-        if len(set(raw.values())) > 1:
-            raw_conflicts[v] = raw
-            resolved[v] = label(cfg, v)
-    return RegionReport(exhaustive, disjoint, region_of, raw_conflicts, resolved)
-
-
 # --------------------------------------------------------------------------
 # Renderings: text grid (top row = highest y, blanks at excluded points),
 # JSON (round-trips to a LabelMap), CSV.
@@ -176,10 +140,8 @@ def render_label_grid(lm: LabelMap) -> str:
 
 
 def label_map_to_json_dict(lm: LabelMap) -> dict:
-    a, b, ai, bi = lm.cfg.as_tuples()
     return {
-        "instance": {"outer": {"a": list(a), "b": list(b)},
-                     "hole": {"a": list(ai), "b": list(bi)}},
+        "instance": lm.cfg.to_json_dict(),
         "max_label": lm.max_label,
         "labels": {
             f"x[{v.x},{v.y}]": {"r": v.x, "s": v.y, "t": lm.labels[v]}

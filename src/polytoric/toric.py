@@ -61,13 +61,6 @@ class ExponentMatrix:
         return (len(self.rows), len(self.cols))
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """An integer vector indexed by the matrix columns with A * coords = 0."""
-
-    coords: tuple[int, ...]
-
-
 def build_matrix(lm: LabelMap) -> ExponentMatrix:
     cfg = lm.cfg
     rows = (
@@ -99,8 +92,9 @@ def phi_image(m: Monomial, lm: LabelMap) -> Monomial:
     return Monomial(exps.items())
 
 
-def lattice_kernel(a: ExponentMatrix) -> list[LatticeVector]:
-    """Basis of the integer kernel lattice {z : A z = 0}.
+def lattice_kernel(a: ExponentMatrix) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel lattice {z : A z = 0}, each vector
+    indexed by the matrix columns, first nonzero entry positive, sorted.
 
     Unimodular column operations (fraction-free, Euclidean pivoting)
     reduce A to column echelon form while the same operations act on an
@@ -136,20 +130,18 @@ def lattice_kernel(a: ExponentMatrix) -> list[LatticeVector]:
             vec = [-x for x in vec]
         basis.append(tuple(vec))
     basis.sort()
-    out = []
     for vec in basis:
         for i in range(m):
             if sum(a.entries[i][j] * vec[j] for j in range(n)) != 0:
                 raise AssertionError("kernel vector fails A z = 0")
-        out.append(LatticeVector(vec))
-    return out
+    return basis
 
 
-def lattice_vector_to_binomial(z: LatticeVector, cols: Sequence[GridPoint]) -> Binomial:
+def lattice_vector_to_binomial(z: Sequence[int], cols: Sequence[GridPoint]) -> Binomial:
     """x^(positive part) - x^(negative part) of a kernel vector."""
     plus = []
     minus = []
-    for p, c in zip(cols, z.coords):
+    for p, c in zip(cols, z):
         if c > 0:
             plus.append((vertex_var(p), c))
         elif c < 0:

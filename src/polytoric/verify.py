@@ -14,8 +14,8 @@ import json
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, field, fields
+from itertools import combinations, combinations_with_replacement
 
 from .binom import (
     DEGREVLEX,
@@ -64,24 +64,10 @@ class VerificationReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        a, b, ai, bi = self.instance.as_tuples()
-        return {
-            "instance": {"outer": {"a": list(a), "b": list(b)},
-                         "hole": {"a": list(ai), "b": list(bi)}},
-            "num_cells": self.num_cells,
-            "num_vertices": self.num_vertices,
-            "max_label": self.max_label,
-            "num_inner_minors": self.num_inner_minors,
-            "ip_in_jp": self.ip_in_jp,
-            "quadratic_classification_violations":
-                self.quadratic_classification_violations,
-            "ideals_equal": self.ideals_equal,
-            "gb_sizes": list(self.gb_sizes),
-            "max_gb_degree": self.max_gb_degree,
-            "prime_corollary": self.prime_corollary,
-            "budget_exceeded_stage": self.budget_exceeded_stage,
-            "timings": self.timings,
-        }
+        body = {f.name: getattr(self, f.name) for f in fields(self)}
+        body["instance"] = self.instance.to_json_dict()
+        body["gb_sizes"] = list(self.gb_sizes)
+        return body
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -132,29 +118,17 @@ def quadratic_scan(lm: LabelMap) -> QuadraticScan:
     labels {1, 1} and anti-diagonal labels {2, 2}.
     """
     p = build_rect_diff(lm.cfg)
-    points = sorted(lm.labels, key=point_key)
-    groups: dict[tuple, list[tuple[GridPoint, GridPoint]]] = {}
-    for i, u in enumerate(points):
-        for w in points[i:]:
-            image = (
-                tuple(sorted((u.x, w.x))),
-                tuple(sorted((u.y, w.y))),
-                tuple(sorted((lm.labels[u], lm.labels[w]))),
-            )
-            groups.setdefault(image, []).append((u, w))
+    fibers = _fibers(lm, 2)
     balanced = []
     violations = []
-    for image in sorted(groups):
-        members = groups[image]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pair = (members[i], members[j])
-                balanced.append(pair)
-                if not _is_minor_pair(p, *pair):
-                    violations.append(
-                        _violation("balanced_pair_not_inner_minor", lm,
-                                   [*pair[0], *pair[1]])
-                    )
+    for image in sorted(fibers):
+        for pair in combinations(fibers[image], 2):
+            balanced.append(pair)
+            if not _is_minor_pair(p, *pair):
+                violations.append(
+                    _violation("balanced_pair_not_inner_minor", lm,
+                               [*pair[0], *pair[1]])
+                )
     return QuadraticScan(balanced, violations, hole_containment_violations(lm))
 
 
@@ -212,39 +186,44 @@ def _image_text(image: tuple) -> str:
     )
 
 
+def _fibers(lm: LabelMap, deg: int) -> dict[tuple, list[tuple[GridPoint, ...]]]:
+    """The vertex monomials of degree ``deg`` that share their image with
+    another, grouped by image; each monomial is the tuple of its points
+    from ``combinations_with_replacement`` over the points in (x, y)
+    order, and the members of a group keep that enumeration order.
+
+    A monomial's image is fixed by the sorted x, y and label multisets of
+    its points, and that triple of tuples is the key, so the grouping
+    reads ``lm.labels`` and builds no ``Monomial``."""
+    labels = lm.labels
+    groups: dict[tuple, list[tuple[GridPoint, ...]]] = {}
+    for combo in combinations_with_replacement(sorted(labels, key=point_key), deg):
+        # combo follows the (x, y) order of points, so its xs are sorted.
+        image = (
+            tuple(p.x for p in combo),
+            tuple(sorted(p.y for p in combo)),
+            tuple(sorted(labels[p] for p in combo)),
+        )
+        groups.setdefault(image, []).append(combo)
+    return {image: members for image, members in groups.items() if len(members) > 1}
+
+
 def kernel_binomials_up_to_degree(lm: LabelMap, max_degree: int) -> list[Binomial]:
     """Every binomial u - w with deg u = deg w <= max_degree over the
     vertex variables and equal images, by brute-force enumeration of
-    monomial pairs grouped by image.
-
-    A vertex monomial's image is fixed by the sorted x, y and label
-    multisets of its points, so the grouping reads ``lm.labels`` and
-    builds a ``Monomial`` only for images shared by two or more
-    monomials.  Per degree the groups come sorted by the text of their
-    image, and the members of a group in enumeration order."""
-    points = sorted(lm.labels, key=point_key)
-    labels = lm.labels
-    variables = {p: vertex_var(p) for p in points}
+    monomial pairs grouped by image (``_fibers``).  Per degree the groups
+    come sorted by the text of their image, and the members of a group in
+    enumeration order."""
+    variables = {p: vertex_var(p) for p in lm.labels}
     out = []
     for deg in range(1, max_degree + 1):
-        groups: dict[tuple, list[tuple]] = {}
-        for combo in combinations_with_replacement(points, deg):
-            # combo follows the (x, y) order of points, so its xs are sorted.
-            image = (
-                tuple(p.x for p in combo),
-                tuple(sorted(p.y for p in combo)),
-                tuple(sorted(labels[p] for p in combo)),
-            )
-            groups.setdefault(image, []).append(combo)
-        shared = [image for image, members in groups.items() if len(members) > 1]
-        for image in sorted(shared, key=_image_text):
+        fibers = _fibers(lm, deg)
+        for image in sorted(fibers, key=_image_text):
             members = [
                 Monomial(Counter(variables[p] for p in combo).items())
-                for combo in groups[image]
+                for combo in fibers[image]
             ]
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    out.append(Binomial(members[i], members[j]))
+            out.extend(Binomial(u, w) for u, w in combinations(members, 2))
     return out
 
 

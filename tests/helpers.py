@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -24,9 +25,145 @@ from polytoric.binom import (
     buchberger,
     vertex_var,
 )
-from polytoric.grid import GridPoint, RectDiffConfig, point_key
-from polytoric.labelling import LabelMap
+from polytoric.errors import EmptyCollection
+from polytoric.grid import Cell, GridPoint, RectDiffConfig, build_rect_diff, point_key
+from polytoric.labelling import LabelMap, _implemented_regions, _raw_regions, label
 from polytoric.toric import ExponentMatrix, phi_image
+
+# -- sparse reference algebra ----------------------------------------------
+# Slow versions of what the packed engine does on its integers: the term
+# order, divisibility, lcm, gcd and quotient of monomials.  The tests keep
+# them as oracles for the engine.
+
+
+def exponent(m: Monomial, v: Variable) -> int:
+    return dict(m.exps).get(v, 0)
+
+
+def is_unit(m: Monomial) -> bool:
+    return not m.exps
+
+
+def divides(a: Monomial, b: Monomial) -> bool:
+    """True iff a divides b."""
+    bd = dict(b.exps)
+    return all(bd.get(v, 0) >= e for v, e in a.exps)
+
+
+def quotient(a: Monomial, b: Monomial) -> Monomial:
+    """a / b; b must divide a."""
+    d = dict(a.exps)
+    for v, e in b.exps:
+        r = d.get(v, 0) - e
+        if r < 0:
+            raise ValueError(f"{b} does not divide {a}")
+        d[v] = r
+    return Monomial(d.items())
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    d = dict(a.exps)
+    for v, e in b.exps:
+        d[v] = max(d.get(v, 0), e)
+    return Monomial(d.items())
+
+
+def gcd(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial((v, min(e, exponent(b, v))) for v, e in a.exps)
+
+
+def greater(order: TermOrder, a: Monomial, b: Monomial) -> bool:
+    """True iff a > b under the order, variable by variable."""
+    if a == b:
+        return False
+    if order.kind == "degrevlex" and a.degree != b.degree:
+        return a.degree > b.degree
+    pr = order.priority_sorted({v for v, _ in a.exps + b.exps})
+    if order.kind == "lex":
+        for v in pr:
+            ea, eb = exponent(a, v), exponent(b, v)
+            if ea != eb:
+                return ea > eb
+        return False
+    for v in reversed(pr):
+        ea, eb = exponent(a, v), exponent(b, v)
+        if ea != eb:
+            return ea < eb
+    return False
+
+
+def normalized(f: Binomial, order: TermOrder) -> Binomial:
+    """Copy of f with plus the leading monomial under the order."""
+    return f if greater(order, f.plus, f.minus) else Binomial(f.minus, f.plus)
+
+
+def variable_sort_key(v: Variable) -> tuple[int, int, int]:
+    """The variable order as a rank table: kind r < s < t < x, then i, j."""
+    return ("rstx".index(v.kind), v.i, v.j)
+
+
+# -- geometry and labelling audits -------------------------------------------
+
+
+def is_polyomino(cells) -> bool:
+    """True iff the cells are pairwise connected through edge-adjacent
+    cell sequences within the collection."""
+    cell_set = set(cells)
+    if not cell_set:
+        raise EmptyCollection("connectivity of an empty cell collection")
+    start = next(iter(cell_set))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        c = frontier.pop()
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            cx, cy = c.corner.x + dx, c.corner.y + dy
+            if cx < 0 or cy < 0:
+                continue
+            nb = Cell(GridPoint(cx, cy))
+            if nb in cell_set and nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return len(seen) == len(cell_set)
+
+
+@dataclass(frozen=True)
+class RegionReport:
+    """Audit of the labelling regions over the vertex set."""
+
+    exhaustive: bool
+    disjoint: bool
+    region_of: dict[GridPoint, str]
+    raw_conflicts: dict[GridPoint, dict[str, int]]
+    resolved: dict[GridPoint, int]
+
+
+def check_region_consistency(cfg: RectDiffConfig) -> RegionReport:
+    """Partition the vertex set into the implemented regions, check the
+    partition is exhaustive and pairwise disjoint, and report every
+    point where two raw (non-exclusive) cases disagree."""
+    vertices = sorted(build_rect_diff(cfg).vertex_set(), key=point_key)
+    region_of: dict[GridPoint, str] = {}
+    raw_conflicts: dict[GridPoint, dict[str, int]] = {}
+    resolved: dict[GridPoint, int] = {}
+    exhaustive = True
+    disjoint = True
+    for v in vertices:
+        matched = _implemented_regions(cfg, v)
+        if not matched:
+            exhaustive = False
+        else:
+            if len(matched) > 1:
+                disjoint = False
+            region_of[v] = matched[0][0]
+        raw = dict(_raw_regions(cfg, v))
+        if len(set(raw.values())) > 1:
+            raw_conflicts[v] = raw
+            resolved[v] = label(cfg, v)
+    return RegionReport(exhaustive, disjoint, region_of, raw_conflicts, resolved)
+
+
+# -- engine helpers and references ---------------------------------------------
 
 
 def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZero:
@@ -90,11 +227,11 @@ def label_map_from_json_dict(data: dict) -> LabelMap:
 
 
 def divide_common_power(g: Binomial, v: Variable) -> Binomial:
-    k = min(g.plus.exponent(v), g.minus.exponent(v))
+    k = min(exponent(g.plus, v), exponent(g.minus, v))
     if k == 0:
         return g
     power = Monomial([(v, k)])
-    return Binomial(g.plus / power, g.minus / power)
+    return Binomial(quotient(g.plus, power), quotient(g.minus, power))
 
 
 def saturation_steps_reference(gens, variables):

@@ -133,7 +133,7 @@ def test_criterion_7_kernel_exactness():
             kernel = lattice_kernel(matrix)
             for z in kernel:
                 for row in matrix.entries:
-                    assert sum(e * c for e, c in zip(row, z.coords)) == 0
+                    assert sum(e * c for e, c in zip(row, z)) == 0
             assert len(kernel) == len(matrix.cols) - fraction_rank(matrix.entries)
 
 

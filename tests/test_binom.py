@@ -3,11 +3,20 @@ import random
 import pytest
 from conftest import MEDIUM_A, SMALL, cfg_of
 from helpers import (
+    divides,
+    exponent,
+    gcd,
+    greater,
+    is_unit,
+    lcm,
     leading_monomials,
+    normalized,
     numerator_by_inclusion_exclusion,
+    quotient,
     series_coefficients,
     spoly,
     standard_monomial_counts,
+    variable_sort_key,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +26,7 @@ from polytoric.binom import (
     _Basis,
     _Elem,
     _Engine,
+    _divisible,
     _hilbert_numerator,
     _move_last,
     DEGREVLEX,
@@ -47,6 +57,13 @@ from polytoric.grid import build_rect_diff, enumerate_inner_minors
 X = {i: vertex_var((i, 1)) for i in range(1, 9)}
 
 
+def lex_first(*indices) -> TermOrder:
+    """Lex with x_i > x_j for i before j in ``indices``: the listed
+    variables demoted in that order, so over a universe inside them they
+    are the whole priority."""
+    return TermOrder("lex", last=tuple(X[i] for i in indices))
+
+
 def mono(*indices) -> Monomial:
     exps = {}
     for i in indices:
@@ -72,10 +89,10 @@ monomials = st.builds(
 def test_monomial_basics():
     a = parse_monomial("x[1,1]^2*x[2,2]")
     assert a.degree == 3
-    assert a.exponent(vertex_var((1, 1))) == 2
+    assert exponent(a, vertex_var((1, 1))) == 2
     assert str(a) == "x[1,1]^2*x[2,2]"
     assert str(UNIT) == "1"
-    assert UNIT.is_unit and UNIT.degree == 0
+    assert is_unit(UNIT) and UNIT.degree == 0
     with pytest.raises(ValueError):
         Monomial([(r_var(1), -1)])
 
@@ -83,10 +100,10 @@ def test_monomial_basics():
 @given(a=monomials, b=monomials)
 def test_monomial_algebra_laws(a, b):
     assert a * b == b * a
-    assert b.divides(a * b)
-    assert (a * b) / b == a
-    assert a.lcm(b) * a.gcd(b) == a * b
-    assert a.gcd(b).divides(a) and a.divides(a.lcm(b))
+    assert divides(b, a * b)
+    assert quotient(a * b, b) == a
+    assert lcm(a, b) * gcd(a, b) == a * b
+    assert divides(gcd(a, b), a) and divides(a, lcm(a, b))
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX])
@@ -94,27 +111,27 @@ def test_monomial_algebra_laws(a, b):
 @settings(max_examples=200)
 def test_order_laws(order, a, b, c):
     if a == b:
-        assert not order.greater(a, b) and not order.greater(b, a)
+        assert not greater(order, a, b) and not greater(order, b, a)
     else:
-        assert order.greater(a, b) != order.greater(b, a)
-        if order.greater(a, b):
-            assert order.greater(a * c, b * c)
-    if not a.is_unit:
-        assert order.greater(a, UNIT)
+        assert greater(order, a, b) != greater(order, b, a)
+        if greater(order, a, b):
+            assert greater(order, a * c, b * c)
+    if not is_unit(a):
+        assert greater(order, a, UNIT)
 
 
 def test_degrevlex_known_comparisons():
     # ties in degree are broken by the smallest-priority variable with
     # the smaller exponent winning
-    assert DEGREVLEX.greater(mono(2, 3), mono(1, 4))
-    assert DEGREVLEX.greater(mono(1, 1, 1), mono(2, 3))  # degree dominates
-    assert LEX.greater(mono(8), mono(7, 7, 7))
+    assert greater(DEGREVLEX, mono(2, 3), mono(1, 4))
+    assert greater(DEGREVLEX, mono(1, 1, 1), mono(2, 3))  # degree dominates
+    assert greater(LEX, mono(8), mono(7, 7, 7))
 
 
 def test_lex_with_explicit_priority():
-    order = TermOrder("lex", head=(X[1], X[2], X[3]))
-    assert order.greater(mono(1, 4), mono(2, 3))  # x1 beats x2 at the head
-    assert DEGREVLEX.greater(mono(2, 3), mono(1, 4))
+    order = lex_first(1, 2, 3, 4)
+    assert greater(order, mono(1, 4), mono(2, 3))  # x1 ranks first
+    assert greater(DEGREVLEX, mono(2, 3), mono(1, 4))
 
 
 # -- spoly -------------------------------------------------------------------
@@ -138,7 +155,7 @@ def test_spoly_shared_lead_variable():
     g = bino((1, 6), (2, 5))
     # Under lex with x1 > ... > x6 the leads are x1*x4 and x1*x6 with
     # lcm x1*x4*x6, giving x2*x3*x6 - x2*x4*x5 (hand expansion).
-    lex = TermOrder("lex", head=tuple(X[i] for i in range(1, 7)))
+    lex = lex_first(1, 2, 3, 4, 5, 6)
     assert spoly(f, g, lex) == bino((2, 3, 6), (2, 4, 5))
     # Under the default degrevlex the leads are x2*x3 and x2*x5 with
     # lcm x2*x3*x5, giving x1*x4*x5 - x1*x3*x6 (hand expansion).
@@ -235,7 +252,7 @@ def test_tracked_reduce_division_identity():
 def test_buchberger_principal():
     f = bino((1, 4), (2, 3))
     gb = buchberger([f], DEGREVLEX)
-    assert gb.elements == (f.normalized(DEGREVLEX),)
+    assert gb.elements == (normalized(f, DEGREVLEX),)
 
 
 def test_buchberger_domino_minors_are_a_basis():
@@ -247,7 +264,7 @@ def test_buchberger_domino_minors_are_a_basis():
     minors = enumerate_inner_minors(p)
     assert len(minors) == 3
     gb = buchberger(minors, DEGREVLEX)
-    assert set(gb.elements) == {m.normalized(DEGREVLEX) for m in minors}
+    assert set(gb.elements) == {normalized(m, DEGREVLEX) for m in minors}
     for i in range(3):
         for j in range(i + 1, 3):
             s = spoly(minors[i], minors[j], DEGREVLEX)
@@ -255,17 +272,17 @@ def test_buchberger_domino_minors_are_a_basis():
 
 
 def test_buchberger_linear_chain_lex():
-    order = TermOrder("lex", head=(X[1], X[2], X[3]))
+    order = lex_first(1, 2, 3)
     gb = buchberger([bino((1,), (2,)), bino((2,), (3,))], order)
     assert set(gb.elements) == {bino((1,), (3,)), bino((2,), (3,))}
 
 
 def test_buchberger_lex_elements_sorted_by_degree_first():
-    order = TermOrder("lex", head=(X[1], X[2], X[3]))
+    order = lex_first(1, 2, 3)
     linear = bino((1,), (3,))
     cubic = bino((2, 2, 2), (3, 3, 3))
     # x1 > x2^3 under this lex order, yet the linear element comes first.
-    assert order.greater(linear.plus, cubic.plus)
+    assert greater(order, linear.plus, cubic.plus)
     assert buchberger([linear, cubic], order).elements == (linear, cubic)
     assert buchberger([cubic, linear], order).elements == (linear, cubic)
 
@@ -287,10 +304,10 @@ def test_buchberger_reduced_basis_properties():
     for i, lm in enumerate(leads):
         for j, other in enumerate(leads):
             if i != j:
-                assert not lm.divides(other)
+                assert not divides(lm, other)
     # tails are irreducible too
     for g in gb.elements:
-        assert not any(lm.divides(g.minus) for lm in leads)
+        assert not any(divides(lm, g.minus) for lm in leads)
     # every generator is a member
     for m in minors:
         assert reduce(m, gb, DEGREVLEX) is ZERO
@@ -357,7 +374,8 @@ def engine_monomial_pairs(draw):
     DEGREVLEX,
     LEX,
     TermOrder("degrevlex", last=(ENGINE_POOL[0],)),  # a saturation step
-    TermOrder("lex", head=(ENGINE_POOL[2], ENGINE_POOL[0])),
+    # Lex with two variables demoted against their default ranks.
+    TermOrder("lex", last=(ENGINE_POOL[0], ENGINE_POOL[2])),
 ])
 @given(case=engine_monomial_pairs())
 @settings(max_examples=300)
@@ -369,18 +387,20 @@ def test_packed_primitives_match_sparse_reference(order, case):
     # The packed order, which orients every binomial the engine sees,
     # against the sparse reference.  A rotation c of a's exponents has
     # a's degree, so degrevlex always reaches its tie-break on (a, c).
-    exps = [a.exponent(v) for v in universe]
+    exps = [exponent(a, v) for v in universe]
     c = Monomial(zip(universe, exps[1:] + exps[:1]))
     for x, y in ((a, b), (b, a), (a, c), (c, a)):
-        assert engine.greater(engine.pack(x), engine.pack(y)) == order.greater(x, y)
+        assert engine.greater(engine.pack(x), engine.pack(y)) == greater(order, x, y)
     # The lcm may pass the cap (up to twice it), so compare it unpacked.
-    lcm_deg, lcm = engine.lcm(pa[1], pb[1])
-    assert engine.unpack(lcm) == a.lcm(b) and lcm_deg == a.lcm(b).degree
-    assert engine.divides(pa[1], pb[1]) == a.divides(b)
-    assert engine.divides(pb[1], pa[1]) == b.divides(a)
-    coprime = engine.mask_of(pa[1]) & engine.mask_of(pb[1]) == 0
-    assert coprime == a.gcd(b).is_unit
-    assert engine.mask_of(pa[1]) | engine.mask_of(pb[1]) == engine.mask_of(lcm)
+    lcm_deg, packed_lcm = engine.lcm(pa[1], pb[1])
+    assert engine.unpack(packed_lcm) == lcm(a, b) and lcm_deg == lcm(a, b).degree
+    # The guard-bit divisibility test that the Hilbert series runs.
+    ma, mb = engine.mask_of(pa[1]), engine.mask_of(pb[1])
+    assert _divisible(pb[1], mb, [(pa[1], ma)], engine.H) == divides(a, b)
+    assert _divisible(pa[1], ma, [(pb[1], mb)], engine.H) == divides(b, a)
+    coprime = ma & mb == 0
+    assert coprime == is_unit(gcd(a, b))
+    assert ma | mb == engine.mask_of(packed_lcm)
 
 
 PERM_POOL = ENGINE_POOL[:6]
@@ -393,7 +413,7 @@ def homogeneous_binomials(draw):
     d = draw(st.integers(min_value=1, max_value=3))
     factors = st.lists(st.sampled_from(PERM_POOL), min_size=d, max_size=d)
     plus, minus = draw(factors), draw(factors)
-    assume(sorted(plus, key=Variable.sort_key) != sorted(minus, key=Variable.sort_key))
+    assume(sorted(plus) != sorted(minus))
     return Binomial(*(Monomial((v, side.count(v)) for v in set(side))
                       for side in (plus, minus)))
 
@@ -531,7 +551,7 @@ def test_hilbert_numerator_deep_pivot_chain():
 @settings(max_examples=200, deadline=None)
 def test_move_last_matches_repacking(data):
     n = data.draw(st.integers(min_value=1, max_value=len(ENGINE_POOL)))
-    universe = sorted(ENGINE_POOL[:n], key=Variable.sort_key)
+    universe = sorted(ENGINE_POOL[:n])
     a, b = data.draw(st.sampled_from(universe)), data.draw(st.sampled_from(universe))
     mono = Monomial(zip(universe, data.draw(st.lists(
         st.integers(0, 40), min_size=n, max_size=n))))
@@ -576,7 +596,7 @@ def test_find_reducer_matches_linear_scan(order, data):
                     key=lambda k: engine.sort_key(*engine.pack(leads[k])) + (k,))
     queries = data.draw(st.lists(small_monomials, max_size=8))
     for t in queries + [a * b for a in leads[:3] for b in leads[:3]]:
-        expected = next((k for k in ranked if leads[k].divides(t)), -1)
+        expected = next((k for k in ranked if divides(leads[k], t)), -1)
         deg, packed = engine.pack(t)
         assert basis.find_reducer(deg, packed, engine.mask_of(packed)) == expected
 
@@ -688,9 +708,8 @@ def test_zero_binomial_rejected():
 
 def test_normalized_orients_leading_monomial():
     f = bino((1, 4), (2, 3))
-    assert f.normalized(DEGREVLEX).plus == mono(2, 3)
-    lex = TermOrder("lex", head=tuple(X[i] for i in range(1, 5)))
-    assert f.normalized(lex).plus == mono(1, 4)
+    assert normalized(f, DEGREVLEX).plus == mono(2, 3)
+    assert normalized(f, lex_first(1, 2, 3, 4)).plus == mono(1, 4)
 
 
 def test_parse_format_round_trip():
@@ -724,7 +743,28 @@ def test_parse_rejects_garbage(bad):
 def test_variable_display_and_order():
     assert str(vertex_var((3, 4))) == "x[3,4]"
     assert str(r_var(2)) == "r[2]"
-    vs = sorted([vertex_var((1, 2)), r_var(5), t_var(1)], key=Variable.sort_key)
+    vs = sorted([vertex_var((1, 2)), r_var(5), t_var(1)])
     assert [v.kind for v in vs] == ["r", "t", "x"]
     with pytest.raises(ValueError):
         Variable("q", 1)
+
+
+variables = st.builds(
+    Variable,
+    st.sampled_from("rstx"),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+)
+
+
+@given(vs=st.lists(variables, unique=True, max_size=12), data=st.data())
+def test_variable_order_is_the_rank_order(vs, data):
+    """The dataclass field order is the variable order: kind r < s < t <
+    x, then i, then j.  Monomial factors, and so every engine universe
+    and packed layout, follow it."""
+    assert sorted(vs) == sorted(vs, key=variable_sort_key)
+    shuffled = data.draw(st.permutations(vs))
+    exps = [(v, k + 1) for k, v in enumerate(vs)]
+    by_v = dict(exps)
+    assert Monomial([(v, by_v[v]) for v in shuffled]).exps == tuple(
+        sorted(exps, key=lambda p: variable_sort_key(p[0])))

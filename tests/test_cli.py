@@ -75,6 +75,20 @@ def test_bad_json_reports_position(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{", "cannot read instance file"),
+    (b"[" * 200000, "invalid JSON: maximum recursion depth"),
+    (b'{"outer": {"a": [' + b"1" * 5000 + b', 1]}}', "invalid JSON: Exceeds the limit"),
+], ids=["not_utf8", "nested_past_recursion_limit", "integer_past_digit_limit"])
+def test_undecodable_instance_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["verify", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_field_precise_errors():
     with pytest.raises(ParseError, match=r"outer\.a"):
         instance_from_dict({"outer": {"a": [1], "b": [4, 4]},

@@ -10,6 +10,7 @@ from conftest import (
     inner_minor_count_oracle,
     sweep_configs,
 )
+from helpers import is_polyomino
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from polytoric.grid import (
     enumerate_inner_minors,
     inner_intervals,
     is_inner_interval,
-    is_polyomino,
 )
 
 ALL_INSTANCES = (SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5)

@@ -11,13 +11,12 @@ from conftest import (
     SMALL,
     cfg_of,
 )
-from helpers import label_map_from_json_dict
+from helpers import check_region_consistency, label_map_from_json_dict
 
 from polytoric.errors import VertexOutsidePolyomino
 from polytoric.grid import GridInterval, GridPoint, build_rect_diff, inner_intervals
 from polytoric.labelling import (
     build_label_map,
-    check_region_consistency,
     label,
     label_map_to_json_dict,
     render_label_csv,

@@ -350,7 +350,7 @@ def test_matrix_mutation_flips_kernel_or_pattern():
     bad = ExponentMatrix(a.rows, a.cols, tuple(tuple(r) for r in entries))
     assert not column_pattern_ok(bad)
     broken = any(
-        any(sum(e * c for e, c in zip(row, z.coords)) != 0 for row in bad.entries)
+        any(sum(e * c for e, c in zip(row, z)) != 0 for row in bad.entries)
         for z in kernel
     )
     assert broken
