@@ -74,18 +74,22 @@ def t_var(k: int) -> Variable:
 class Monomial:
     """A monomial as a sorted tuple of (variable, exponent) pairs.
 
-    Exponents are strictly positive; the empty tuple is the unit.
+    Exponents are strictly positive; the empty tuple is the unit.  The
+    constructor sums a repeated variable's exponents and drops zero ones.
     Instances are immutable and hashable.
     """
 
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps: Iterable[tuple[Variable, int]] = ()):
-        items = [(v, e) for v, e in exps if e != 0]
-        for _, e in items:
+        items: list[tuple[Variable, int]] = []
+        for v, e in sorted(exps, key=itemgetter(0)):
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        items.sort(key=itemgetter(0))
+            if items and items[-1][0] == v:
+                e += items.pop()[1]
+            if e:
+                items.append((v, e))
         object.__setattr__(self, "exps", tuple(items))
         object.__setattr__(self, "_hash", hash(self.exps))
 
@@ -103,10 +107,7 @@ class Monomial:
         return sum(e for _, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d.items())
+        return Monomial(self.exps + other.exps)
 
     def __str__(self) -> str:
         if not self.exps:
@@ -178,6 +179,8 @@ class TermOrder:
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown term order kind {self.kind!r}")
+        if len(set(self.last)) != len(self.last):
+            raise ValueError("a variable is listed twice in last")
 
     def priority_sorted(self, variables: Iterable[Variable]) -> list[Variable]:
         """The universe sorted by descending priority."""
@@ -856,17 +859,31 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
 # --------------------------------------------------------------------------
 
 
-def _universe(order: TermOrder, binomials: Iterable[Binomial]) -> tuple[Variable, ...]:
-    seen = set(order.last)
+def _checked(gens: Iterable) -> tuple[Binomial, ...]:
+    """``gens`` as a tuple, each checked to be a nonzero binomial."""
+    gens = tuple(gens)
+    if not all(isinstance(g, Binomial) for g in gens):
+        raise ValueError("generators must be nonzero binomials")
+    return gens
+
+
+def _universe(binomials: Iterable[Binomial], extra: Iterable[Variable]) -> tuple[Variable, ...]:
+    """The sorted variables of ``binomials`` and ``extra``."""
+    seen = set(extra)
     for b in binomials:
         seen.update(v for v, _ in b.plus.exps + b.minus.exps)
     return tuple(sorted(seen))
 
 
+def _cert_terms(engine: _Engine, gens, flat, sign: int = 1) -> tuple[CertTerm, ...]:
+    """The CertTerms of flat provenance over ``gens``, signs times ``sign``."""
+    return tuple(CertTerm(gens[k], engine.unpack(mp), sg * sign) for k, (_, mp), sg in flat)
+
+
 def _pack_basis(gens: tuple[Binomial, ...], order: TermOrder, f: Binomial):
     """(engine, basis) holding ``gens`` over their variables and those of
     ``f``, each element with its generator as provenance."""
-    engine = _Engine(_universe(order, gens + (f,)), order)
+    engine = _Engine(_universe(gens + (f,), order.last), order)
     b = _Basis(engine)
     for k, g in enumerate(gens):
         g4, flip = engine.orient(g)
@@ -895,9 +912,7 @@ def reduce(
         gens, memo = tuple(basis), {}
     packed = memo.get(order)
     if packed is None:
-        for g in gens:
-            if not isinstance(g, Binomial):
-                raise ValueError("basis elements must be nonzero binomials")
+        _checked(gens)
     if f is ZERO:
         return (ZERO, None) if track else ZERO
     if packed is None or any(
@@ -917,11 +932,7 @@ def reduce(
         nf = Binomial(nf.minus, nf.plus)
     if not track:
         return nf
-    terms = tuple(
-        CertTerm(gens[k], engine.unpack(mp), sg * f_flip)
-        for k, (_, mp), sg in b.flatten(steps)
-    )
-    return nf, Certificate(f, terms)
+    return nf, Certificate(f, _cert_terms(engine, gens, b.flatten(steps), f_flip))
 
 
 def buchberger(
@@ -941,22 +952,15 @@ def buchberger(
     ResourceBudgetExceeded beyond it.  With ``track``, each basis element
     carries a certificate over the input generators.
     """
-    gens = tuple(gens)
-    for g in gens:
-        if g is ZERO or not isinstance(g, Binomial):
-            raise ValueError("generators must be nonzero binomials")
-    engine = _Engine(_universe(order, gens), order)
+    gens = _checked(gens)
+    engine = _Engine(_universe(gens, order.last), order)
     final, final_prov = _run_buchberger(
         engine, [engine.orient(g) for g in gens], budget, track)
     elements = tuple(engine.from_binomial4(b4) for b4 in final)
     construction = None
     if track:
-        construction = tuple(
-            Certificate(b, tuple(
-                CertTerm(gens[k], engine.unpack(mp), sg) for k, (_, mp), sg in flat
-            ))
-            for b, flat in zip(elements, final_prov)
-        )
+        construction = tuple(Certificate(b, _cert_terms(engine, gens, flat))
+                             for b, flat in zip(elements, final_prov))
     return GroebnerBasis(order, elements, construction)
 
 
@@ -1004,13 +1008,10 @@ def saturate(
     never read for inhomogeneous ``gens``, since the division keeps a
     Groebner basis only for homogeneous ones; then every step runs.
     """
+    gens = _checked(gens)
     if not variables:
         return list(gens)
-    gens = tuple(gens)
-    for g in gens:
-        if g is ZERO or not isinstance(g, Binomial):
-            raise ValueError("generators must be nonzero binomials")
-    universe = _universe(TermOrder("degrevlex", last=tuple(variables)), gens)
+    universe = _universe(gens, variables)
     rank = {v: len(universe) - 1 - i for i, v in enumerate(universe)}
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
@@ -1066,7 +1067,7 @@ def parse_monomial(text: str) -> Monomial:
         return UNIT
     if not text:
         raise ParseError("empty monomial")
-    exps: dict[Variable, int] = {}
+    exps = []
     for factor in text.split("*"):
         m = _FACTOR_RE.match(factor)
         if not m:
@@ -1078,8 +1079,8 @@ def parse_monomial(text: str) -> Monomial:
         e = int(m.group(6)) if m.group(6) else 1
         if e == 0:
             raise ParseError(f"zero exponent in factor: {factor.strip()!r}")
-        exps[v] = exps.get(v, 0) + e
-    return Monomial(exps.items())
+        exps.append((v, e))
+    return Monomial(exps)
 
 
 def parse_binomial(text: str) -> Binomial:

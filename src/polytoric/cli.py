@@ -30,7 +30,7 @@ from .errors import (
     ResourceBudgetExceeded,
     VertexOutsidePolyomino,
 )
-from .grid import MAX_SIDE, RectDiffConfig, build_rect_diff, enumerate_inner_minors
+from .grid import RectDiffConfig, build_rect_diff, enumerate_inner_minors
 from .labelling import (
     build_label_map,
     render_label_csv,
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify ideal equality, write a report")
     add_common(p)
     p.add_argument("--order", choices=("degrevlex", "lex"), default="degrevlex")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="S-pair reduction cap per Groebner run")
     p.add_argument("--report", default=None, help="report JSON path")
     p.set_defaults(func=cmd_verify)
 
@@ -261,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the brute-force check suites")
     add_common(p)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="S-pair reduction cap per Groebner run")
     p.set_defaults(func=cmd_oracle)
 
     return parser

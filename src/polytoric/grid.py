@@ -49,8 +49,7 @@ class GridInterval:
     """The set of lattice points between two comparable corners.
 
     lo and hi are the diagonal corners; (lo.x, hi.y) and (hi.x, lo.y)
-    the anti-diagonal ones.  Proper means lo < hi strictly in both
-    coordinates, which is what an interval needs to carry a 2-minor.
+    the anti-diagonal ones.
     """
 
     lo: GridPoint
@@ -59,10 +58,6 @@ class GridInterval:
     def __post_init__(self):
         if not self.lo.leq(self.hi):
             raise DegenerateInterval(f"interval corners out of order: {self}")
-
-    @property
-    def is_proper(self) -> bool:
-        return self.lo.lt(self.hi)
 
     def anti_diagonal(self) -> tuple[GridPoint, GridPoint]:
         return (GridPoint(self.lo.x, self.hi.y), GridPoint(self.hi.x, self.lo.y))
@@ -182,13 +177,6 @@ def build_rect_diff(cfg: RectDiffConfig) -> Polyomino:
     """The polyomino with every cell of [a, b] not contained in the hole."""
     hole_cells = set(cfg.hole().cells())
     return Polyomino.of(c for c in cfg.outer().cells() if c not in hole_cells)
-
-
-def is_inner_interval(p: Polyomino, interval: GridInterval) -> bool:
-    """True iff every cell of the (proper) interval belongs to p."""
-    if not interval.is_proper:
-        raise DegenerateInterval(f"inner intervals must be proper: {interval}")
-    return all(c in p.cells for c in interval.cells())
 
 
 def inner_intervals(p: Polyomino) -> list[GridInterval]:

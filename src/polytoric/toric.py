@@ -80,16 +80,15 @@ def build_matrix(lm: LabelMap) -> ExponentMatrix:
 
 def phi_image(m: Monomial, lm: LabelMap) -> Monomial:
     """Image of a vertex monomial under the monomial map."""
-    exps: dict[Variable, int] = {}
+    image = []
     for v, e in m.exps:
         if v.kind != "x":
             raise VertexOutsidePolyomino(f"{v} is not a vertex variable")
         p = GridPoint(v.i, v.j)
         if p not in lm.labels:
             raise VertexOutsidePolyomino(f"{p.as_tuple()} is not a vertex")
-        for w in (r_var(p.x), s_var(p.y), t_var(lm.labels[p])):
-            exps[w] = exps.get(w, 0) + e
-    return Monomial(exps.items())
+        image += [(r_var(p.x), e), (s_var(p.y), e), (t_var(lm.labels[p]), e)]
+    return Monomial(image)
 
 
 def lattice_kernel(a: ExponentMatrix) -> list[tuple[int, ...]]:

@@ -38,7 +38,6 @@ from .grid import (
     build_rect_diff,
     enumerate_inner_minors,
     inner_intervals,
-    is_inner_interval,
     point_key,
 )
 from .labelling import LabelMap, build_label_map
@@ -117,35 +116,23 @@ def quadratic_scan(lm: LabelMap) -> QuadraticScan:
     proper interval strictly containing the hole must carry diagonal
     labels {1, 1} and anti-diagonal labels {2, 2}.
     """
-    p = build_rect_diff(lm.cfg)
+    # Each side is a point tuple in (x, y) order, as in the fibers.
+    minor_pairs = {
+        frozenset(((iv.lo, iv.hi), iv.anti_diagonal()))
+        for iv in inner_intervals(build_rect_diff(lm.cfg))
+    }
     fibers = _fibers(lm, 2)
     balanced = []
     violations = []
     for image in sorted(fibers):
         for pair in combinations(fibers[image], 2):
             balanced.append(pair)
-            if not _is_minor_pair(p, *pair):
+            if frozenset(pair) not in minor_pairs:
                 violations.append(
                     _violation("balanced_pair_not_inner_minor", lm,
                                [*pair[0], *pair[1]])
                 )
     return QuadraticScan(balanced, violations, hole_containment_violations(lm))
-
-
-def _is_minor_pair(p, m1: tuple[GridPoint, GridPoint], m2) -> bool:
-    pts = [*m1, *m2]
-    lo = GridPoint(min(q.x for q in pts), min(q.y for q in pts))
-    hi = GridPoint(max(q.x for q in pts), max(q.y for q in pts))
-    if not lo.lt(hi):
-        return False
-    iv = GridInterval(lo, hi)
-    diag = {iv.lo, iv.hi}
-    anti = set(iv.anti_diagonal())
-    sets = (set(m1), set(m2))
-    if not ((sets[0] == diag and sets[1] == anti)
-            or (sets[0] == anti and sets[1] == diag)):
-        return False
-    return is_inner_interval(p, iv)
 
 
 def hole_containing_intervals(cfg: RectDiffConfig):
@@ -219,10 +206,7 @@ def kernel_binomials_up_to_degree(lm: LabelMap, max_degree: int) -> list[Binomia
     for deg in range(1, max_degree + 1):
         fibers = _fibers(lm, deg)
         for image in sorted(fibers, key=_image_text):
-            members = [
-                Monomial(Counter(variables[p] for p in combo).items())
-                for combo in fibers[image]
-            ]
+            members = [Monomial((variables[p], 1) for p in combo) for combo in fibers[image]]
             out.extend(Binomial(u, w) for u, w in combinations(members, 2))
     return out
 

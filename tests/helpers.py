@@ -25,8 +25,16 @@ from polytoric.binom import (
     buchberger,
     vertex_var,
 )
-from polytoric.errors import EmptyCollection
-from polytoric.grid import Cell, GridPoint, RectDiffConfig, build_rect_diff, point_key
+from polytoric.errors import DegenerateInterval, EmptyCollection
+from polytoric.grid import (
+    Cell,
+    GridInterval,
+    GridPoint,
+    Polyomino,
+    RectDiffConfig,
+    build_rect_diff,
+    point_key,
+)
 from polytoric.labelling import LabelMap, _implemented_regions, _raw_regions, label
 from polytoric.toric import ExponentMatrix, phi_image
 
@@ -105,6 +113,34 @@ def variable_sort_key(v: Variable) -> tuple[int, int, int]:
 # -- geometry and labelling audits -------------------------------------------
 
 
+def is_proper(interval: GridInterval) -> bool:
+    """True iff lo < hi strictly in both coordinates, which is what an
+    interval needs to carry a 2-minor."""
+    return interval.lo.lt(interval.hi)
+
+
+def is_inner_interval(p: Polyomino, interval: GridInterval) -> bool:
+    """Cell-by-cell reference for ``grid.inner_intervals``: true iff
+    every cell of the (proper) interval belongs to p."""
+    if not is_proper(interval):
+        raise DegenerateInterval(f"inner intervals must be proper: {interval}")
+    return all(c in p.cells for c in interval.cells())
+
+
+def is_minor_pair(p: Polyomino, m1, m2) -> bool:
+    """Reference for the test in ``verify.quadratic_scan``: the point
+    pairs m1 and m2 are the diagonal and the anti-diagonal, in either
+    order, of an interval that ``is_inner_interval`` accepts."""
+    pts = [*m1, *m2]
+    lo = GridPoint(min(q.x for q in pts), min(q.y for q in pts))
+    hi = GridPoint(max(q.x for q in pts), max(q.y for q in pts))
+    if not lo.lt(hi):
+        return False
+    iv = GridInterval(lo, hi)
+    sides = {frozenset((iv.lo, iv.hi)), frozenset(iv.anti_diagonal())}
+    return {frozenset(m1), frozenset(m2)} == sides and is_inner_interval(p, iv)
+
+
 def is_polyomino(cells) -> bool:
     """True iff the cells are pairwise connected through edge-adjacent
     cell sequences within the collection."""
@@ -169,7 +205,7 @@ def check_region_consistency(cfg: RectDiffConfig) -> RegionReport:
 def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZero:
     """S-polynomial of two pure-difference binomials (or ZERO), through
     the packed engine's own S-binomial step."""
-    engine = _Engine(_universe(order, (f, g)), order)
+    engine = _Engine(_universe((f, g), order.last), order)
     ef = _Elem(engine, engine.orient(f)[0])
     eg = _Elem(engine, engine.orient(g)[0])
     s = _spoly4(engine, ef, eg)[0]

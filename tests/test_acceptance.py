@@ -22,7 +22,7 @@ from conftest import (
     fraction_rank,
 )
 
-from polytoric.binom import DEGREVLEX, buchberger, expand_certificate
+from polytoric.binom import expand_certificate
 from polytoric.cli import main
 from polytoric.grid import GridPoint, build_rect_diff, enumerate_inner_minors
 from polytoric.labelling import build_label_map, render_label_grid

@@ -46,6 +46,7 @@ from polytoric.binom import (
     r_var,
     reduce,
     s_var,
+    saturate,
     t_var,
     vertex_var,
 )
@@ -65,10 +66,7 @@ def lex_first(*indices) -> TermOrder:
 
 
 def mono(*indices) -> Monomial:
-    exps = {}
-    for i in indices:
-        exps[X[i]] = exps.get(X[i], 0) + 1
-    return Monomial(exps.items())
+    return Monomial((X[i], 1) for i in indices)
 
 
 def bino(plus, minus) -> Binomial:
@@ -95,6 +93,27 @@ def test_monomial_basics():
     assert is_unit(UNIT) and UNIT.degree == 0
     with pytest.raises(ValueError):
         Monomial([(r_var(1), -1)])
+
+
+def test_monomial_merges_a_repeated_variable():
+    v = vertex_var((1, 1))
+    twice, squared = Monomial([(v, 1), (v, 1)]), Monomial([(v, 2)])
+    assert twice == squared and hash(twice) == hash(squared)
+    assert twice.exps == ((v, 2),)
+    assert Monomial([(v, 1), (r_var(1), 0), (v, 2)]).exps == ((v, 3),)
+    with pytest.raises(ValueError):
+        Binomial(twice, squared)
+    with pytest.raises(ValueError):
+        Monomial([(v, 2), (v, -1)])
+
+
+def test_term_order_rejects_a_variable_listed_twice():
+    x11 = vertex_var((1, 1))
+    with pytest.raises(ValueError):
+        TermOrder("lex", last=(x11, x11))
+    with pytest.raises(ValueError):
+        TermOrder("degrevlex", last=(x11, vertex_var((1, 2)), x11))
+    assert TermOrder("lex", last=(x11,)).last == (x11,)
 
 
 @given(a=monomials, b=monomials)
@@ -697,6 +716,19 @@ def test_groebner_basis_equality_ignores_the_memo():
 
 
 # -- binomial type and text syntax -------------------------------------------
+
+
+@pytest.mark.parametrize("entry", [
+    buchberger,
+    lambda gens: saturate(gens, [X[1]]),
+    lambda gens: saturate(gens, []),
+    lambda gens: reduce(bino((1,), (2,)), gens),
+    lambda gens: reduce(ZERO, gens),
+], ids=["buchberger", "saturate", "saturate_no_variables", "reduce", "reduce_zero"])
+@pytest.mark.parametrize("bad", [ZERO, "x[1,1] - x[2,1]"], ids=["zero", "text"])
+def test_engine_entries_reject_a_non_binomial_generator(entry, bad):
+    with pytest.raises(ValueError, match="generators must be nonzero binomials"):
+        entry([bino((1, 2), (3, 4)), bad])
 
 
 def test_zero_binomial_rejected():

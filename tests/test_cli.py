@@ -2,12 +2,13 @@ import hashlib
 import json
 
 import pytest
-from conftest import FRAME_7X5, SMALL, sweep_configs
+from conftest import FRAME_7X5, MEDIUM_A, SMALL, sweep_configs
 from helpers import label_map_from_json_dict
 
 from polytoric.binom import LEX, buchberger, parse_binomial
-from polytoric.cli import MAX_SIDE, instance_from_dict, load_instance, main
+from polytoric.cli import instance_from_dict, main
 from polytoric.errors import ParseError
+from polytoric.grid import MAX_SIDE
 from polytoric.labelling import build_label_map
 from polytoric.toric import phi_image
 
@@ -226,6 +227,23 @@ def test_certify_inner_minor(tmp_path, capsys):
     assert code == 0
     assert out.strip().splitlines()[-1] == "EXPANSION OK"
     assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("binomial, digest", [
+    # An inner minor, and a degree-3 kernel binomial whose two sides share
+    # no variable.  SHA-256 of stdout recorded before Monomial merged
+    # repeated variables and the engine built its certificates in one place.
+    ("x[1,1]*x[2,2] - x[1,2]*x[2,1]",
+     "d3b6d43c31a297e5788bc986610b2768acc444c73758cb9c55e8895d2d86f50d"),
+    ("x[1,1]*x[2,3]*x[3,2] - x[1,3]*x[2,2]*x[3,1]",
+     "3dc7647dd96fd34afafde6ec211f3b11a47912d4686a7e5ccd8df36253ac5da8"),
+], ids=["inner_minor", "degree_3"])
+def test_certify_stdout_digest(tmp_path, capsys, binomial, digest):
+    path = write_instance(tmp_path, MEDIUM_A)
+    assert main(["certify", "--instance", path, binomial]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("EXPANSION OK\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_certify_not_in_kernel(tmp_path, capsys):

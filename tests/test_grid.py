@@ -10,7 +10,7 @@ from conftest import (
     inner_minor_count_oracle,
     sweep_configs,
 )
-from helpers import is_polyomino
+from helpers import is_inner_interval, is_polyomino, is_proper
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,6 @@ from polytoric.grid import (
     build_rect_diff,
     enumerate_inner_minors,
     inner_intervals,
-    is_inner_interval,
 )
 
 ALL_INSTANCES = (SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5)
@@ -43,9 +42,9 @@ def test_point_partial_order():
 
 def test_interval_validation_and_corners():
     iv = GridInterval(GridPoint(1, 1), GridPoint(3, 2))
-    assert iv.is_proper
+    assert is_proper(iv)
     assert iv.anti_diagonal() == (GridPoint(1, 2), GridPoint(3, 1))
-    assert not GridInterval(GridPoint(1, 1), GridPoint(1, 4)).is_proper
+    assert not is_proper(GridInterval(GridPoint(1, 1), GridPoint(1, 4)))
     with pytest.raises(DegenerateInterval):
         GridInterval(GridPoint(2, 2), GridPoint(1, 3))
 

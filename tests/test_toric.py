@@ -19,7 +19,6 @@ from polytoric.binom import (
     DEGREVLEX,
     UNIT,
     ZERO,
-    Binomial,
     Monomial,
     buchberger,
     parse_binomial,

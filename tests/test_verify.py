@@ -4,7 +4,7 @@ import random
 
 import pytest
 from conftest import FRAME_7X5, MEDIUM_A, MEDIUM_B, SMALL, THICK_FRAME, cfg_of, sweep_configs
-from helpers import kernel_binomials_reference
+from helpers import is_minor_pair, kernel_binomials_reference
 
 from polytoric.binom import (
     DEGREVLEX,
@@ -19,7 +19,7 @@ from polytoric.binom import (
     reduce,
     vertex_var,
 )
-from polytoric.errors import NotInKernel, ResourceBudgetExceeded
+from polytoric.errors import NotInKernel
 from polytoric.grid import (
     GridInterval,
     GridPoint,
@@ -27,7 +27,7 @@ from polytoric.grid import (
     enumerate_inner_minors,
     inner_intervals,
 )
-from polytoric.labelling import build_label_map
+from polytoric.labelling import LabelMap, build_label_map
 from polytoric.toric import (
     build_matrix,
     lattice_kernel,
@@ -122,6 +122,31 @@ def test_quadratic_scan_matches_quadruple_loop_oracle():
                 expected.add((m1, m2))
     scan = quadratic_scan(lm)
     assert {tuple(pair) for pair in scan.balanced_pairs} == expected
+
+
+@pytest.mark.parametrize("coords, digest", [
+    (SMALL, "a9901afa01638a75bd82cc94ea62d2a9281072b0527c38ba02fb37b7b8214a1e"),
+    (MEDIUM_A, "01a5a87114b05c7deb4cd6de9a80845cb51326977b33937a929702c415c0e3a3"),
+], ids=["SMALL", "MEDIUM_A"])
+def test_quadratic_scan_violations_on_random_labellings(coords, digest):
+    """Labels drawn from {1, 2} balance pairs that are no inner minor.
+    The violations are the balanced pairs the cell-by-cell reference
+    rejects, in scan order; the SHA-256 of all five scans was recorded
+    before ``quadratic_scan`` read innerness from ``inner_intervals``."""
+    lm = build_label_map(cfg_of(coords))
+    p = build_rect_diff(lm.cfg)
+    rng = random.Random(0)
+    scans = []
+    for _ in range(5):
+        labels = {q: rng.randint(1, 2) for q in lm.points()}
+        scan = quadratic_scan(LabelMap(lm.cfg, labels, 2))
+        rejected = [pair for pair in scan.balanced_pairs if not is_minor_pair(p, *pair)]
+        assert rejected
+        assert [v["vertices"] for v in scan.violations] == [
+            [q.as_tuple() for q in (*m1, *m2)] for m1, m2 in rejected
+        ]
+        scans.append(scan.violations)
+    assert hashlib.sha256(json.dumps(scans).encode()).hexdigest() == digest
 
 
 def test_quadratic_scan_flags_corrupted_labelling():
