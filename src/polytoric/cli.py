@@ -231,6 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--instance", required=True, help="instance JSON path")
 
+    def add_budget(p):
+        p.add_argument("--budget", type=int, default=None,
+                       help="S-pair reduction cap per Groebner run, 0 or more")
+
     p = sub.add_parser("label", help="render the vertex labelling")
     add_common(p)
     p.add_argument("--format", choices=("grid", "json", "csv"), default="grid")
@@ -243,15 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toric", help="list the reduced toric basis")
     add_common(p)
     p.add_argument("--order", choices=("degrevlex", "lex"), default="degrevlex")
-    p.add_argument("--budget", type=int, default=None,
-                   help="S-pair reduction cap per Groebner run")
+    add_budget(p)
     p.set_defaults(func=cmd_toric)
 
     p = sub.add_parser("verify", help="verify ideal equality, write a report")
     add_common(p)
     p.add_argument("--order", choices=("degrevlex", "lex"), default="degrevlex")
-    p.add_argument("--budget", type=int, default=None,
-                   help="S-pair reduction cap per Groebner run")
+    add_budget(p)
     p.add_argument("--report", default=None, help="report JSON path")
     p.set_defaults(func=cmd_verify)
 
@@ -262,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the brute-force check suites")
     add_common(p)
-    p.add_argument("--budget", type=int, default=None,
-                   help="S-pair reduction cap per Groebner run")
+    add_budget(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -273,6 +274,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise ParseError(f"--budget must be 0 or more, not {args.budget}")
         return args.func(args)
     except (ParseError, ConfigInvalid, VertexOutsidePolyomino) as exc:
         print(f"error: {exc}", file=sys.stderr)

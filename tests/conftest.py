@@ -16,8 +16,9 @@ SMALL = ((1, 1), (4, 4), (2, 2), (3, 3))
 MEDIUM_A = ((1, 1), (5, 4), (2, 2), (4, 3))
 MEDIUM_B = ((1, 1), (5, 5), (2, 2), (4, 4))
 FRAME_7X5 = ((1, 1), (7, 5), (2, 2), (5, 4))
-THICK_FRAME = ((1, 1), (6, 6), (3, 3), (4, 4))  # slow: about 8 s
+THICK_FRAME = ((1, 1), (6, 6), (3, 3), (4, 4))  # slow: about 3 s
 FRAME_8X5 = ((1, 1), (8, 5), (2, 2), (6, 4))
+THIN_6X6 = ((1, 1), (6, 6), (2, 2), (5, 5))
 
 
 def sweep_configs():

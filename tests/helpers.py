@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
+from polytoric import binom
 from polytoric.binom import (
     DEGREVLEX,
     ZERO,
@@ -281,6 +282,58 @@ def saturation_steps_reference(gens, variables):
         steps.append(gb.elements)
         current = [divide_common_power(g, v) for g in gb.elements]
     return steps, current
+
+
+def spairs_per_step(monkeypatch, run):
+    """The leads of the S-pairs reduced during ``run()``, one list per
+    interreduction, that is per saturation step or Buchberger run."""
+    steps = [[]]
+    spoly4, interreduce = binom._spoly4, binom._interreduce
+
+    def record_pair(engine, f, g):
+        steps[-1].append((engine.unpack(f.lp), engine.unpack(g.lp)))
+        return spoly4(engine, f, g)
+
+    def close_step(*args):
+        steps.append([])
+        return interreduce(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_spoly4", record_pair)
+        m.setattr(binom, "_interreduce", close_step)
+        run()
+    return steps[:-1]
+
+
+def hermite_normal_form(vectors) -> list[tuple[int, ...]]:
+    """Row-style Hermite normal form of the integer lattice the vectors
+    span: echelon rows with positive pivots, and every entry above a
+    pivot in [0, pivot).  Two sets of vectors span the same lattice
+    exactly when their forms are equal.  Row operations on the vectors
+    themselves, kept apart from the column elimination behind
+    ``lattice_kernel``."""
+    rows = [list(v) for v in vectors if any(v)]
+    width = len(rows[0]) if rows else 0
+    form = []
+    for col in range(width):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot, rest = live[0], live[1:]
+            live = [pivot]
+            for r in rest:
+                q = r[col] // pivot[col]
+                r = [x - q * y for x, y in zip(r, pivot)]
+                (live if r[col] else rows).append(r)
+        if live:
+            pivot = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+            for above in form:
+                q = above[col] // pivot[col]
+                above[:] = [x - q * y for x, y in zip(above, pivot)]
+            form.append(pivot)
+        rows = [r for r in rows if any(r)]
+    return [tuple(r) for r in form]
 
 
 def standard_monomial_counts(gens, nvars: int, max_degree: int) -> list[int]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 from conftest import FRAME_7X5, MEDIUM_A, SMALL, sweep_configs
-from helpers import label_map_from_json_dict
+from helpers import label_map_from_json_dict, spairs_per_step
 
 from polytoric.binom import LEX, buchberger, parse_binomial
 from polytoric.cli import instance_from_dict, main
@@ -303,3 +303,29 @@ def test_oracle_budget_exit_3(tmp_path, capsys):
     assert captured.err.startswith("error: budget exceeded in stage toric_generators")
     assert len(captured.err.splitlines()) == 1
     assert "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["toric", "verify", "oracle"])
+def test_negative_budget_exit_2(tmp_path, capsys, command):
+    path = write_instance(tmp_path, SMALL)
+    assert main([command, "--instance", path, "--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --budget must be 0 or more, not -5\n"
+    assert captured.out == ""
+
+
+def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
+    # --budget caps the S-pair reductions of each Buchberger run, so the
+    # smallest budget that passes is the largest run's count: 79 on
+    # SMALL from the size-reduced kernel basis (142 from the unreduced).
+    path = write_instance(tmp_path, SMALL)
+    runs = spairs_per_step(monkeypatch, lambda: main(["toric", "--instance", path]))
+    k = max(map(len, runs))
+    assert k == 79
+    full = capsys.readouterr().out
+    assert main(["toric", "--instance", path, "--budget", str(k)]) == 0
+    assert capsys.readouterr().out == full
+    assert main(["toric", "--instance", path, "--budget", str(k - 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: S-pair reduction budget of {k - 1} exceeded\n"
+    assert captured.out == ""

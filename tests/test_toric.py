@@ -8,11 +8,20 @@ from conftest import (
     MEDIUM_B,
     SMALL,
     THICK_FRAME,
+    THIN_6X6,
     cfg_of,
     fraction_rank,
     sweep_configs,
 )
-from helpers import matrix_csv, normalized, saturation_steps_reference
+from helpers import (
+    hermite_normal_form,
+    matrix_csv,
+    normalized,
+    saturation_steps_reference,
+    spairs_per_step,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytoric import binom
 from polytoric.binom import (
@@ -38,6 +47,7 @@ from polytoric.toric import (
     lattice_vector_to_binomial,
     phi_image,
     saturate_generators,
+    size_reduce,
     toric_generators,
 )
 
@@ -134,6 +144,77 @@ def test_lattice_vector_to_binomial():
     cols = (GridPoint(1, 1), GridPoint(1, 2), GridPoint(2, 1))
     b = lattice_vector_to_binomial((2, -1, -1), cols)
     assert b == parse_binomial("x[1,1]^2 - x[1,2]*x[2,1]")
+
+
+def l1(z) -> int:
+    return sum(map(abs, z))
+
+
+def assert_size_reduced(a: ExponentMatrix, kernel, reduced):
+    """``reduced`` is a size-reduced basis of the lattice ``kernel`` spans."""
+    for z in reduced:
+        for row in a.entries:
+            assert sum(e * c for e, c in zip(row, z)) == 0
+    assert hermite_normal_form(reduced) == hermite_normal_form(kernel)
+    assert sum(map(l1, reduced)) <= sum(map(l1, kernel))
+    for i, zi in enumerate(reduced):
+        for j, zj in enumerate(reduced):
+            if i != j:
+                assert l1(x + y for x, y in zip(zi, zj)) >= l1(zi)
+                assert l1(x - y for x, y in zip(zi, zj)) >= l1(zi)
+    assert all(next(c for c in z if c) > 0 for z in reduced)
+    assert reduced == sorted(reduced)
+    assert size_reduce(reduced) == reduced
+
+
+def _reduction_cases():
+    for coords in sweep_configs():
+        yield pytest.param(coords, id=str(coords))
+    yield pytest.param(SMALL, id="SMALL")
+    yield pytest.param(MEDIUM_B, id="MEDIUM_B")
+    yield pytest.param(FRAME_7X5, id="FRAME_7X5")
+    yield pytest.param(THIN_6X6, id="THIN_6X6")
+    yield pytest.param(FRAME_8X5, id="FRAME_8X5", marks=pytest.mark.slow)
+    yield pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("coords", list(_reduction_cases()))
+def test_size_reduce_on_instances(coords):
+    a = build_matrix(build_label_map(cfg_of(coords)))
+    kernel = lattice_kernel(a)
+    reduced = size_reduce(kernel)
+    assert_size_reduced(a, kernel, reduced)
+    # On these matrices every reduced vector is a quadratic binomial.
+    assert {l1(z) for z in reduced} == {4}
+
+
+@st.composite
+def zero_one_matrices(draw):
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                            min_size=m, max_size=m))
+    return ExponentMatrix(tuple(r_var(i) for i in range(1, m + 1)),
+                          tuple(GridPoint(j, 0) for j in range(n)),
+                          tuple(map(tuple, entries)))
+
+
+@given(a=zero_one_matrices())
+@settings(max_examples=200, deadline=None)
+def test_size_reduce_on_random_matrices(a):
+    kernel = lattice_kernel(a)
+    assert_size_reduced(a, kernel, size_reduce(kernel))
+
+
+def test_size_reduce_keeps_an_empty_or_one_vector_basis():
+    assert size_reduce([]) == []
+    assert size_reduce([(0, 2, -1, 0, -1)]) == [(0, 2, -1, 0, -1)]
+
+
+@pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
+def test_toric_generators_match_the_unreduced_route(coords):
+    basis = toric_generators(build_label_map(cfg_of(coords)))
+    assert basis == unreduced_toric_basis(coords)
 
 
 def test_saturation_already_saturated_generator():
@@ -253,12 +334,29 @@ def spair_trace(monkeypatch, run):
     return len(seen), sha256("\n".join(seen))
 
 
+def saturation_input(coords):
+    """The binomials of ``lattice_kernel``'s basis, before size reduction,
+    and the variables to saturate by."""
+    matrix = build_matrix(build_label_map(cfg_of(coords)))
+    gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
+    return gens, [vertex_var(p) for p in matrix.cols]
+
+
+def unreduced_toric_basis(coords):
+    """``toric_generators`` as it was before it size-reduced the kernel
+    basis: saturation from ``lattice_kernel``'s basis as it comes."""
+    gens, variables = saturation_input(coords)
+    return list(buchberger(saturate_generators(gens, variables), DEGREVLEX).elements)
+
+
 # The bases are canonical, so their digests cannot see a change in which
 # S-pairs the engine reduces; these traces can.  Recorded with the eager
 # Gebauer-Moeller update, before the bookkeeping rewrite, and with a full
 # Buchberger run at every saturation step: the Hilbert series is patched
 # to never match, so no step is skipped and every step reduces the
-# S-pairs it reduced before steps could be skipped.
+# S-pairs it reduced before steps could be skipped.  The input is
+# ``lattice_kernel``'s basis as it comes, not the size-reduced one that
+# ``toric_generators`` starts from (pinned further below).
 @pytest.mark.parametrize("coords, count, digest", [
     pytest.param(SMALL, 1274,
                  "f4a03b5a046385b8dd30ac5fc746364293a0cd4a6c3a121f2d60194183cb4da2",
@@ -268,13 +366,14 @@ def spair_trace(monkeypatch, run):
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
-    lm = build_label_map(cfg_of(coords))
     monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
-    assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
+    trace = spair_trace(monkeypatch, lambda: unreduced_toric_basis(coords))
+    assert trace == (count, digest)
 
 
 # The same traces with the Hilbert-series check on, recorded when it was
-# added: the skipped steps reduce no S-pair (see the test below).
+# added: the skipped steps reduce no S-pair (see
+# test_skipped_steps_leave_the_other_steps_spairs_alone).
 @pytest.mark.parametrize("coords, count, digest", [
     pytest.param(SMALL, 543,
                  "c8ea6009a01533f3b6ffcba4a587f7538a4cb9a9fcf6bb9b062c30de0a95c7ac",
@@ -284,7 +383,31 @@ def test_spair_trace_toric(monkeypatch, coords, count, digest):
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest):
+    trace = spair_trace(monkeypatch, lambda: unreduced_toric_basis(coords))
+    assert trace == (count, digest)
+
+
+# ``toric_generators``' own S-pairs, from the size-reduced kernel basis,
+# without and with skipped steps; recorded when the size reduction was
+# added.
+@pytest.mark.parametrize("coords, skips, count, digest", [
+    pytest.param(SMALL, False, 1014,
+                 "d689c9b7fb1083a4d9048dc50ea094bf2e98b2933afc935ec04ef7945938072e",
+                 id="SMALL-every-step"),
+    pytest.param(SMALL, True, 430,
+                 "be6de98db16c66fffbe7d844a436e6080e235a5f1a6877971236a92ca17675e9",
+                 id="SMALL-skips"),
+    pytest.param(MEDIUM_B, False, 3870,
+                 "55281098ce21375eb16877bc8698cb604ee168a56f32b0b8c7684b0f900fa054",
+                 id="MEDIUM_B-every-step"),
+    pytest.param(MEDIUM_B, True, 1229,
+                 "859e25236e7740439566e7b7f2010895fdaf132ef9b24e9899d3cda0ef663d6d",
+                 id="MEDIUM_B-skips"),
+])
+def test_spair_trace_toric_generators(monkeypatch, coords, skips, count, digest):
     lm = build_label_map(cfg_of(coords))
+    if not skips:
+        monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
 
 
@@ -293,27 +416,6 @@ def test_spair_trace_minors_lex(monkeypatch):
     trace = spair_trace(monkeypatch, lambda: buchberger(minors, binom.LEX, track=True))
     assert trace == (
         80, "61df7729f60ca38fd3bb566beedf23ad8d68875a23a353d88fbf49b4206d8e8e")
-
-
-def spairs_per_step(monkeypatch, run):
-    """The leads of the S-pairs reduced during ``run()``, one list per
-    interreduction, that is per saturation step or Buchberger run."""
-    steps = [[]]
-    spoly, interreduce = binom._spoly4, binom._interreduce
-
-    def record_pair(engine, f, g):
-        steps[-1].append((engine.unpack(f.lp), engine.unpack(g.lp)))
-        return spoly(engine, f, g)
-
-    def close_step(*args):
-        steps.append([])
-        return interreduce(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(binom, "_spoly4", record_pair)
-        m.setattr(binom, "_interreduce", close_step)
-        run()
-    return steps[:-1]
 
 
 @pytest.mark.parametrize("coords", [SMALL, MEDIUM_B], ids=["SMALL", "MEDIUM_B"])
@@ -325,12 +427,6 @@ def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
     assert len(with_skips) == len(without)
     skipped = [k for k, (a, b) in enumerate(zip(with_skips, without)) if a != b]
     assert skipped and all(with_skips[k] == [] for k in skipped)
-
-
-def saturation_input(coords):
-    matrix = build_matrix(build_label_map(cfg_of(coords)))
-    gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
-    return gens, [vertex_var(p) for p in matrix.cols]
 
 
 def recorded_saturation(monkeypatch, gens, variables):
