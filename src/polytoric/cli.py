@@ -2,8 +2,8 @@
 
 Instance files are JSON: {"outer": {"a": [1,1], "b": [7,5]},
 "hole": {"a": [2,2], "b": [5,4]}}, with an outer box at most MAX_SIDE
-cells wide and tall.  Exit codes: 0 verified/ok, 1 violation, 2 input or
-file error, 3 budget exceeded.
+cells wide and tall.  Exit codes: 0 verified/ok, 1 violation, 2 input,
+argument or file error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -209,6 +209,11 @@ def cmd_oracle(args) -> int:
         raise ResourceBudgetExceeded(
             f"budget exceeded in stage toric_generators: {exc}"
         ) from exc
+    # ``toric_generators`` starts its saturation from every degree-2
+    # binomial listed here, so the degree-2 part of this check holds by
+    # construction.  Its degree-3 part stays an independent witness, as
+    # do the sympy oracle and the test that a saturation from the kernel
+    # basis alone gives the same basis.
     low_degree = kernel_binomials_up_to_degree(lm, 3)
     bad = sum(1 for f in low_degree if binom_reduce(f, jp, DEGREVLEX) is not ZERO)
     ok = bad == 0
@@ -219,8 +224,17 @@ def cmd_oracle(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ParseError`` on a bad argument instead of printing the
+    usage block and exiting, so ``main`` reports it on one ``error:``
+    line and returns 2; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polytoric",
         description="Inner-minor and toric ideals of rectangle-minus-"
                     "rectangle polyominoes, with machine verification "
@@ -271,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise ParseError(f"--budget must be 0 or more, not {args.budget}")
         return args.func(args)

@@ -1,22 +1,27 @@
 """The monomial map into r/s/t variables and its toric ideal.
 
 Each vertex variable x_v maps to r_{v.x} * s_{v.y} * t_{label(v)}.  The
-map is encoded as an integer matrix whose columns are the images of the
-vertex variables.  The toric ideal J_P is the lattice ideal of the
+map is encoded as an integer matrix A whose columns are the images of
+the vertex variables.  The toric ideal J_P is the lattice ideal of the
 matrix's integer kernel L, and J_P = I : (prod of all x_v)^infinity for
-the ideal I generated by the binomials of any basis of L.
+every ideal I with I(B) <= I <= J_P, where B is any basis of L and I(B)
+the ideal of its binomials (Sturmfels, "Groebner Bases and Convex
+Polytopes", Lemma 12.2; Hosten and Sturmfels, "GRIN", IPCO 1995).
 
 Everything is exact integer arithmetic.  The kernel comes from
 fraction-free column elimination (Hermite-style) and is then
-size-reduced by unimodular steps (:func:`size_reduce`).  That is a basis
-of the same lattice, so the saturation reaches the same J_P (Hosten and
-Sturmfels, "GRIN", IPCO 1995), from shorter generators and with cheaper
-Buchberger runs.  The saturation runs one vertex variable at a time: a
-reduced Groebner basis under degrevlex with the variable last, then
-every element divided by the variable's largest common power.  Every
-column of the matrix has the same sum, so every vector of L has sum 0
-and every kernel binomial is homogeneous, which is what makes that step
-a saturation (Bayer and Stillman).
+size-reduced by unimodular steps (:func:`size_reduce`).  The saturation
+starts from those binomials together with Q, every degree-2 binomial
+u - w whose two sides have the same image: both sets lie in J_P, so the
+result is the same J_P, reached with cheaper Buchberger runs.  Q is
+read off the fibers of A alone (:func:`_fibers`), with no inner-minor
+data; on a correct labelling it is the set of inner 2-minors.  The
+saturation runs one vertex variable at a time: a reduced Groebner basis
+under degrevlex with the variable last, then every element divided by
+the variable's largest common power.  Every column of the matrix has
+the same sum, so every vector of L has sum 0 and every kernel binomial
+is homogeneous, which is what makes that step a saturation (Bayer and
+Stillman).
 
 A step after the first starts from a Groebner basis for the previous
 order.  When a Hilbert-series check proves that basis is already one
@@ -27,7 +32,9 @@ basis stopped changing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .binom import (
@@ -205,6 +212,51 @@ def lattice_vector_to_binomial(z: Sequence[int], cols: Sequence[GridPoint]) -> B
     return Binomial(Monomial(plus), Monomial(minus))
 
 
+def _image_text(image: tuple) -> str:
+    """``str`` of the image monomial r^xs * s^ys * t^labels, from the
+    sorted x, y and label multisets of a vertex monomial."""
+    return "*".join(
+        f"{kind}[{v}]" if c == 1 else f"{kind}[{v}]^{c}"
+        for kind, values in zip("rst", image)
+        for v, c in sorted(Counter(values).items())
+    )
+
+
+def _fibers(lm: LabelMap, deg: int) -> dict[tuple, list[tuple[GridPoint, ...]]]:
+    """The vertex monomials of degree ``deg`` that share their image with
+    another, grouped by image; each monomial is the tuple of its points
+    from ``combinations_with_replacement`` over the points in (x, y)
+    order, and the members of a group keep that enumeration order.
+
+    A monomial's image is fixed by the sorted x, y and label multisets of
+    its points, and that triple of tuples is the key, so the grouping
+    reads ``lm.labels`` and builds no ``Monomial``."""
+    labels = lm.labels
+    groups: dict[tuple, list[tuple[GridPoint, ...]]] = {}
+    for combo in combinations_with_replacement(lm.points(), deg):
+        # combo follows the (x, y) order of points, so its xs are sorted.
+        image = (
+            tuple(p.x for p in combo),
+            tuple(sorted(p.y for p in combo)),
+            tuple(sorted(labels[p] for p in combo)),
+        )
+        groups.setdefault(image, []).append(combo)
+    return {image: members for image, members in groups.items() if len(members) > 1}
+
+
+def _fiber_binomials(lm: LabelMap, deg: int) -> list[Binomial]:
+    """Every binomial u - w with deg u = deg w = ``deg`` and equal images,
+    one per pair u, w inside a fiber of ``_fibers``: the fibers sorted by
+    the text of their image, the pairs in enumeration order."""
+    variables = {p: vertex_var(p) for p in lm.labels}
+    fibers = _fibers(lm, deg)
+    out = []
+    for image in sorted(fibers, key=_image_text):
+        members = [Monomial((variables[p], 1) for p in combo) for combo in fibers[image]]
+        out.extend(Binomial(u, w) for u, w in combinations(members, 2))
+    return out
+
+
 def saturate_generators(
     gens: Sequence[Binomial],
     variables: Sequence[Variable],
@@ -247,16 +299,22 @@ def toric_generators(
     """Reduced Groebner basis of the toric ideal of the monomial map of a
     label map; no inner-minor data enters the computation.
 
-    The saturation starts from the binomials of the size-reduced kernel
-    basis, not of ``lattice_kernel``'s.  The ideal I of the binomials of
-    any basis of L = ker_Z A has I : (prod of all x_v)^infinity = I_L,
-    the lattice ideal, which is J_P; the saturation by one variable at a
-    time reaches it, and the final reduced basis is canonical, so the
-    result does not depend on the basis.  Only the cost does: on the
-    ladder instances the reduced basis is all quadratic binomials."""
+    The saturation starts from B and Q, each binomial listed once: B is
+    the binomials of the size-reduced kernel basis, and Q every degree-2
+    binomial whose two sides have the same image, a function of the
+    matrix A alone.  With L = ker_Z A, I(B) <= I(B) + I(Q) <= J_P = I_L,
+    and J_P is saturated, so (I(B) + I(Q)) : (prod of all x_v)^infinity
+    = J_P (Sturmfels, "Groebner Bases and Convex Polytopes", Lemma 12.2).
+    The saturation by one variable at a time reaches it, and the final
+    reduced basis is canonical, so the result does not depend on the
+    starting set.  Only the cost does.  On a correct labelling Q is the
+    set of inner minors, so when I_P = J_P the first step starts from
+    generators of J_P instead of rebuilding its quadrics from I(B).  On
+    the ladder instances every vector of B is quadratic, so B lies in Q."""
     matrix = build_matrix(lm)
     kernel = size_reduce(lattice_kernel(matrix))
-    gens = [lattice_vector_to_binomial(z, matrix.cols) for z in kernel]
+    lattice = [lattice_vector_to_binomial(z, matrix.cols) for z in kernel]
+    gens = list(dict.fromkeys(lattice + _fiber_binomials(lm, 2)))
     variables = [vertex_var(p) for p in matrix.cols]
     if not gens:
         return []

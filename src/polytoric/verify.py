@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .binom import (
     DEGREVLEX,
@@ -23,12 +22,10 @@ from .binom import (
     Binomial,
     CertTerm,
     Certificate,
-    Monomial,
     TermOrder,
     buchberger,
     certificate_is_exact,
     reduce as binom_reduce,
-    vertex_var,
 )
 from .errors import NotInKernel, ResourceBudgetExceeded
 from .grid import (
@@ -38,10 +35,9 @@ from .grid import (
     build_rect_diff,
     enumerate_inner_minors,
     inner_intervals,
-    point_key,
 )
 from .labelling import LabelMap, build_label_map
-from .toric import phi_image, toric_generators
+from .toric import _fiber_binomials, _fibers, phi_image, toric_generators
 
 
 @dataclass
@@ -163,52 +159,13 @@ def hole_containment_violations(lm: LabelMap) -> list:
     return violations
 
 
-def _image_text(image: tuple) -> str:
-    """``str`` of the image monomial r^xs * s^ys * t^labels, from the
-    sorted x, y and label multisets of a vertex monomial."""
-    return "*".join(
-        f"{kind}[{v}]" if c == 1 else f"{kind}[{v}]^{c}"
-        for kind, values in zip("rst", image)
-        for v, c in sorted(Counter(values).items())
-    )
-
-
-def _fibers(lm: LabelMap, deg: int) -> dict[tuple, list[tuple[GridPoint, ...]]]:
-    """The vertex monomials of degree ``deg`` that share their image with
-    another, grouped by image; each monomial is the tuple of its points
-    from ``combinations_with_replacement`` over the points in (x, y)
-    order, and the members of a group keep that enumeration order.
-
-    A monomial's image is fixed by the sorted x, y and label multisets of
-    its points, and that triple of tuples is the key, so the grouping
-    reads ``lm.labels`` and builds no ``Monomial``."""
-    labels = lm.labels
-    groups: dict[tuple, list[tuple[GridPoint, ...]]] = {}
-    for combo in combinations_with_replacement(sorted(labels, key=point_key), deg):
-        # combo follows the (x, y) order of points, so its xs are sorted.
-        image = (
-            tuple(p.x for p in combo),
-            tuple(sorted(p.y for p in combo)),
-            tuple(sorted(labels[p] for p in combo)),
-        )
-        groups.setdefault(image, []).append(combo)
-    return {image: members for image, members in groups.items() if len(members) > 1}
-
-
 def kernel_binomials_up_to_degree(lm: LabelMap, max_degree: int) -> list[Binomial]:
     """Every binomial u - w with deg u = deg w <= max_degree over the
     vertex variables and equal images, by brute-force enumeration of
-    monomial pairs grouped by image (``_fibers``).  Per degree the groups
-    come sorted by the text of their image, and the members of a group in
-    enumeration order."""
-    variables = {p: vertex_var(p) for p in lm.labels}
-    out = []
-    for deg in range(1, max_degree + 1):
-        fibers = _fibers(lm, deg)
-        for image in sorted(fibers, key=_image_text):
-            members = [Monomial((variables[p], 1) for p in combo) for combo in fibers[image]]
-            out.extend(Binomial(u, w) for u, w in combinations(members, 2))
-    return out
+    monomial pairs grouped by image (``toric._fibers``).  Per degree the
+    groups come sorted by the text of their image, and the members of a
+    group in enumeration order."""
+    return [f for deg in range(1, max_degree + 1) for f in _fiber_binomials(lm, deg)]
 
 
 def check_theorem(

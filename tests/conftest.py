@@ -21,9 +21,10 @@ FRAME_8X5 = ((1, 1), (8, 5), (2, 2), (6, 4))
 THIN_6X6 = ((1, 1), (6, 6), (2, 2), (5, 5))
 
 
-def sweep_configs():
-    """Every configuration with a = (0,0) and b <= (4,4): 16 in all."""
-    for b in ((3, 3), (3, 4), (4, 3), (4, 4)):
+def sweep_configs(side: int = 4):
+    """Every configuration with a = (0,0) and b <= (side, side): 16 in
+    all for side 4, 100 for side 5."""
+    for b in itertools.product(range(3, side + 1), repeat=2):
         for hx in itertools.combinations(range(1, b[0]), 2):
             for hy in itertools.combinations(range(1, b[1]), 2):
                 yield ((0, 0), b, (hx[0], hy[0]), (hx[1], hy[1]))

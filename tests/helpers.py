@@ -37,7 +37,15 @@ from polytoric.grid import (
     point_key,
 )
 from polytoric.labelling import LabelMap, _implemented_regions, _raw_regions, label
-from polytoric.toric import ExponentMatrix, phi_image
+from polytoric.toric import (
+    ExponentMatrix,
+    build_matrix,
+    lattice_kernel,
+    lattice_vector_to_binomial,
+    phi_image,
+    saturate_generators,
+    size_reduce,
+)
 
 # -- sparse reference algebra ----------------------------------------------
 # Slow versions of what the packed engine does on its integers: the term
@@ -282,6 +290,20 @@ def saturation_steps_reference(gens, variables):
         steps.append(gb.elements)
         current = [divide_common_power(g, v) for g in gb.elements]
     return steps, current
+
+
+def size_reduced_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomial]:
+    """``toric_generators`` as it was before its saturation started from
+    the quadratic kernel binomials as well: from the binomials of the
+    size-reduced kernel basis alone, then the final degrevlex run.  The
+    saturation reaches the same toric ideal from either start, so the
+    two routes give the same basis by different S-pairs."""
+    matrix = build_matrix(lm)
+    gens = [lattice_vector_to_binomial(z, matrix.cols)
+            for z in size_reduce(lattice_kernel(matrix))]
+    variables = [vertex_var(p) for p in matrix.cols]
+    saturated = saturate_generators(gens, variables, budget=budget)
+    return list(buchberger(saturated, DEGREVLEX, budget=budget).elements)
 
 
 def spairs_per_step(monkeypatch, run):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import FRAME_7X5, MEDIUM_A, SMALL, sweep_configs
-from helpers import label_map_from_json_dict, spairs_per_step
+from helpers import label_map_from_json_dict, size_reduced_toric_basis, spairs_per_step
 
+from polytoric import cli
 from polytoric.binom import LEX, buchberger, parse_binomial
 from polytoric.cli import instance_from_dict, main
 from polytoric.errors import ParseError
@@ -314,14 +319,14 @@ def test_negative_budget_exit_2(tmp_path, capsys, command):
     assert captured.out == ""
 
 
-def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
-    # --budget caps the S-pair reductions of each Buchberger run, so the
-    # smallest budget that passes is the largest run's count: 79 on
-    # SMALL from the size-reduced kernel basis (142 from the unreduced).
+def assert_budget_boundary(tmp_path, capsys, monkeypatch, expected):
+    """--budget caps the S-pair reductions of each Buchberger run, so the
+    smallest budget that passes is the largest run's count, ``expected``
+    on SMALL."""
     path = write_instance(tmp_path, SMALL)
     runs = spairs_per_step(monkeypatch, lambda: main(["toric", "--instance", path]))
     k = max(map(len, runs))
-    assert k == 79
+    assert k == expected
     full = capsys.readouterr().out
     assert main(["toric", "--instance", path, "--budget", str(k)]) == 0
     assert capsys.readouterr().out == full
@@ -329,3 +334,60 @@ def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == f"error: S-pair reduction budget of {k - 1} exceeded\n"
     assert captured.out == ""
+
+
+def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
+    # 79 from the size-reduced kernel basis alone (142 from the
+    # unreduced), the start before the quadratic kernel binomials joined
+    # it, patched in.
+    monkeypatch.setattr(cli, "toric_generators",
+                        lambda lm, order, budget: size_reduced_toric_basis(lm, budget))
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 79)
+
+
+def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):
+    # ``toric_generators``' own start: 75, recorded when the quadratic
+    # kernel binomials joined it.
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 75)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["toric", "--instance", "{path}", "--budget", "abc"],
+     "argument --budget: invalid int value: 'abc'"),
+    (["toric", "--instance", "{path}", "--order", "grevlex"],
+     "argument --order: invalid choice: 'grevlex'"),
+    (["verify", "--instance", "{path}", "--order", "grevlex"],
+     "argument --order: invalid choice: 'grevlex'"),
+    (["toric", "--budget", "5"], "the following arguments are required: --instance"),
+    (["toric", "--instance", "{path}", "--verbose"], "unrecognized arguments: --verbose"),
+    (["prove", "--instance", "{path}"], "argument command: invalid choice: 'prove'"),
+    ([], "the following arguments are required: command"),
+], ids=["bad_budget", "bad_order_toric", "bad_order_verify", "missing_instance",
+        "unknown_option", "unknown_command", "no_command"])
+def test_bad_arguments_exit_2_on_one_line(tmp_path, capsys, args, message):
+    path = write_instance(tmp_path, SMALL)
+    assert main([a.format(path=path) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["toric", "--help"]])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polytoric")
+
+
+def test_bad_budget_from_the_command_line(tmp_path):
+    path = write_instance(tmp_path, SMALL)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "polytoric.cli", "toric", "--instance", path,
+         "--budget", "abc"],
+        capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 2
+    assert done.stderr == "error: argument --budget: invalid int value: 'abc'\n"
+    assert done.stdout == ""

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -18,6 +20,7 @@ from helpers import (
     matrix_csv,
     normalized,
     saturation_steps_reference,
+    size_reduced_toric_basis,
     spairs_per_step,
 )
 from hypothesis import given, settings
@@ -50,6 +53,7 @@ from polytoric.toric import (
     size_reduce,
     toric_generators,
 )
+from polytoric.verify import minors_balanced
 
 
 def test_matrix_shape_frame():
@@ -318,6 +322,41 @@ def test_toric_basis_digest(coords, size, digest):
     assert sha256("\n".join(str(g) for g in basis)) == digest
 
 
+SWEEP_5X5_DIGESTS = json.loads(
+    Path(__file__).with_name("toric_basis_digests.json").read_text())
+
+
+# The same digests for every configuration with a = (0,0) and b <= (5,5),
+# recorded before the saturation started from the quadratic kernel
+# binomials; about 40 s in all.
+@pytest.mark.slow
+@pytest.mark.parametrize("coords", list(sweep_configs(5)), ids=str)
+def test_toric_basis_digest_sweep(coords):
+    size, digest = SWEEP_5X5_DIGESTS[str(coords)]
+    basis = toric_generators(build_label_map(cfg_of(coords)))
+    assert len(basis) == size
+    assert sha256("\n".join(str(g) for g in basis)) == digest
+
+
+@pytest.mark.parametrize("coords", [
+    pytest.param(SMALL, id="SMALL"),
+    pytest.param(MEDIUM_B, id="MEDIUM_B", marks=pytest.mark.slow),
+])
+def test_quadratic_start_changes_no_basis(coords):
+    """The saturation from the size-reduced kernel basis alone and from it
+    together with every quadratic kernel binomial reach the same basis,
+    on the instance and on every labelling with one label raised by 1.
+    A raised label takes some inner minor out of the kernel, so there the
+    quadratic binomials are not the minors, and the agreement rests on
+    the saturation lemma alone."""
+    lm = build_label_map(cfg_of(coords))
+    assert toric_generators(lm) == size_reduced_toric_basis(lm)
+    for v in lm.points():
+        bad = lm.with_label(v, lm.labels[v] + 1)
+        assert not minors_balanced(bad)
+        assert toric_generators(bad) == size_reduced_toric_basis(bad), v
+
+
 def spair_trace(monkeypatch, run):
     """(count, SHA-256) of the leads of every S-pair the engine reduces
     during ``run()``, in the order it reduces them."""
@@ -387,9 +426,11 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest
     assert trace == (count, digest)
 
 
-# ``toric_generators``' own S-pairs, from the size-reduced kernel basis,
-# without and with skipped steps; recorded when the size reduction was
-# added.
+# The S-pairs of the size-reduced kernel basis alone, without and with
+# skipped steps; recorded when the size reduction was added, when it was
+# ``toric_generators``' own start.  The route is built explicitly
+# (``size_reduced_toric_basis``) since the start also holds the quadratic
+# kernel binomials (pinned below).
 @pytest.mark.parametrize("coords, skips, count, digest", [
     pytest.param(SMALL, False, 1014,
                  "d689c9b7fb1083a4d9048dc50ea094bf2e98b2933afc935ec04ef7945938072e",
@@ -405,6 +446,32 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest
                  id="MEDIUM_B-skips"),
 ])
 def test_spair_trace_toric_generators(monkeypatch, coords, skips, count, digest):
+    lm = build_label_map(cfg_of(coords))
+    if not skips:
+        monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
+    trace = spair_trace(monkeypatch, lambda: size_reduced_toric_basis(lm))
+    assert trace == (count, digest)
+
+
+# ``toric_generators``' own S-pairs, from the size-reduced kernel basis
+# and every quadratic kernel binomial, without and with skipped steps;
+# recorded when the quadratic binomials joined the start.
+@pytest.mark.parametrize("coords, skips, count, digest", [
+    pytest.param(SMALL, False, 940,
+                 "ced973164d8b6780d189fea9ed0459932fbb67bae3f55733cca15b9c9b9cfa3f",
+                 id="SMALL-every-step"),
+    pytest.param(SMALL, True, 396,
+                 "e696a09ece4326c694e798684a05a291117fae2385cf9545ab5590fc06df29e6",
+                 id="SMALL-skips"),
+    pytest.param(MEDIUM_B, False, 3256,
+                 "bd5b8d523aec594ce081214604b970a248b1ee6886182fab477924b93281a49b",
+                 id="MEDIUM_B-every-step"),
+    pytest.param(MEDIUM_B, True, 1016,
+                 "d2ddb9355b50c1b87f92491aa268c6f0fa74eebe46804de348cab20a0a922c26",
+                 id="MEDIUM_B-skips"),
+])
+def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, skips,
+                                                     count, digest):
     lm = build_label_map(cfg_of(coords))
     if not skips:
         monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
