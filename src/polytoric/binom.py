@@ -409,6 +409,11 @@ class _Basis:
     the lead, then the element index.  The same buckets give the later
     leads that criterion B tests when a pair is popped (``dominated``).
 
+    The occurrence index lists, for each variable (its guard bit), the
+    indices of the elements whose lead holds it, ascending.  The elements
+    sharing a variable with a monomial are those listed under its set
+    bits; ``_gm_update`` gives quotients to those alone.
+
     A provenance entry is a flat tuple of (gen_index, (deg, packed),
     sign) meaning value = sum sign * multiplier * gens[gen_index].
     """
@@ -419,6 +424,8 @@ class _Basis:
         self.prov: list[tuple] = []
         # lowest guard bit -> sorted [(reducer key, element)]
         self.buckets: dict[int, list[tuple]] = {}
+        # guard bit -> ascending indices of the leads holding it
+        self.occurs: dict[int, list[int]] = {}
 
     def key(self, idx: int) -> tuple:
         e = self.elems[idx]
@@ -430,6 +437,11 @@ class _Basis:
         self.prov.append(prov)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
         insort(bucket, (self.key(idx), e))
+        rest = e.mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            self.occurs.setdefault(low, []).append(idx)
         return idx
 
     def sorted_indices(self) -> list[int]:
@@ -567,28 +579,52 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
     Gebauer-Moeller chain and coprime criteria.
 
     Every candidate lcm is lmf * q, with lmf the new lead and q the
-    quotient, so one kept lcm divides a later one exactly when its
-    quotient divides the later quotient.  A quotient of degree 1 is a
+    quotient, so one lcm divides another exactly when its quotient
+    divides the other quotient.  A candidate is dropped when a kept
+    quotient of lower degree divides it, and never queued when its
+    partner's lead is coprime to lmf.  A quotient of degree 1 is a
     single variable: the kept ones are folded into one union mask, and a
     later quotient meeting it is dropped with one AND.  Only quotients
     of degree 0 or 2+ are scanned, and only by quotients of a higher
     degree.  Candidates are taken by (lcm degree, packed lcm), one pair
     per lcm, from the smallest partner index.
 
+    Only the partners that share a variable with lmf, read from the
+    occurrence index, get a quotient.  The same pairs are queued as if
+    every element got one:
+
+      * "a kept quotient of lower degree divides q" reads the same with
+        "any quotient", since a dropped divisor was itself dropped by a
+        kept one that also divides q;
+      * an element coprime to lmf has quotient = its own lead, and it is
+        never queued;
+      * so a coprime element can only drop a candidate q if its lead
+        divides q, and q divides the partner's lead.  That one check
+        goes to the reducer index: a lead that divides q and shares a
+        variable with lmf has a quotient of lower degree that divides q,
+        so q never gets that far.
+
     Criterion B, which drops an older pair whose lcm a later lead
     divides, runs when the pair is popped (see ``_run_buchberger``).
     """
     new_elem = _Elem(engine, b4)
     m = len(basis.elems)
-    lmf, maskf = new_elem.lp, new_elem.mask
+    lmf = new_elem.lp
     H, ONES = engine.H, engine.ONES
-    by_q: dict[int, list[int]] = {}
-    for i, e in enumerate(basis.elems):
+    partners: set[int] = set()
+    rest = new_elem.mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        partners.update(basis.occurs.get(low, ()))
+    # quotient -> smallest partner index
+    first: dict[int, int] = {}
+    for i in sorted(partners):
         # The quotient keeps lead - lmf in the fields where the lead is
         # larger (guard bit of the SWAR difference set), and 0 elsewhere.
-        diff = (e.lp | H) - lmf
+        diff = (basis.elems[i].lp | H) - lmf
         guards = diff & H
-        by_q.setdefault((diff & ((guards >> (_FIELD - 1)) * _FMASK)) ^ guards, []).append(i)
+        first.setdefault((diff & ((guards >> (_FIELD - 1)) * _FMASK)) ^ guards, i)
     union = 0
     # Kept quotients of degree 0 or 2+: those below the current degree,
     # and those of it, which cannot divide a distinct quotient of the
@@ -596,7 +632,7 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
     lower: list[int] = []
     level: list[int] = []
     level_deg = 0
-    for qdeg, q in sorted((q % _FMASK, q) for q in by_q):
+    for qdeg, q in sorted((q % _FMASK, q) for q in first):
         if qdeg != level_deg:
             lower += level
             level, level_deg = [], qdeg
@@ -607,10 +643,8 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
             union |= qmask
         else:
             level.append(q)
-        group = by_q[q]
-        if any(basis.elems[i].mask & maskf == 0 for i in group):
-            continue
-        heappush(heap, (new_elem.ld + qdeg, group[0], m, lmf + q))
+        if basis.find_reducer(qdeg, q, qmask) < 0:
+            heappush(heap, (new_elem.ld + qdeg, first[q], m, lmf + q))
     basis.append(new_elem, prov)
 
 

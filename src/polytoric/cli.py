@@ -3,7 +3,8 @@
 Instance files are JSON: {"outer": {"a": [1,1], "b": [7,5]},
 "hole": {"a": [2,2], "b": [5,4]}}, with an outer box at most MAX_SIDE
 cells wide and tall.  Exit codes: 0 verified/ok, 1 violation, 2 input,
-argument or file error, 3 budget exceeded.
+argument or file error, 3 resource exceeded: the --budget of S-pair
+reductions, or the engine's degree cap on a monomial.
 """
 
 from __future__ import annotations

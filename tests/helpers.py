@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from heapq import heappush
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -19,6 +20,8 @@ from polytoric.binom import (
     Monomial,
     TermOrder,
     Variable,
+    _FIELD,
+    _FMASK,
     _Elem,
     _Engine,
     _spoly4,
@@ -219,6 +222,43 @@ def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZ
     eg = _Elem(engine, engine.orient(g)[0])
     s = _spoly4(engine, ef, eg)[0]
     return ZERO if s is None else engine.from_binomial4(s)
+
+
+def reference_gm_update(engine, basis, heap, b4, prov):
+    """``binom._gm_update`` as it was before it read the occurrence
+    index: every basis element gets a quotient, elements with equal
+    quotients form a group, and a group holding an element coprime to
+    the new lead is kept for the chain criterion but never queued.  The
+    library must queue exactly the same pairs."""
+    new_elem = _Elem(engine, b4)
+    m = len(basis.elems)
+    lmf, maskf = new_elem.lp, new_elem.mask
+    H, ONES = engine.H, engine.ONES
+    by_q: dict[int, list[int]] = {}
+    for i, e in enumerate(basis.elems):
+        diff = (e.lp | H) - lmf
+        guards = diff & H
+        by_q.setdefault((diff & ((guards >> (_FIELD - 1)) * _FMASK)) ^ guards, []).append(i)
+    union = 0
+    lower: list[int] = []
+    level: list[int] = []
+    level_deg = 0
+    for qdeg, q in sorted((q % _FMASK, q) for q in by_q):
+        if qdeg != level_deg:
+            lower += level
+            level, level_deg = [], qdeg
+        qmask = ((q | H) - ONES) & H
+        if qmask & union or any(((q | H) - k) & H == H for k in lower):
+            continue
+        if qdeg == 1:
+            union |= qmask
+        else:
+            level.append(q)
+        group = by_q[q]
+        if any(basis.elems[i].mask & maskf == 0 for i in group):
+            continue
+        heappush(heap, (new_elem.ld + qdeg, group[0], m, lmf + q))
+    basis.append(new_elem, prov)
 
 
 def leading_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:

@@ -13,6 +13,7 @@ from helpers import (
     normalized,
     numerator_by_inclusion_exclusion,
     quotient,
+    reference_gm_update,
     series_coefficients,
     spoly,
     standard_monomial_counts,
@@ -23,10 +24,12 @@ from hypothesis import strategies as st
 
 from polytoric.binom import (
     _DEGREE_CAP,
+    _GUARD,
     _Basis,
     _Elem,
     _Engine,
     _divisible,
+    _gm_update,
     _hilbert_numerator,
     _move_last,
     DEGREVLEX,
@@ -583,14 +586,18 @@ def test_move_last_matches_repacking(data):
 
 # -- reducer index -------------------------------------------------------------
 
+def small_monomials_over(pool):
+    return st.builds(
+        lambda exps: Monomial(zip(pool, exps)),
+        st.lists(st.integers(min_value=0, max_value=2),
+                 min_size=len(pool), max_size=len(pool)),
+    )
+
+
 REDUCER_POOL = ENGINE_POOL[:5]
 # Exponents up to 2 over five variables: leads collide, divide one another
 # and share variables, so several buckets hold a divisor of one monomial.
-small_monomials = st.builds(
-    lambda exps: Monomial(zip(REDUCER_POOL, exps)),
-    st.lists(st.integers(min_value=0, max_value=2),
-             min_size=len(REDUCER_POOL), max_size=len(REDUCER_POOL)),
-)
+small_monomials = small_monomials_over(REDUCER_POOL)
 
 
 @pytest.mark.parametrize("order", [
@@ -618,6 +625,75 @@ def test_find_reducer_matches_linear_scan(order, data):
         expected = next((k for k in ranked if divides(leads[k], t)), -1)
         deg, packed = engine.pack(t)
         assert basis.find_reducer(deg, packed, engine.mask_of(packed)) == expected
+
+
+# -- pair update ---------------------------------------------------------------
+
+UPDATE_POOL = ENGINE_POOL[:6]
+update_monomials = small_monomials_over(UPDATE_POOL)
+
+
+def assert_occurrences_match_leads(engine, basis):
+    """Each variable's occurrence list is the ascending list of the
+    elements whose lead holds it, found by a linear scan."""
+    expected = {}
+    for k, e in enumerate(basis.elems):
+        for v, _ in engine.unpack(e.lp).exps:
+            expected.setdefault(_GUARD << engine.shift[engine.index[v]], []).append(k)
+    assert basis.occurs == expected
+
+
+@pytest.mark.parametrize("order", [
+    DEGREVLEX,
+    LEX,
+    TermOrder("degrevlex", last=(UPDATE_POOL[2],)),
+])
+@given(pairs=st.lists(st.tuples(update_monomials, update_monomials)
+                      .filter(lambda p: p[0] != p[1]), min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_gm_update_queues_the_pairs_of_the_full_walk(order, pairs):
+    """Fed the same unreduced binomials, the update that reads the
+    occurrence index and the reference that gives every element a
+    quotient hold the same queue after every update."""
+    engine = _Engine(UPDATE_POOL, order)
+    basis, reference = _Basis(engine), _Basis(engine)
+    heap, reference_heap = [], []
+    for plus, minus in pairs:
+        b4 = engine.orient(Binomial(plus, minus))[0]
+        _gm_update(engine, basis, heap, b4, None)
+        reference_gm_update(engine, reference, reference_heap, b4, None)
+        assert sorted(heap) == sorted(reference_heap)
+        assert_occurrences_match_leads(engine, basis)
+
+
+def test_gm_update_coprime_lead_check():
+    """Leads a and a*c, then the new lead c.  Only a*c shares a variable
+    with c, and its quotient a is divided by no other quotient, so only
+    the reducer-index check, which finds the coprime lead a, keeps the
+    pair (a*c, c) off the queue.  The full walk drops it too: a and a*c
+    share the quotient a, and a is coprime to c."""
+    a, c = X[2], X[3]
+    engine = _Engine([X[1], a, c], DEGREVLEX)
+    gens = [bino((2,), (1,)), bino((2, 3), (1, 1)), bino((3,), (1,))]
+    oriented = [engine.orient(g) for g in gens]
+    assert all(flip == 1 for _, flip in oriented)
+    basis, reference = _Basis(engine), _Basis(engine)
+    heap, reference_heap = [], []
+    checks = []
+
+    def spy(deg, packed, mask):
+        found = _Basis.find_reducer(basis, deg, packed, mask)
+        checks.append((engine.unpack(packed), found))
+        return found
+
+    basis.find_reducer = spy
+    for b4, _ in oriented:
+        _gm_update(engine, basis, heap, b4, None)
+        reference_gm_update(engine, reference, reference_heap, b4, None)
+    assert basis.occurs[_GUARD << engine.shift[engine.index[c]]] == [1, 2]
+    assert checks[-1] == (Monomial([(a, 1)]), 0)
+    assert sorted(heap) == sorted(reference_heap)
+    assert [(i, j) for _, i, j, _ in heap] == [(0, 1)]
 
 
 # -- packed basis memo ---------------------------------------------------------

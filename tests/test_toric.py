@@ -455,7 +455,9 @@ def test_spair_trace_toric_generators(monkeypatch, coords, skips, count, digest)
 
 # ``toric_generators``' own S-pairs, from the size-reduced kernel basis
 # and every quadratic kernel binomial, without and with skipped steps;
-# recorded when the quadratic binomials joined the start.
+# recorded when the quadratic binomials joined the start.  The 7x5 and
+# thick frames were recorded before the pair update read an occurrence
+# index instead of walking the whole basis.
 @pytest.mark.parametrize("coords, skips, count, digest", [
     pytest.param(SMALL, False, 940,
                  "ced973164d8b6780d189fea9ed0459932fbb67bae3f55733cca15b9c9b9cfa3f",
@@ -469,6 +471,12 @@ def test_spair_trace_toric_generators(monkeypatch, coords, skips, count, digest)
     pytest.param(MEDIUM_B, True, 1016,
                  "d2ddb9355b50c1b87f92491aa268c6f0fa74eebe46804de348cab20a0a922c26",
                  id="MEDIUM_B-skips"),
+    pytest.param(FRAME_7X5, True, 4352,
+                 "89da4cd61f7afe2613e4db3c180f0108a5238e800a181866a624603018afb815",
+                 id="FRAME_7X5-skips"),
+    pytest.param(THICK_FRAME, True, 27738,
+                 "bc03552f4eb74bc58825cec0479102acefda0a1d8839492f3b018e59798189ac",
+                 id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, skips,
                                                      count, digest):
