@@ -412,7 +412,8 @@ class _Basis:
     The occurrence index lists, for each variable (its guard bit), the
     indices of the elements whose lead holds it, ascending.  The elements
     sharing a variable with a monomial are those listed under its set
-    bits; ``_gm_update`` gives quotients to those alone.
+    bits; ``_gm_update``, its only reader, fills it and gives quotients
+    to those alone.
 
     A provenance entry is a flat tuple of (gen_index, (deg, packed),
     sign) meaning value = sum sign * multiplier * gens[gen_index].
@@ -437,16 +438,7 @@ class _Basis:
         self.prov.append(prov)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
         insort(bucket, (self.key(idx), e))
-        rest = e.mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            self.occurs.setdefault(low, []).append(idx)
         return idx
-
-    def sorted_indices(self) -> list[int]:
-        """Element indices in reducer-key order."""
-        return sorted(range(len(self.elems)), key=self.key)
 
     def find_reducer(self, deg: int, packed: int, mask: int) -> int:
         """Index of the element with the smallest reducer key whose lead
@@ -590,8 +582,9 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
     per lcm, from the smallest partner index.
 
     Only the partners that share a variable with lmf, read from the
-    occurrence index, get a quotient.  The same pairs are queued as if
-    every element got one:
+    occurrence index, get a quotient; the same pass lists the new
+    element there.  The same pairs are queued as if every element got
+    one:
 
       * "a kept quotient of lower degree divides q" reads the same with
         "any quotient", since a dropped divisor was itself dropped by a
@@ -616,7 +609,9 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
     while rest:
         low = rest & -rest
         rest ^= low
-        partners.update(basis.occurs.get(low, ()))
+        listed = basis.occurs.setdefault(low, [])
+        partners.update(listed)
+        listed.append(m)
     # quotient -> smallest partner index
     first: dict[int, int] = {}
     for i in sorted(partners):
@@ -648,17 +643,17 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
     basis.append(new_elem, prov)
 
 
-def _interreduce(engine: _Engine, basis: _Basis, track: bool):
-    """Reduced basis from a Groebner basis: minimal leads, reduced tails.
+def _interreduce(engine: _Engine, elems: list[_Elem], prov: list, track: bool):
+    """Reduced basis from a Groebner basis, given as its elements and
+    their provenance entries: minimal leads, reduced tails.
 
     Returns (elements as b4 tuples in ``engine.sort_key`` order of their
     leads, flat provenance per element when tracking).
     """
     minimal = _Basis(engine)
-    for idx in basis.sorted_indices():
-        e = basis.elems[idx]
+    for e, p in sorted(zip(elems, prov), key=lambda ep: engine.sort_key(ep[0].ld, ep[0].lp)):
         if minimal.find_reducer(e.ld, e.lp, e.mask) < 0:
-            minimal.append(e, basis.prov[idx])
+            minimal.append(e, p)
     final = []
     final_prov = []
     for k, e in enumerate(minimal.elems):
@@ -717,7 +712,7 @@ def _run_buchberger(engine: _Engine, oriented, budget, track):
                 (k, m, -sig_f * sg) for k, m, sg in steps
             ))
         _gm_update(engine, basis, heap, nf, prov)
-    return _interreduce(engine, basis, track)
+    return _interreduce(engine, basis.elems, basis.prov, track)
 
 
 # Largest node that _hilbert_numerator memoizes.  Over the 35 series of
@@ -1064,10 +1059,8 @@ def saturate(
             ]
         if series is not None and series == _hilbert_numerator(
                 engine, (b4[1] for b4, _ in oriented), memo):
-            basis = _Basis(engine)
-            for b4, _ in oriented:
-                basis.append(_Elem(engine, b4), None)
-            reduced = _interreduce(engine, basis, False)[0]
+            elems = [_Elem(engine, b4) for b4, _ in oriented]
+            reduced = _interreduce(engine, elems, [None] * len(elems), False)[0]
         else:
             reduced = _run_buchberger(engine, oriented, budget, False)[0]
         current = []

@@ -9,9 +9,8 @@ the ideal of its binomials (Sturmfels, "Groebner Bases and Convex
 Polytopes", Lemma 12.2; Hosten and Sturmfels, "GRIN", IPCO 1995).
 
 Everything is exact integer arithmetic.  The kernel comes from
-fraction-free column elimination (Hermite-style) and is then
-size-reduced by unimodular steps (:func:`size_reduce`).  The saturation
-starts from those binomials together with Q, every degree-2 binomial
+fraction-free column elimination (Hermite-style).  The saturation
+starts from its binomials together with Q, every degree-2 binomial
 u - w whose two sides have the same image: both sets lie in J_P, so the
 result is the same J_P, reached with cheaper Buchberger runs.  Q is
 read off the fibers of A alone (:func:`_fibers`), with no inner-minor
@@ -147,59 +146,6 @@ def lattice_kernel(a: ExponentMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def size_reduce(basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """A basis of the same lattice in which no vector gets shorter, in
-    the L1 norm, by adding or subtracting another; first nonzero entry
-    of each vector positive, sorted.
-
-    Sweeps over the ordered pairs (i, j), i != j, replacing z_i by
-    z_i + z_j or z_i - z_j when that lowers z_i's norm, until a sweep
-    changes nothing.  Each step is unimodular, so the lattice is kept,
-    and lowers the total norm, so the sweeps end.  At most one of the
-    two signs can lower the norm, since |a + b| + |a - b| >= 2|a|.
-    The vectors must be linearly independent, as ``lattice_kernel``'s
-    are.
-    """
-    vecs = [{k: c for k, c in enumerate(z) if c} for z in basis]
-    norms = [sum(map(abs, v.values())) for v in vecs]
-    changed = True
-    while changed:
-        changed = False
-        for i, zi in enumerate(vecs):
-            for j, zj in enumerate(vecs):
-                if i == j:
-                    continue
-                # |z_i + s z_j| = |z_i| + |z_j| - 2 * (the overlap of
-                # z_i with -s z_j), summed on the common support.
-                same = opposite = 0
-                for k, b in zj.items():
-                    a = zi.get(k)
-                    if a is not None:
-                        if (a > 0) == (b > 0):
-                            same += min(abs(a), abs(b))
-                        else:
-                            opposite += min(abs(a), abs(b))
-                gain, sign = max((opposite, 1), (same, -1))
-                if 2 * gain <= norms[j]:
-                    continue
-                for k, b in zj.items():
-                    c = zi.get(k, 0) + sign * b
-                    if c:
-                        zi[k] = c
-                    else:
-                        del zi[k]
-                norms[i] += norms[j] - 2 * gain
-                changed = True
-    n = len(basis[0]) if basis else 0
-    out = []
-    for v in vecs:
-        if v[min(v)] < 0:
-            v = {k: -c for k, c in v.items()}
-        out.append(tuple(v.get(k, 0) for k in range(n)))
-    out.sort()
-    return out
-
-
 def lattice_vector_to_binomial(z: Sequence[int], cols: Sequence[GridPoint]) -> Binomial:
     """x^(positive part) - x^(negative part) of a kernel vector."""
     plus = []
@@ -300,7 +246,7 @@ def toric_generators(
     label map; no inner-minor data enters the computation.
 
     The saturation starts from B and Q, each binomial listed once: B is
-    the binomials of the size-reduced kernel basis, and Q every degree-2
+    the binomials of ``lattice_kernel``'s basis, and Q every degree-2
     binomial whose two sides have the same image, a function of the
     matrix A alone.  With L = ker_Z A, I(B) <= I(B) + I(Q) <= J_P = I_L,
     and J_P is saturated, so (I(B) + I(Q)) : (prod of all x_v)^infinity
@@ -309,11 +255,11 @@ def toric_generators(
     reduced basis is canonical, so the result does not depend on the
     starting set.  Only the cost does.  On a correct labelling Q is the
     set of inner minors, so when I_P = J_P the first step starts from
-    generators of J_P instead of rebuilding its quadrics from I(B).  On
-    the ladder instances every vector of B is quadratic, so B lies in Q."""
+    generators of J_P instead of rebuilding its quadrics from I(B).  B
+    stays in the start because Q spans L only on a correct labelling,
+    and the lemma needs a basis of L."""
     matrix = build_matrix(lm)
-    kernel = size_reduce(lattice_kernel(matrix))
-    lattice = [lattice_vector_to_binomial(z, matrix.cols) for z in kernel]
+    lattice = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     gens = list(dict.fromkeys(lattice + _fiber_binomials(lm, 2)))
     variables = [vertex_var(p) for p in matrix.cols]
     if not gens:

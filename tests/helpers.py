@@ -47,7 +47,6 @@ from polytoric.toric import (
     lattice_vector_to_binomial,
     phi_image,
     saturate_generators,
-    size_reduce,
 )
 
 # -- sparse reference algebra ----------------------------------------------
@@ -332,15 +331,14 @@ def saturation_steps_reference(gens, variables):
     return steps, current
 
 
-def size_reduced_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomial]:
-    """``toric_generators`` as it was before its saturation started from
-    the quadratic kernel binomials as well: from the binomials of the
-    size-reduced kernel basis alone, then the final degrevlex run.  The
-    saturation reaches the same toric ideal from either start, so the
-    two routes give the same basis by different S-pairs."""
+def lattice_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomial]:
+    """``toric_generators`` without the quadratic kernel binomials in its
+    start: the saturation from the binomials of ``lattice_kernel``'s
+    basis alone, then the final degrevlex run.  The saturation reaches
+    the same toric ideal from either start, so the two routes give the
+    same basis by different S-pairs."""
     matrix = build_matrix(lm)
-    gens = [lattice_vector_to_binomial(z, matrix.cols)
-            for z in size_reduce(lattice_kernel(matrix))]
+    gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     variables = [vertex_var(p) for p in matrix.cols]
     saturated = saturate_generators(gens, variables, budget=budget)
     return list(buchberger(saturated, DEGREVLEX, budget=budget).elements)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from conftest import FRAME_7X5, MEDIUM_A, SMALL, sweep_configs
-from helpers import label_map_from_json_dict, size_reduced_toric_basis, spairs_per_step
+from helpers import label_map_from_json_dict, lattice_toric_basis, spairs_per_step
 
 from polytoric import cli
 from polytoric.binom import LEX, buchberger, parse_binomial
@@ -337,12 +337,11 @@ def assert_budget_boundary(tmp_path, capsys, monkeypatch, expected):
 
 
 def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
-    # 79 from the size-reduced kernel basis alone (142 from the
-    # unreduced), the start before the quadratic kernel binomials joined
-    # it, patched in.
+    # 142 from ``lattice_kernel``'s basis alone, the start before the
+    # quadratic kernel binomials joined it, patched in.
     monkeypatch.setattr(cli, "toric_generators",
-                        lambda lm, order, budget: size_reduced_toric_basis(lm, budget))
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 79)
+                        lambda lm, order, budget: lattice_toric_basis(lm, budget))
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 142)
 
 
 def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):

@@ -16,11 +16,12 @@ from conftest import (
     sweep_configs,
 )
 from helpers import (
+    exponent,
     hermite_normal_form,
+    lattice_toric_basis,
     matrix_csv,
     normalized,
     saturation_steps_reference,
-    size_reduced_toric_basis,
     spairs_per_step,
 )
 from hypothesis import given, settings
@@ -50,7 +51,6 @@ from polytoric.toric import (
     lattice_vector_to_binomial,
     phi_image,
     saturate_generators,
-    size_reduce,
     toric_generators,
 )
 from polytoric.verify import minors_balanced
@@ -150,46 +150,28 @@ def test_lattice_vector_to_binomial():
     assert b == parse_binomial("x[1,1]^2 - x[1,2]*x[2,1]")
 
 
-def l1(z) -> int:
-    return sum(map(abs, z))
-
-
-def assert_size_reduced(a: ExponentMatrix, kernel, reduced):
-    """``reduced`` is a size-reduced basis of the lattice ``kernel`` spans."""
-    for z in reduced:
-        for row in a.entries:
-            assert sum(e * c for e, c in zip(row, z)) == 0
-    assert hermite_normal_form(reduced) == hermite_normal_form(kernel)
-    assert sum(map(l1, reduced)) <= sum(map(l1, kernel))
-    for i, zi in enumerate(reduced):
-        for j, zj in enumerate(reduced):
-            if i != j:
-                assert l1(x + y for x, y in zip(zi, zj)) >= l1(zi)
-                assert l1(x - y for x, y in zip(zi, zj)) >= l1(zi)
-    assert all(next(c for c in z if c) > 0 for z in reduced)
-    assert reduced == sorted(reduced)
-    assert size_reduce(reduced) == reduced
-
-
-def _reduction_cases():
+def _ladder_and_sweep():
     for coords in sweep_configs():
         yield pytest.param(coords, id=str(coords))
     yield pytest.param(SMALL, id="SMALL")
+    yield pytest.param(MEDIUM_A, id="MEDIUM_A")
     yield pytest.param(MEDIUM_B, id="MEDIUM_B")
     yield pytest.param(FRAME_7X5, id="FRAME_7X5")
     yield pytest.param(THIN_6X6, id="THIN_6X6")
-    yield pytest.param(FRAME_8X5, id="FRAME_8X5", marks=pytest.mark.slow)
-    yield pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow)
+    yield pytest.param(FRAME_8X5, id="FRAME_8X5")
+    yield pytest.param(THICK_FRAME, id="THICK_FRAME")
 
 
-@pytest.mark.parametrize("coords", list(_reduction_cases()))
-def test_size_reduce_on_instances(coords):
-    a = build_matrix(build_label_map(cfg_of(coords)))
-    kernel = lattice_kernel(a)
-    reduced = size_reduce(kernel)
-    assert_size_reduced(a, kernel, reduced)
-    # On these matrices every reduced vector is a quadratic binomial.
-    assert {l1(z) for z in reduced} == {4}
+@pytest.mark.parametrize("coords", list(_ladder_and_sweep()))
+def test_inner_minors_span_the_kernel(coords):
+    """The exponent vectors of the inner minors span ker_Z A: their
+    Hermite normal form is that of ``lattice_kernel``'s basis."""
+    lm = build_label_map(cfg_of(coords))
+    a = build_matrix(lm)
+    variables = [vertex_var(p) for p in a.cols]
+    vectors = [[exponent(m.plus, v) - exponent(m.minus, v) for v in variables]
+               for m in enumerate_inner_minors(build_rect_diff(lm.cfg))]
+    assert hermite_normal_form(vectors) == hermite_normal_form(lattice_kernel(a))
 
 
 @st.composite
@@ -205,20 +187,22 @@ def zero_one_matrices(draw):
 
 @given(a=zero_one_matrices())
 @settings(max_examples=200, deadline=None)
-def test_size_reduce_on_random_matrices(a):
+def test_lattice_kernel_on_random_matrices(a):
     kernel = lattice_kernel(a)
-    assert_size_reduced(a, kernel, size_reduce(kernel))
-
-
-def test_size_reduce_keeps_an_empty_or_one_vector_basis():
-    assert size_reduce([]) == []
-    assert size_reduce([(0, 2, -1, 0, -1)]) == [(0, 2, -1, 0, -1)]
+    n = len(a.cols)
+    assert len(kernel) == n - fraction_rank(a.entries)
+    for z in kernel:
+        assert len(z) == n
+        for row in a.entries:
+            assert sum(e * c for e, c in zip(row, z)) == 0
+        assert next(c for c in z if c) > 0
+    assert kernel == sorted(kernel)
 
 
 @pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
 def test_toric_generators_match_the_unreduced_route(coords):
-    basis = toric_generators(build_label_map(cfg_of(coords)))
-    assert basis == unreduced_toric_basis(coords)
+    lm = build_label_map(cfg_of(coords))
+    assert toric_generators(lm) == lattice_toric_basis(lm)
 
 
 def test_saturation_already_saturated_generator():
@@ -343,18 +327,18 @@ def test_toric_basis_digest_sweep(coords):
     pytest.param(MEDIUM_B, id="MEDIUM_B", marks=pytest.mark.slow),
 ])
 def test_quadratic_start_changes_no_basis(coords):
-    """The saturation from the size-reduced kernel basis alone and from it
+    """The saturation from ``lattice_kernel``'s basis alone and from it
     together with every quadratic kernel binomial reach the same basis,
     on the instance and on every labelling with one label raised by 1.
     A raised label takes some inner minor out of the kernel, so there the
     quadratic binomials are not the minors, and the agreement rests on
     the saturation lemma alone."""
     lm = build_label_map(cfg_of(coords))
-    assert toric_generators(lm) == size_reduced_toric_basis(lm)
+    assert toric_generators(lm) == lattice_toric_basis(lm)
     for v in lm.points():
         bad = lm.with_label(v, lm.labels[v] + 1)
         assert not minors_balanced(bad)
-        assert toric_generators(bad) == size_reduced_toric_basis(bad), v
+        assert toric_generators(bad) == lattice_toric_basis(bad), v
 
 
 def spair_trace(monkeypatch, run):
@@ -374,18 +358,11 @@ def spair_trace(monkeypatch, run):
 
 
 def saturation_input(coords):
-    """The binomials of ``lattice_kernel``'s basis, before size reduction,
-    and the variables to saturate by."""
+    """The binomials of ``lattice_kernel``'s basis and the variables to
+    saturate by."""
     matrix = build_matrix(build_label_map(cfg_of(coords)))
     gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     return gens, [vertex_var(p) for p in matrix.cols]
-
-
-def unreduced_toric_basis(coords):
-    """``toric_generators`` as it was before it size-reduced the kernel
-    basis: saturation from ``lattice_kernel``'s basis as it comes."""
-    gens, variables = saturation_input(coords)
-    return list(buchberger(saturate_generators(gens, variables), DEGREVLEX).elements)
 
 
 # The bases are canonical, so their digests cannot see a change in which
@@ -394,8 +371,8 @@ def unreduced_toric_basis(coords):
 # Buchberger run at every saturation step: the Hilbert series is patched
 # to never match, so no step is skipped and every step reduces the
 # S-pairs it reduced before steps could be skipped.  The input is
-# ``lattice_kernel``'s basis as it comes, not the size-reduced one that
-# ``toric_generators`` starts from (pinned further below).
+# ``lattice_kernel``'s basis alone, without the quadratic kernel
+# binomials that ``toric_generators`` adds (pinned further below).
 @pytest.mark.parametrize("coords, count, digest", [
     pytest.param(SMALL, 1274,
                  "f4a03b5a046385b8dd30ac5fc746364293a0cd4a6c3a121f2d60194183cb4da2",
@@ -406,8 +383,8 @@ def unreduced_toric_basis(coords):
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
     monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
-    trace = spair_trace(monkeypatch, lambda: unreduced_toric_basis(coords))
-    assert trace == (count, digest)
+    lm = build_label_map(cfg_of(coords))
+    assert spair_trace(monkeypatch, lambda: lattice_toric_basis(lm)) == (count, digest)
 
 
 # The same traces with the Hilbert-series check on, recorded when it was
@@ -422,60 +399,32 @@ def test_spair_trace_toric(monkeypatch, coords, count, digest):
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest):
-    trace = spair_trace(monkeypatch, lambda: unreduced_toric_basis(coords))
-    assert trace == (count, digest)
-
-
-# The S-pairs of the size-reduced kernel basis alone, without and with
-# skipped steps; recorded when the size reduction was added, when it was
-# ``toric_generators``' own start.  The route is built explicitly
-# (``size_reduced_toric_basis``) since the start also holds the quadratic
-# kernel binomials (pinned below).
-@pytest.mark.parametrize("coords, skips, count, digest", [
-    pytest.param(SMALL, False, 1014,
-                 "d689c9b7fb1083a4d9048dc50ea094bf2e98b2933afc935ec04ef7945938072e",
-                 id="SMALL-every-step"),
-    pytest.param(SMALL, True, 430,
-                 "be6de98db16c66fffbe7d844a436e6080e235a5f1a6877971236a92ca17675e9",
-                 id="SMALL-skips"),
-    pytest.param(MEDIUM_B, False, 3870,
-                 "55281098ce21375eb16877bc8698cb604ee168a56f32b0b8c7684b0f900fa054",
-                 id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, True, 1229,
-                 "859e25236e7740439566e7b7f2010895fdaf132ef9b24e9899d3cda0ef663d6d",
-                 id="MEDIUM_B-skips"),
-])
-def test_spair_trace_toric_generators(monkeypatch, coords, skips, count, digest):
     lm = build_label_map(cfg_of(coords))
-    if not skips:
-        monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
-    trace = spair_trace(monkeypatch, lambda: size_reduced_toric_basis(lm))
-    assert trace == (count, digest)
+    assert spair_trace(monkeypatch, lambda: lattice_toric_basis(lm)) == (count, digest)
 
 
-# ``toric_generators``' own S-pairs, from the size-reduced kernel basis
-# and every quadratic kernel binomial, without and with skipped steps;
-# recorded when the quadratic binomials joined the start.  The 7x5 and
-# thick frames were recorded before the pair update read an occurrence
-# index instead of walking the whole basis.
+# ``toric_generators``' own S-pairs, from ``lattice_kernel``'s basis and
+# every quadratic kernel binomial, without and with skipped steps;
+# recorded with the engine from before the pair update filled the
+# occurrence index and the interreduction took element lists.
 @pytest.mark.parametrize("coords, skips, count, digest", [
-    pytest.param(SMALL, False, 940,
-                 "ced973164d8b6780d189fea9ed0459932fbb67bae3f55733cca15b9c9b9cfa3f",
+    pytest.param(SMALL, False, 941,
+                 "ee0210964da9623f3b2d525ae38eaa46dd3fa334fa7bf6c151f58673e422f63e",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, True, 396,
-                 "e696a09ece4326c694e798684a05a291117fae2385cf9545ab5590fc06df29e6",
+    pytest.param(SMALL, True, 397,
+                 "381b304a192b5496b03f483629cf63352e93c9d6faa56a5e98892ea093d3b4ad",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, False, 3256,
-                 "bd5b8d523aec594ce081214604b970a248b1ee6886182fab477924b93281a49b",
+    pytest.param(MEDIUM_B, False, 3257,
+                 "ce8a2646a1e6fe01f79f170956f614589ef34fb67201f35d592780f0f775a991",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, True, 1016,
-                 "d2ddb9355b50c1b87f92491aa268c6f0fa74eebe46804de348cab20a0a922c26",
+    pytest.param(MEDIUM_B, True, 1017,
+                 "268590566dc4ddf4aa054a6bbdc6cceaec554b677d603d43bfdeef20bd8b36e9",
                  id="MEDIUM_B-skips"),
-    pytest.param(FRAME_7X5, True, 4352,
-                 "89da4cd61f7afe2613e4db3c180f0108a5238e800a181866a624603018afb815",
+    pytest.param(FRAME_7X5, True, 4354,
+                 "05181dfeae2608818dc4d30832d6a4bde672beb066aef3fa402446b721676960",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, True, 27738,
-                 "bc03552f4eb74bc58825cec0479102acefda0a1d8839492f3b018e59798189ac",
+    pytest.param(THICK_FRAME, True, 27742,
+                 "6a39fadcef50eafceea47a8ad488fb79c4ee7b094682af538043c249888ecbe3",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, skips,
@@ -512,8 +461,8 @@ def recorded_saturation(monkeypatch, gens, variables):
     runs = []
     interreduce, run = binom._interreduce, binom._run_buchberger
 
-    def record_step(engine, basis, track):
-        out = interreduce(engine, basis, track)
+    def record_step(engine, elems, prov, track):
+        out = interreduce(engine, elems, prov, track)
         steps.append(tuple(engine.from_binomial4(b4) for b4 in out[0]))
         return out
 
