@@ -19,6 +19,8 @@ import re
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import zip_longest
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -182,12 +184,6 @@ class TermOrder:
         if len(set(self.last)) != len(self.last):
             raise ValueError("a variable is listed twice in last")
 
-    def priority_sorted(self, variables: Iterable[Variable]) -> list[Variable]:
-        """The universe sorted by descending priority."""
-        universe = set(variables)
-        last = [v for v in self.last if v in universe]
-        return sorted(universe.difference(last), reverse=True) + last
-
 
 DEGREVLEX = TermOrder("degrevlex")
 LEX = TermOrder("lex")
@@ -307,6 +303,8 @@ class _Engine:
 
     Engine monomials are (degree, packed) pairs; engine binomials are
     4-tuples (lead_deg, lead, trail_deg, trail) with lead > trail.
+    ``variables`` must ascend, as ``_universe`` returns them: priority
+    descends along them reversed, the demoted ones last, with no sort.
     """
 
     def __init__(self, variables: Sequence[Variable], order: TermOrder):
@@ -314,13 +312,13 @@ class _Engine:
         self.index = {v: i for i, v in enumerate(self.vars)}
         if len(self.index) != len(self.vars):
             raise ValueError("duplicate variables in universe")
-        pr = order.priority_sorted(self.vars)
-        if order.kind == "degrevlex":
-            slot = {v: k for k, v in enumerate(pr)}
-        else:
-            slot = {v: len(pr) - 1 - k for k, v in enumerate(pr)}
-        self.shift = tuple(_FIELD * slot[v] for v in self.vars)
-        self.H = sum(_GUARD << (_FIELD * s) for s in range(len(self.vars)))
+        n = len(self.vars)
+        last = [self.index[v] for v in order.last if v in self.index]
+        by_priority = [i for i in reversed(range(n)) if i not in last] + last
+        fields = range(n) if order.kind == "degrevlex" else reversed(range(n))
+        slot = dict(zip(by_priority, fields))
+        self.shift = tuple(_FIELD * slot[i] for i in range(n))
+        self.H = sum(_GUARD << (_FIELD * s) for s in range(n))
         self.ONES = self.H >> (_FIELD - 1)
         self._drl = order.kind == "degrevlex"
 
@@ -428,16 +426,12 @@ class _Basis:
         # guard bit -> ascending indices of the leads holding it
         self.occurs: dict[int, list[int]] = {}
 
-    def key(self, idx: int) -> tuple:
-        e = self.elems[idx]
-        return self.engine.sort_key(e.ld, e.lp) + (idx,)
-
     def append(self, e: _Elem, prov) -> int:
         idx = len(self.elems)
         self.elems.append(e)
         self.prov.append(prov)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
-        insort(bucket, (self.key(idx), e))
+        insort(bucket, (self.engine.sort_key(e.ld, e.lp) + (idx,), e))
         return idx
 
     def find_reducer(self, deg: int, packed: int, mask: int) -> int:
@@ -657,9 +651,8 @@ def _interreduce(engine: _Engine, elems: list[_Elem], prov: list, track: bool):
     final = []
     final_prov = []
     for k, e in enumerate(minimal.elems):
-        # The element's own lead never divides its tail (that would
-        # force tail >= lead), so reducing against all kept leads is
-        # safe.
+        # The element's own lead never divides its tail (that would force
+        # tail >= lead), so reducing against all kept leads is safe.
         steps = [(k, (0, 0), 1)] if track else None
         td, tp = minimal.reduce_tail(e.td, e.tp, steps, 1)
         final.append((e.ld, e.lp, td, tp))
@@ -668,7 +661,7 @@ def _interreduce(engine: _Engine, elems: list[_Elem], prov: list, track: bool):
     return final, final_prov
 
 
-def _run_buchberger(engine: _Engine, oriented, budget, track):
+def _run_buchberger(engine: _Engine, oriented, budget, track, gap=None):
     """Buchberger completion with the Gebauer-Moeller criteria.
 
     ``oriented`` lists the generators as (b4, flip) pairs, as
@@ -682,14 +675,30 @@ def _run_buchberger(engine: _Engine, oriented, budget, track):
     reads only leads, which never change, so it drops the same pairs as
     testing each new element against every queued pair would.  A pair
     dropped there does not count against ``budget``.
+
+    ``gap``, when given, lists the Hilbert numerator of the generators'
+    leads minus that of their ideal (see ``saturate``).  It gives the
+    deficit HF_leads(d0) - HF_ideal(d0) at the lowest lcm degree d0
+    queued after the generators.  Each nonzero reduction in degree d0
+    lowers it by one, and once it is 0 the pairs left in that degree are
+    dropped, uncounted (proof in ``toric.saturate_generators``).
     """
     basis = _Basis(engine)
     heap: list[tuple[int, int, int, int]] = []
     for k, (b4, flip) in enumerate(oriented):
         _gm_update(engine, basis, heap, b4, ((k, (0, 0), flip),))
+    d0 = deficit = None
+    if gap is not None and heap:
+        d0, n = heap[0][0], len(engine.vars)
+        deficit = sum(c * comb(n - 1 + d0 - i, n - 1) for i, c in enumerate(gap[:d0 + 1]))
     reductions = 0
     while heap:
-        _, i, j, lpk = heappop(heap)
+        if deficit == 0:
+            while heap and heap[0][0] == d0:
+                heappop(heap)
+            deficit = None
+            continue
+        d, i, j, lpk = heappop(heap)
         if basis.dominated(i, j, lpk):
             continue
         reductions += 1
@@ -712,6 +721,8 @@ def _run_buchberger(engine: _Engine, oriented, budget, track):
                 (k, m, -sig_f * sg) for k, m, sg in steps
             ))
         _gm_update(engine, basis, heap, nf, prov)
+        if d == d0:
+            deficit -= 1
     return _interreduce(engine, basis.elems, basis.prov, track)
 
 
@@ -721,19 +732,21 @@ def _run_buchberger(engine: _Engine, oriented, budget, track):
 _MEMO_SIZE = 16
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two polynomials in t, coefficients lowest first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _divisible(p: int, mask: int, gens: list[tuple[int, int]], H: int) -> bool:
     """True iff one of the (packed, mask) ``gens`` divides ``p``."""
     return any(qm & mask == qm and ((p | H) - q) & H == H for q, qm in gens)
+
+
+def _signed_digits(k: int, w: int) -> tuple[int, ...]:
+    """The coefficients, lowest first, of P with P(2**w) = k and each
+    coefficient in [-2**(w-1), 2**(w-1)), trailing zeros dropped."""
+    digits, mask, sign = [], (1 << w) - 1, 1 << (w - 1)
+    while k:
+        c = k & mask
+        c -= (c & sign) << 1
+        digits.append(c)
+        k = (k - c) >> w
+    return tuple(digits)
 
 
 def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tuple[int, ...]:
@@ -751,12 +764,18 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
     explicit stack, post-order, so no input can exhaust Python's
     recursion limit.
 
-    ``memo`` maps the frozenset of a node's shared generators to its K,
-    for nodes of at most ``_MEMO_SIZE`` generators.  K does not change
-    when variables are renamed, and a set of packed integers read in
-    another layout of the same universe is the same monomial ideal with
-    its variables renamed, so one memo serves the engines of every
-    layout over one universe.
+    A polynomial is Kronecker-packed as its value at t = 2**w, exact
+    since that is a ring map: a factor 1 - t^d is a shift, a product one
+    integer product, and only the root is decoded (``_signed_digits``).
+    With m minimal generators, K is the sum over their subsets s of
+    (-1)^|s| t^deg lcm(s) (Taylor's resolution), so no coefficient
+    exceeds 2**m in absolute value, and w = m + 2 decodes it.
+
+    ``memo`` maps a width w to a table from the frozenset of a node's
+    shared generators to its packed K, for nodes of at most
+    ``_MEMO_SIZE`` generators.  K does not change when variables are
+    renamed, and a packed set read in another layout of one universe is
+    that renaming, so one memo serves every layout of the universe.
     """
     H, ONES = engine.H, engine.ONES
     shift = _FIELD - 1
@@ -783,47 +802,43 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
                 linear |= mask
             else:
                 buckets.setdefault(mask & -mask, []).append((p, mask))
+    w = len(minimal) + 2
+    table = memo.setdefault(w, {})
     # A task is a generator list to evaluate, or a combine step
     # (None, (key, factor, parts)) that pops ``parts`` values, the
     # components' K, or when parts is 0 the two values K(J), K(I : x).
-    values: list[list[int]] = []
+    values: list[int] = []
     tasks: list = [(minimal, None)]
     while tasks:
         gens, step = tasks.pop()
         if gens is None:
             key, factor, parts = step
             if parts:
-                k = [1]
+                k = 1
                 for _ in range(parts):
-                    k = _poly_mul(k, values.pop())
+                    k *= values.pop()
             else:
                 free, colon = values.pop(), values.pop()
-                k = [0] * (max(len(free), len(colon)) + 1)
-                for i, c in enumerate(free):
-                    k[i] += c
-                    k[i + 1] -= c
-                for i, c in enumerate(colon):
-                    k[i + 1] += c
+                k = free + ((colon - free) << w)
             if key is not None:
-                memo[key] = k
-            values.append(_poly_mul(factor, k))
+                table[key] = k
+            values.append(factor * k)
             continue
         seen = twice = 0
         for _, mask in gens:
             twice |= seen & mask
             seen |= mask
-        factor = [1]
+        factor = 1
         shared = []
         for g in gens:
             if g[1] & twice:
                 shared.append(g)
             else:
-                d = g[0] % _FMASK
-                factor = _poly_mul(factor, [1] + [0] * (d - 1) + [-1] if d else [0])
+                factor -= factor << (w * (g[0] % _FMASK))
         key = frozenset(p for p, _ in shared) if len(shared) <= _MEMO_SIZE else None
-        known = memo.get(key)
+        known = table.get(key)
         if known is not None or not shared:
-            values.append(factor if known is None else _poly_mul(factor, known))
+            values.append(factor if known is None else factor * known)
             continue
         parts: list[tuple[int, list]] = []
         for g in shared:
@@ -877,10 +892,8 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
             if not mask & linear and not _divisible(p, mask, heavier, H)
         ]
         tasks += [(None, (key, factor, 0)), (free, None), (colon, None)]
-    k = values.pop()
-    while k and not k[-1]:
-        k.pop()
-    return tuple(k)
+    return _signed_digits(values.pop(), w)
+
 
 
 # --------------------------------------------------------------------------
@@ -993,26 +1006,23 @@ def buchberger(
     return GroebnerBasis(order, elements, construction)
 
 
+def _natural(packed: int, r: int, top: int) -> int:
+    """Repack a monomial from the degrevlex layout with the variable of
+    priority rank r (0 for the highest) last to the natural one, where
+    field r holds it: demoting it moved its field to the top, field
+    n - 1 at bit ``top``, and the fields above rank r down by one."""
+    low = _FIELD * r
+    return ((packed & ((1 << low) - 1)) | ((packed >> top) << low)
+            | ((packed & ((1 << top) - 1)) >> low << (low + _FIELD)))
+
+
 def _move_last(packed: int, ra: int, rb: int, top: int) -> int:
     """Repack a monomial from the degrevlex layout with variable a last
-    to the one with variable b last, over one universe.
-
-    With no variable demoted, the variable of priority rank r (0 for the
-    highest) sits in field r.  Demoting v moves its field to the top,
-    field n - 1 at bit ``top``, and the fields above v's rank down by
-    one.  ``ra`` and ``rb`` are the ranks of a and b.
-    """
-    f = _FIELD
-    natural = (
-        (packed & ((1 << (f * ra)) - 1))
-        | ((packed >> top) << (f * ra))
-        | ((packed & ((1 << top) - 1)) >> (f * ra) << (f * (ra + 1)))
-    )
-    return (
-        (natural & ((1 << (f * rb)) - 1))
-        | ((natural >> (f * (rb + 1))) << (f * rb))
-        | (((natural >> (f * rb)) & _FMASK) << top)
-    )
+    to the one with variable b last, over one universe; ``ra`` and ``rb``
+    are the ranks of a and b (see ``_natural``)."""
+    natural, low = _natural(packed, ra, top), _FIELD * rb
+    return ((natural & ((1 << low) - 1)) | ((natural >> (low + _FIELD)) << low)
+            | (((natural >> low) & _FMASK) << top))
 
 
 def saturate(
@@ -1023,19 +1033,21 @@ def saturate(
     """Saturate by each variable v in turn: the reduced Groebner basis
     under degrevlex with v last, then every element divided by the
     largest power of v dividing both its terms.  ``budget`` caps the
-    S-pair reductions of each Buchberger run.
+    S-pair reductions of each Buchberger run, not counting the pairs
+    that the Hilbert series proves zero.
 
     The basis stays packed from step to step, over one universe (the
     variables of ``gens`` and ``variables``), and each step repacks it
-    with ``_move_last``.  A step after the first compares the Hilbert
-    series of its input's leads under the new order with the series of
-    the ideal; when they agree, the input is already a Groebner basis
-    for the new order and the step only interreduces it (the theorem
-    and its hypotheses are in ``toric.saturate_generators``).  The
-    ideal's series is read off the previous step's leads, and read again
-    only when dividing out a common power changed an element.  It is
-    never read for inhomogeneous ``gens``, since the division keeps a
-    Groebner basis only for homogeneous ones; then every step runs.
+    with ``_move_last``.  A step after the first only interreduces its
+    input when the input's leads have the Hilbert series of the ideal,
+    and otherwise prunes its full run by the difference of the two
+    series (the theorems are in ``toric.saturate_generators``).  The
+    ideal's series is read off the previous step's leads, again only
+    when the division changed an element, and never for inhomogeneous
+    ``gens``, which the division keeps no Groebner basis of.  Every
+    series is read in the natural layout, so one memo serves all steps,
+    and from ``_hilbert_numerator``: patched to return None, it turns off
+    the skips and the pruning both.
     """
     gens = _checked(gens)
     if not variables:
@@ -1045,24 +1057,28 @@ def saturate(
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
     memo: dict = {}
-    series = prev = None
+    series = prev = gap = None
     for v in variables:
         engine = _Engine(universe, TermOrder("degrevlex", last=(v,)))
+        r = rank[v]
         if prev is None:
             oriented = [engine.orient(g) for g in gens]
         else:
-            ra, rb = rank[prev], rank[v]
+            ra = rank[prev]
             oriented = [
-                engine.orient_packed((ld, _move_last(lp, ra, rb, top)),
-                                     (td, _move_last(tp, ra, rb, top)))
+                engine.orient_packed((ld, _move_last(lp, ra, r, top)),
+                                     (td, _move_last(tp, ra, r, top)))
                 for ld, lp, td, tp in current
             ]
-        if series is not None and series == _hilbert_numerator(
-                engine, (b4[1] for b4, _ in oriented), memo):
+        if series is not None:
+            leads = _hilbert_numerator(
+                engine, (_natural(b4[1], r, top) for b4, _ in oriented), memo)
+            gap = [a - b for a, b in zip_longest(leads, series, fillvalue=0)]
+        if gap is not None and not any(gap):
             elems = [_Elem(engine, b4) for b4, _ in oriented]
             reduced = _interreduce(engine, elems, [None] * len(elems), False)[0]
         else:
-            reduced = _run_buchberger(engine, oriented, budget, False)[0]
+            reduced = _run_buchberger(engine, oriented, budget, False, gap)[0]
         current = []
         changed = False
         for ld, lp, td, tp in reduced:
@@ -1072,7 +1088,8 @@ def saturate(
                 ld, lp, td, tp = ld - k, lp - (k << top), td - k, tp - (k << top)
             current.append((ld, lp, td, tp))
         if homogeneous and (series is None or changed):
-            series = _hilbert_numerator(engine, (b4[1] for b4 in current), memo)
+            series = _hilbert_numerator(
+                engine, (_natural(b4[1], r, top) for b4 in current), memo)
         prev = v
     return [engine.from_binomial4(b4) for b4 in current]
 

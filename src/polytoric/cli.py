@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=None,
-                       help="S-pair reduction cap per Groebner run, 0 or more")
+                       help="S-pair reduction cap per Groebner run, 0 or more; "
+                       "pairs the Hilbert series proves zero are not counted")
 
     p = sub.add_parser("label", help="render the vertex labelling")
     add_common(p)

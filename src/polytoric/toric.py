@@ -11,22 +11,13 @@ Polytopes", Lemma 12.2; Hosten and Sturmfels, "GRIN", IPCO 1995).
 Everything is exact integer arithmetic.  The kernel comes from
 fraction-free column elimination (Hermite-style).  The saturation
 starts from its binomials together with Q, every degree-2 binomial
-u - w whose two sides have the same image: both sets lie in J_P, so the
-result is the same J_P, reached with cheaper Buchberger runs.  Q is
-read off the fibers of A alone (:func:`_fibers`), with no inner-minor
-data; on a correct labelling it is the set of inner 2-minors.  The
-saturation runs one vertex variable at a time: a reduced Groebner basis
-under degrevlex with the variable last, then every element divided by
-the variable's largest common power.  Every column of the matrix has
-the same sum, so every vector of L has sum 0 and every kernel binomial
-is homogeneous, which is what makes that step a saturation (Bayer and
-Stillman).
-
-A step after the first starts from a Groebner basis for the previous
-order.  When a Hilbert-series check proves that basis is already one
-for the new order, the step only interreduces it; see
-:func:`saturate_generators`.  A step is never skipped only because the
-basis stopped changing.
+u - w whose two sides have the same image, read off the fibers of A
+alone (:func:`_fibers`); see :func:`toric_generators`.  It runs one
+vertex variable at a time (:func:`saturate_generators`).  Every column
+of the matrix has the same sum, so every vector of L has sum 0 and
+every kernel binomial is homogeneous, which is what makes each step a
+saturation (Bayer and Stillman) and what the Hilbert-series checks of
+the steps after the first rest on.
 """
 
 from __future__ import annotations
@@ -210,7 +201,7 @@ def saturate_generators(
 ) -> list[Binomial]:
     """Saturate the ideal of ``gens`` with respect to each variable in
     turn, as a list of binomials; ``budget`` caps the S-pair reductions
-    of each Buchberger run.
+    of each Buchberger run, not counting the pairs the pruning drops.
 
     Step k computes the reduced Groebner basis G_k under degrevlex with
     v_k last, then divides every element by the largest power of v_k
@@ -229,10 +220,20 @@ def saturate_generators(
     basis for the new order, and interreducing it gives the one reduced
     basis, G_k, that a full run gives.  Any other step runs Buchberger
     in full, and with inhomogeneous ``gens`` every step does.  No step
-    is skipped only because the basis stopped changing.  This is
-    Traverso's Hilbert-driven Buchberger ("Hilbert functions and the
-    Buchberger algorithm", JSC 1996), with the series from Bigatti's
-    pivot algorithm (JPAA 1997).
+    is skipped only because the basis stopped changing.
+
+    Pruning rule.  Under the same hypotheses, a step run in full reads
+    the deficit HF(S / <G's leads>)(d0) - HF(S / I)(d0) at its lowest
+    pair degree d0: the degree-d0 monomials of the new initial ideal
+    that no lead divides.  A nonzero reduction in degree d0 adds exactly
+    one of them as a lead (its normal form is homogeneous of degree d0),
+    and nothing else adds a lead of degree d0.  At deficit 0 every pair
+    left in degree d0 reduces to zero; it is dropped, uncounted by
+    ``budget``.  Zero reductions change neither the basis nor the queue,
+    so the step keeps its other pairs, their order and its output.  Both
+    rules are Traverso's Hilbert-driven Buchberger ("Hilbert functions
+    and the Buchberger algorithm", JSC 1996), with the series from
+    Bigatti's pivot algorithm (JPAA 1997).
     """
     return saturate(gens, variables, budget=budget)
 

@@ -22,8 +22,10 @@ from polytoric.binom import (
     Variable,
     _FIELD,
     _FMASK,
+    _MEMO_SIZE,
     _Elem,
     _Engine,
+    _divisible,
     _spoly4,
     _universe,
     buchberger,
@@ -91,13 +93,23 @@ def gcd(a: Monomial, b: Monomial) -> Monomial:
     return Monomial((v, min(e, exponent(b, v))) for v, e in a.exps)
 
 
+def priority_sorted(order: TermOrder, variables) -> list[Variable]:
+    """The variables sorted by descending priority under the order:
+    larger variables first, then the ones in ``order.last``.  A sort,
+    kept apart from the one pass over an ascending universe that gives
+    the engine its layout."""
+    universe = set(variables)
+    last = [v for v in order.last if v in universe]
+    return sorted(universe.difference(last), reverse=True) + last
+
+
 def greater(order: TermOrder, a: Monomial, b: Monomial) -> bool:
     """True iff a > b under the order, variable by variable."""
     if a == b:
         return False
     if order.kind == "degrevlex" and a.degree != b.degree:
         return a.degree > b.degree
-    pr = order.priority_sorted({v for v, _ in a.exps + b.exps})
+    pr = priority_sorted(order, {v for v, _ in a.exps + b.exps})
     if order.kind == "lex":
         for v in pr:
             ea, eb = exponent(a, v), exponent(b, v)
@@ -260,6 +272,147 @@ def reference_gm_update(engine, basis, heap, b4, prov):
     basis.append(new_elem, prov)
 
 
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials in t, coefficients lowest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def reference_hilbert_numerator(engine, leads, memo: dict) -> tuple[int, ...]:
+    """``binom._hilbert_numerator`` as it was before its polynomials were
+    Kronecker-packed: the same pivot algorithm on coefficient lists,
+    multiplied by ``poly_mul``.  ``memo`` maps the frozenset of a node's
+    shared generators to its K, for nodes of at most ``_MEMO_SIZE``
+    generators.  The library must return the same numerator."""
+    H, ONES = engine.H, engine.ONES
+    shift = _FIELD - 1
+    # Minimal generators, in degree order.  The kept linear ones are one
+    # union mask; the others are bucketed by their lowest variable, and
+    # p scans only the buckets of its own variables.  The unit monomial
+    # (mask 0) stays, isolated, and its factor 1 - t^0 makes K zero.
+    minimal: list[tuple[int, int]] = []
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    linear = 0
+    for d, p in sorted((p % _FMASK, p) for p in set(leads)):
+        mask = ((p | H) - ONES) & H
+        if mask & linear:
+            continue
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if _divisible(p, mask, buckets.get(low, ()), H):
+                break
+        else:
+            minimal.append((p, mask))
+            if d == 1:
+                linear |= mask
+            else:
+                buckets.setdefault(mask & -mask, []).append((p, mask))
+    # A task is a generator list to evaluate, or a combine step
+    # (None, (key, factor, parts)) that pops ``parts`` values, the
+    # components' K, or when parts is 0 the two values K(J), K(I : x).
+    values: list[list[int]] = []
+    tasks: list = [(minimal, None)]
+    while tasks:
+        gens, step = tasks.pop()
+        if gens is None:
+            key, factor, parts = step
+            if parts:
+                k = [1]
+                for _ in range(parts):
+                    k = poly_mul(k, values.pop())
+            else:
+                free, colon = values.pop(), values.pop()
+                k = [0] * (max(len(free), len(colon)) + 1)
+                for i, c in enumerate(free):
+                    k[i] += c
+                    k[i + 1] -= c
+                for i, c in enumerate(colon):
+                    k[i + 1] += c
+            if key is not None:
+                memo[key] = k
+            values.append(poly_mul(factor, k))
+            continue
+        seen = twice = 0
+        for _, mask in gens:
+            twice |= seen & mask
+            seen |= mask
+        factor = [1]
+        shared = []
+        for g in gens:
+            if g[1] & twice:
+                shared.append(g)
+            else:
+                d = g[0] % _FMASK
+                factor = poly_mul(factor, [1] + [0] * (d - 1) + [-1] if d else [0])
+        key = frozenset(p for p, _ in shared) if len(shared) <= _MEMO_SIZE else None
+        known = memo.get(key)
+        if known is not None or not shared:
+            values.append(factor if known is None else poly_mul(factor, known))
+            continue
+        parts: list[tuple[int, list]] = []
+        for g in shared:
+            joined = [g]
+            cmask = g[1]
+            kept = []
+            for part in parts:
+                if part[0] & g[1]:
+                    cmask |= part[0]
+                    joined += part[1]
+                else:
+                    kept.append(part)
+            kept.append((cmask, joined))
+            parts = kept
+        if len(parts) > 1:
+            tasks.append((None, (key, factor, len(parts))))
+            tasks += [(part[1], None) for part in parts]
+            continue
+        # Per-field generator counts; a count past 2**16 - 1 carries into
+        # the next field, which only changes which shared variable is
+        # the pivot.
+        counts = sum(mask >> shift for _, mask in shared)
+        best = pivot = 0
+        rest = twice
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = (counts >> (low.bit_length() - 1 - shift)) & _FMASK
+            if c > best:
+                best, pivot = c, low
+        x = pivot >> shift
+        free = []
+        divided = []
+        for p, mask in shared:
+            if mask & pivot:
+                q = p - x
+                divided.append((q, ((q | H) - ONES) & H))
+            else:
+                free.append((p, mask))
+        # The divided generators divide none of each other, and no other
+        # generator divides one of them: both would break minimality.
+        linear = 0
+        heavier = []
+        for q, qm in divided:
+            if q % _FMASK == 1:
+                linear |= qm
+            else:
+                heavier.append((q, qm))
+        colon = divided + [
+            (p, mask) for p, mask in free
+            if not mask & linear and not _divisible(p, mask, heavier, H)
+        ]
+        tasks += [(None, (key, factor, 0)), (free, None), (colon, None)]
+    k = values.pop()
+    while k and not k[-1]:
+        k.pop()
+    return tuple(k)
+
+
 def leading_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:
     return tuple(g.plus for g in gb.elements)
 
@@ -342,6 +495,15 @@ def lattice_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomia
     variables = [vertex_var(p) for p in matrix.cols]
     saturated = saturate_generators(gens, variables, budget=budget)
     return list(buchberger(saturated, DEGREVLEX, budget=budget).elements)
+
+
+def without_pruning(monkeypatch):
+    """Patch ``binom._run_buchberger`` so that no run gets a series gap:
+    the saturation still skips steps, but prunes no pair."""
+    run = binom._run_buchberger
+    monkeypatch.setattr(binom, "_run_buchberger",
+                        lambda engine, oriented, budget, track, gap=None:
+                        run(engine, oriented, budget, track))
 
 
 def spairs_per_step(monkeypatch, run):

@@ -12,8 +12,10 @@ from helpers import (
     leading_monomials,
     normalized,
     numerator_by_inclusion_exclusion,
+    priority_sorted,
     quotient,
     reference_gm_update,
+    reference_hilbert_numerator,
     series_coefficients,
     spoly,
     standard_monomial_counts,
@@ -32,6 +34,7 @@ from polytoric.binom import (
     _gm_update,
     _hilbert_numerator,
     _move_last,
+    _signed_digits,
     DEGREVLEX,
     LEX,
     UNIT,
@@ -374,10 +377,11 @@ ENGINE_POOL = [vertex_var((i, j)) for i in (1, 2) for j in (1, 2, 3)] + [
 
 @st.composite
 def engine_monomial_pairs(draw):
-    """A universe of at most ten variables and two monomials over it,
-    each exponent below 2**15 and each degree below the engine cap."""
+    """An ascending universe of at most ten variables, as the engine
+    takes it, and two monomials over it, each exponent below 2**15 and
+    each degree below the engine cap."""
     n = draw(st.integers(min_value=1, max_value=len(ENGINE_POOL)))
-    universe = ENGINE_POOL[:n]
+    universe = sorted(ENGINE_POOL[:n])
 
     def monomial():
         room = draw(st.integers(min_value=0, max_value=_DEGREE_CAP - 1))
@@ -533,6 +537,33 @@ def test_hilbert_numerator_memo_holds_across_layouts(ideal, data):
         assert _hilbert_numerator(engine, leads, memo) == _hilbert_numerator(engine, leads, {})
 
 
+@given(ideal=monomial_ideals())
+@settings(max_examples=150, deadline=None)
+def test_hilbert_numerator_matches_the_references(ideal):
+    """The Kronecker-packed numerator against the coefficient lists it
+    replaced and against inclusion-exclusion over the generators."""
+    n, gens = ideal
+    engine = _Engine(SERIES_POOL[:n], DEGREVLEX)
+    leads = [packed(engine, g) for g in gens]
+    numerator = _hilbert_numerator(engine, leads, {})
+    assert numerator == reference_hilbert_numerator(engine, leads, {})
+    assert numerator == numerator_by_inclusion_exclusion(gens)
+
+
+@pytest.mark.parametrize("w", [2, 3, 16, 76, 200])
+def test_signed_digits_decode_the_extreme_coefficients(w):
+    """A polynomial packed at t = 2**w decodes back when every
+    coefficient lies within 2**(w-1) - 1 of zero, both ends included."""
+    top = (1 << (w - 1)) - 1
+    for coeffs in ([top], [-top], [top, -top, 0, top], [-top, top, -top],
+                   [0, 0, -top], [1, -top, top, -1], [top] * 5 + [-top] * 5):
+        k = sum(c << (w * i) for i, c in enumerate(coeffs))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        assert _signed_digits(k, w) == tuple(coeffs)
+    assert _signed_digits(0, w) == ()
+
+
 def _times(poly, d):
     out = list(poly) + [0] * d
     for k, c in enumerate(poly):
@@ -582,6 +613,23 @@ def test_move_last_matches_repacking(data):
     rank = {v: n - 1 - i for i, v in enumerate(universe)}
     moved = _move_last(src.pack(mono)[1], rank[a], rank[b], 16 * (n - 1))
     assert moved == dst.pack(mono)[1]
+
+
+@pytest.mark.parametrize("order", [
+    DEGREVLEX,
+    LEX,
+    TermOrder("degrevlex", last=(ENGINE_POOL[3],)),
+    TermOrder("lex", last=(ENGINE_POOL[0], ENGINE_POOL[8])),
+])
+def test_engine_fields_follow_priority(order):
+    """Over an ascending universe, the one pass in ``_Engine`` puts the
+    variables in the fields that sorting them by priority gives: under
+    degrevlex the highest priority in field 0, under lex at the top."""
+    universe = sorted(ENGINE_POOL)
+    engine = _Engine(universe, order)
+    fields = [engine.shift[engine.index[v]] // 16 for v in priority_sorted(order, universe)]
+    n = len(universe)
+    assert fields == (list(range(n)) if order.kind == "degrevlex" else list(range(n))[::-1])
 
 
 # -- reducer index -------------------------------------------------------------

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 from conftest import FRAME_7X5, MEDIUM_A, SMALL, sweep_configs
-from helpers import label_map_from_json_dict, lattice_toric_basis, spairs_per_step
+from helpers import (
+    label_map_from_json_dict,
+    lattice_toric_basis,
+    spairs_per_step,
+    without_pruning,
+)
 
 from polytoric import cli
 from polytoric.binom import LEX, buchberger, parse_binomial
@@ -345,8 +350,16 @@ def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):
-    # ``toric_generators``' own start: 75, recorded when the quadratic
-    # kernel binomials joined it.
+    # ``toric_generators``' own start: 63 once the full saturation steps
+    # dropped the pairs that the Hilbert series proves zero, which no
+    # budget counts.
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 63)
+
+
+def test_toric_budget_boundary_with_quadrics_unpruned(tmp_path, capsys, monkeypatch):
+    # 75 with the pruning patched out, as recorded when the quadratic
+    # kernel binomials joined the start.
+    without_pruning(monkeypatch)
     assert_budget_boundary(tmp_path, capsys, monkeypatch, 75)
 
 

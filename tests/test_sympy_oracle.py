@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from helpers import divides, leading_monomials, spoly
+from helpers import divides, leading_monomials, priority_sorted, spoly
 
 from polytoric.binom import (
     DEGREVLEX,
@@ -47,8 +47,8 @@ def in_sympy(gens, order: TermOrder):
     """sympy symbols of the generators' variables, highest priority
     first (so sympy's order with these generators is ``order``), and a
     map from a binomial to its sympy expression."""
-    universe = order.priority_sorted(
-        {v for g in gens for v, _ in g.plus.exps + g.minus.exps})
+    universe = priority_sorted(
+        order, {v for g in gens for v, _ in g.plus.exps + g.minus.exps})
     symbols = {v: sympy.Symbol(str(v)) for v in universe}
 
     def expr(g: Binomial):

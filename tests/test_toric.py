@@ -23,6 +23,7 @@ from helpers import (
     normalized,
     saturation_steps_reference,
     spairs_per_step,
+    without_pruning,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -357,10 +358,13 @@ def spair_trace(monkeypatch, run):
     return len(seen), sha256("\n".join(seen))
 
 
-def saturation_input(coords):
+def saturation_input(coords, raised=None):
     """The binomials of ``lattice_kernel``'s basis and the variables to
-    saturate by."""
-    matrix = build_matrix(build_label_map(cfg_of(coords)))
+    saturate by; with the label of the point ``raised`` raised by 1."""
+    lm = build_label_map(cfg_of(coords))
+    if raised is not None:
+        lm = lm.with_label(raised, lm.labels[raised] + 1)
+    matrix = build_matrix(lm)
     gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     return gens, [vertex_var(p) for p in matrix.cols]
 
@@ -368,8 +372,9 @@ def saturation_input(coords):
 # The bases are canonical, so their digests cannot see a change in which
 # S-pairs the engine reduces; these traces can.  Recorded with the eager
 # Gebauer-Moeller update, before the bookkeeping rewrite, and with a full
-# Buchberger run at every saturation step: the Hilbert series is patched
-# to never match, so no step is skipped and every step reduces the
+# Buchberger run at every saturation step: ``_hilbert_numerator``, the
+# one seam of the Hilbert-series skip rule and pruning, is patched to
+# return None, so no step is skipped or pruned and every step reduces the
 # S-pairs it reduced before steps could be skipped.  The input is
 # ``lattice_kernel``'s basis alone, without the quadratic kernel
 # binomials that ``toric_generators`` adds (pinned further below).
@@ -382,56 +387,82 @@ def saturation_input(coords):
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
-    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
+    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
     lm = build_label_map(cfg_of(coords))
     assert spair_trace(monkeypatch, lambda: lattice_toric_basis(lm)) == (count, digest)
 
 
-# The same traces with the Hilbert-series check on, recorded when it was
-# added: the skipped steps reduce no S-pair (see
-# test_skipped_steps_leave_the_other_steps_spairs_alone).
-@pytest.mark.parametrize("coords, count, digest", [
-    pytest.param(SMALL, 543,
-                 "c8ea6009a01533f3b6ffcba4a587f7538a4cb9a9fcf6bb9b062c30de0a95c7ac",
+# The same traces with the Hilbert-series check on: the skipped steps
+# reduce no S-pair (see test_skipped_steps_leave_the_other_steps_spairs_alone).
+# The unpruned ones were recorded when the check was added, the pruned
+# ones when the full steps started to drop the pairs that the series
+# proves zero (see test_pruning_drops_only_zero_reductions).
+@pytest.mark.parametrize("coords, pruning, count, digest", [
+    pytest.param(SMALL, True, 456,
+                 "5899f65270cc1a12f7d81d181b807a3e8662be8ce6bb0426f3ad75a644e006aa",
                  id="SMALL"),
-    pytest.param(MEDIUM_B, 1525,
-                 "1c492c4446e21f606b91af0c3fe4d1ed5ec171e63041195bcb8a173a7db1cc5a",
+    pytest.param(MEDIUM_B, True, 1346,
+                 "69a7f868884046dd17dc17e6bdc6ed419e3b9d4c2e312306f111e46ce6226481",
                  id="MEDIUM_B"),
+    pytest.param(SMALL, False, 543,
+                 "c8ea6009a01533f3b6ffcba4a587f7538a4cb9a9fcf6bb9b062c30de0a95c7ac",
+                 id="SMALL-unpruned"),
+    pytest.param(MEDIUM_B, False, 1525,
+                 "1c492c4446e21f606b91af0c3fe4d1ed5ec171e63041195bcb8a173a7db1cc5a",
+                 id="MEDIUM_B-unpruned"),
 ])
-def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest):
+def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, count, digest):
     lm = build_label_map(cfg_of(coords))
+    if not pruning:
+        without_pruning(monkeypatch)
     assert spair_trace(monkeypatch, lambda: lattice_toric_basis(lm)) == (count, digest)
 
 
 # ``toric_generators``' own S-pairs, from ``lattice_kernel``'s basis and
-# every quadratic kernel binomial, without and with skipped steps;
-# recorded with the engine from before the pair update filled the
-# occurrence index and the interreduction took element lists.
-@pytest.mark.parametrize("coords, skips, count, digest", [
-    pytest.param(SMALL, False, 941,
+# every quadratic kernel binomial: at every step (the seam patched to
+# return None), with skipped steps, and with skipped and pruned steps.  The
+# first two recorded with the engine from before the pair update filled
+# the occurrence index and the interreduction took element lists, the
+# last when the full steps started to prune.
+@pytest.mark.parametrize("coords, mode, count, digest", [
+    pytest.param(SMALL, "every-step", 941,
                  "ee0210964da9623f3b2d525ae38eaa46dd3fa334fa7bf6c151f58673e422f63e",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, True, 397,
+    pytest.param(SMALL, "unpruned", 397,
                  "381b304a192b5496b03f483629cf63352e93c9d6faa56a5e98892ea093d3b4ad",
+                 id="SMALL-skips-unpruned"),
+    pytest.param(SMALL, "skips", 293,
+                 "3fe1a15dcfc2e773250ac9a2c64f556c08fe8b810a07e31bdda8d1a626d77044",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, False, 3257,
+    pytest.param(MEDIUM_B, "every-step", 3257,
                  "ce8a2646a1e6fe01f79f170956f614589ef34fb67201f35d592780f0f775a991",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, True, 1017,
+    pytest.param(MEDIUM_B, "unpruned", 1017,
                  "268590566dc4ddf4aa054a6bbdc6cceaec554b677d603d43bfdeef20bd8b36e9",
+                 id="MEDIUM_B-skips-unpruned"),
+    pytest.param(MEDIUM_B, "skips", 790,
+                 "835d1b333acf0d63239f68d381d800886ef4d61806d70816ccd2c2f0c30dcea4",
                  id="MEDIUM_B-skips"),
-    pytest.param(FRAME_7X5, True, 4354,
+    pytest.param(FRAME_7X5, "unpruned", 4354,
                  "05181dfeae2608818dc4d30832d6a4bde672beb066aef3fa402446b721676960",
+                 id="FRAME_7X5-skips-unpruned"),
+    pytest.param(FRAME_7X5, "skips", 3142,
+                 "c3265bd41fa9fd950056a2e09501c04d29c4035d43ce0404db4fe1cb20ef7497",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, True, 27742,
+    pytest.param(THICK_FRAME, "unpruned", 27742,
                  "6a39fadcef50eafceea47a8ad488fb79c4ee7b094682af538043c249888ecbe3",
+                 id="THICK_FRAME-skips-unpruned", marks=pytest.mark.slow),
+    pytest.param(THICK_FRAME, "skips", 19389,
+                 "c476ff20b34ee0b1ce770ae977e11cb5d01093a38593f016c52b9cfc0eefdb00",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
-def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, skips,
+def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
                                                      count, digest):
     lm = build_label_map(cfg_of(coords))
-    if not skips:
-        monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
+    if mode == "every-step":
+        monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
+    elif mode == "unpruned":
+        without_pruning(monkeypatch)
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
 
 
@@ -444,13 +475,72 @@ def test_spair_trace_minors_lex(monkeypatch):
 
 @pytest.mark.parametrize("coords", [SMALL, MEDIUM_B], ids=["SMALL", "MEDIUM_B"])
 def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
+    """With the pruning patched out, a step reduces either no S-pair
+    (skipped) or the S-pairs it reduces when no step is skipped."""
     lm = build_label_map(cfg_of(coords))
+    without_pruning(monkeypatch)
     with_skips = spairs_per_step(monkeypatch, lambda: toric_generators(lm))
-    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: object())
+    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
     without = spairs_per_step(monkeypatch, lambda: toric_generators(lm))
     assert len(with_skips) == len(without)
     skipped = [k for k, (a, b) in enumerate(zip(with_skips, without)) if a != b]
     assert skipped and all(with_skips[k] == [] for k in skipped)
+
+
+def reductions_per_step(monkeypatch, run):
+    """Per Buchberger run or skipped step, the S-pairs reduced during
+    ``run()`` in order, each as [lcm degree, lead, lead, nonzero]: a pair
+    is nonzero when the engine adds its normal form to the basis."""
+    steps = [[]]
+    spoly4, interreduce, update = binom._spoly4, binom._interreduce, binom._gm_update
+
+    def record_pair(engine, f, g):
+        steps[-1].append([engine.lcm(f.lp, g.lp)[0], engine.unpack(f.lp),
+                          engine.unpack(g.lp), False])
+        return spoly4(engine, f, g)
+
+    def record_nonzero(*args):
+        if steps[-1]:
+            steps[-1][-1][3] = True
+        return update(*args)
+
+    def close_step(*args):
+        steps.append([])
+        return interreduce(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_spoly4", record_pair)
+        m.setattr(binom, "_gm_update", record_nonzero)
+        m.setattr(binom, "_interreduce", close_step)
+        run()
+    return steps[:-1]
+
+
+@pytest.mark.parametrize("coords", [SMALL, MEDIUM_B, FRAME_7X5],
+                         ids=["SMALL", "MEDIUM_B", "FRAME_7X5"])
+def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
+    """Each pruned step reduces the pairs of the unpruned step, in the
+    same order, minus some pairs of its lowest degree, and every pair it
+    drops reduces to zero in the unpruned step."""
+    lm = build_label_map(cfg_of(coords))
+    pruned = reductions_per_step(monkeypatch, lambda: toric_generators(lm))
+    with monkeypatch.context() as m:
+        without_pruning(m)
+        full = reductions_per_step(m, lambda: toric_generators(lm))
+    assert len(pruned) == len(full)
+    dropped = []
+    for kept, every in zip(pruned, full):
+        rest = iter(every)
+        for pair in kept:
+            for other in rest:
+                if other == pair:
+                    break
+                dropped.append((other, min(p[0] for p in every)))
+            else:
+                pytest.fail(f"{pair} is not in the unpruned step")
+        dropped += [(other, min(p[0] for p in every)) for other in rest]
+    assert dropped
+    assert all(pair[0] == d0 and not pair[3] for pair, d0 in dropped)
 
 
 def recorded_saturation(monkeypatch, gens, variables):
@@ -478,20 +568,23 @@ def recorded_saturation(monkeypatch, gens, variables):
 
 
 def _saturation_cases():
-    yield pytest.param(SMALL, id="SMALL")
-    yield pytest.param(MEDIUM_B, id="MEDIUM_B")
-    yield pytest.param(FRAME_7X5, id="FRAME_7X5")
+    yield pytest.param(SMALL, None, id="SMALL")
+    # The ideal changes between steps here, so the series is read again
+    # and later steps are pruned against the new one.
+    yield pytest.param(SMALL, GridPoint(1, 1), id="SMALL-raised")
+    yield pytest.param(MEDIUM_B, None, id="MEDIUM_B")
+    yield pytest.param(FRAME_7X5, None, id="FRAME_7X5")
     for coords in sweep_configs():
-        yield pytest.param(coords, id=str(coords))
-    yield pytest.param(FRAME_8X5, id="FRAME_8X5", marks=pytest.mark.slow)
-    yield pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow)
+        yield pytest.param(coords, None, id=str(coords))
+    yield pytest.param(FRAME_8X5, None, id="FRAME_8X5", marks=pytest.mark.slow)
+    yield pytest.param(THICK_FRAME, None, id="THICK_FRAME", marks=pytest.mark.slow)
 
 
-@pytest.mark.parametrize("coords", list(_saturation_cases()))
-def test_saturation_steps_match_full_runs(monkeypatch, coords):
-    """Every step's reduced basis, skipped or run, is the one a full
-    Buchberger run from the previous step's output gives."""
-    gens, variables = saturation_input(coords)
+@pytest.mark.parametrize("coords, raised", list(_saturation_cases()))
+def test_saturation_steps_match_full_runs(monkeypatch, coords, raised):
+    """Every step's reduced basis, skipped, pruned or run, is the one a
+    full Buchberger run from the previous step's output gives."""
+    gens, variables = saturation_input(coords, raised)
     out, steps, _ = recorded_saturation(monkeypatch, gens, variables)
     ref_steps, ref_out = saturation_steps_reference(gens, variables)
     assert steps == ref_steps
