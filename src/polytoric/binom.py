@@ -95,6 +95,16 @@ class Monomial:
         object.__setattr__(self, "exps", tuple(items))
         object.__setattr__(self, "_hash", hash(self.exps))
 
+    @classmethod
+    def _from_sorted(cls, exps: tuple[tuple[Variable, int], ...]) -> "Monomial":
+        """``Monomial(exps)`` for pairs already in strictly ascending
+        variable order with positive exponents, without the sort and the
+        merge; the caller vouches for the order."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "exps", exps)
+        object.__setattr__(mono, "_hash", hash(exps))
+        return mono
+
     def __setattr__(self, *_):
         raise AttributeError("Monomial is immutable")
 
@@ -303,15 +313,16 @@ class _Engine:
 
     Engine monomials are (degree, packed) pairs; engine binomials are
     4-tuples (lead_deg, lead, trail_deg, trail) with lead > trail.
-    ``variables`` must ascend, as ``_universe`` returns them: priority
-    descends along them reversed, the demoted ones last, with no sort.
+    ``variables`` must ascend strictly, as ``_universe`` returns them, or
+    the constructor raises ValueError: priority descends along them
+    reversed, the demoted ones last, with no sort.
     """
 
     def __init__(self, variables: Sequence[Variable], order: TermOrder):
         self.vars = tuple(variables)
+        if any(a >= b for a, b in zip(self.vars, self.vars[1:])):
+            raise ValueError("the universe must be strictly ascending")
         self.index = {v: i for i, v in enumerate(self.vars)}
-        if len(self.index) != len(self.vars):
-            raise ValueError("duplicate variables in universe")
         n = len(self.vars)
         last = [self.index[v] for v in order.last if v in self.index]
         by_priority = [i for i in reversed(range(n)) if i not in last] + last
@@ -343,7 +354,7 @@ class _Engine:
             e = (packed >> self.shift[i]) & _FMASK
             if e:
                 pairs.append((v, e))
-        return Monomial(pairs)
+        return Monomial._from_sorted(tuple(pairs))
 
     def mask_of(self, packed: int) -> int:
         return ((packed | self.H) - self.ONES) & self.H
@@ -957,13 +968,18 @@ def reduce(
         _checked(gens)
     if f is ZERO:
         return (ZERO, None) if track else ZERO
-    if packed is None or any(
-        v not in packed[0].index for v, _ in f.plus.exps + f.minus.exps
-    ):
+    oriented = None
+    if packed is not None:
+        try:
+            oriented = packed[0].orient(f)
+        except ValueError:
+            pass  # a variable of f outside the packed universe
+    if oriented is None:
         packed = _pack_basis(gens, order, f)
         memo.setdefault(order, packed)
+        oriented = packed[0].orient(f)
     engine, b = packed
-    f4, f_flip = engine.orient(f)
+    f4, f_flip = oriented
     steps = [] if track else None
     nf4, sigma = b.reduce(f4, steps)
     nf: BinomialOrZero = ZERO if nf4 is None else engine.from_binomial4(nf4)

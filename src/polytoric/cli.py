@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .binom import (
@@ -155,22 +154,29 @@ def cmd_certify(args) -> int:
 
 
 def _rational_rank(entries) -> int:
-    """Rank over the rationals by Fraction Gaussian elimination; a code
-    path separate from the integer column elimination behind the kernel."""
-    rows = [[Fraction(e) for e in row] for row in entries]
+    """Rank over the rationals by fraction-free (Bareiss) row elimination,
+    all in integers; a code path separate from the integer column
+    elimination behind the kernel.
+
+    After k pivots every entry below the pivot rows is a (k+1)-minor of
+    the input (Sylvester's identity), so the division by the previous
+    pivot is exact, and the entries stay as small as those minors."""
+    rows = [list(row) for row in entries]
     rank = 0
+    prev = 1
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivval = rows[rank][col]
-        rows[rank] = [x / pivval for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        pivot_row = rows[rank]
+        pivval = pivot_row[col]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col]
+            rows[i] = [(pivval * x - factor * y) // prev
+                       for x, y in zip(rows[i], pivot_row)]
+        prev = pivval
         rank += 1
     return rank
 

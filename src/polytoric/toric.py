@@ -22,9 +22,9 @@ the steps after the first rest on.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, groupby
 from typing import Sequence
 
 from .binom import (
@@ -152,44 +152,86 @@ def lattice_vector_to_binomial(z: Sequence[int], cols: Sequence[GridPoint]) -> B
 def _image_text(image: tuple) -> str:
     """``str`` of the image monomial r^xs * s^ys * t^labels, from the
     sorted x, y and label multisets of a vertex monomial."""
-    return "*".join(
-        f"{kind}[{v}]" if c == 1 else f"{kind}[{v}]^{c}"
-        for kind, values in zip("rst", image)
-        for v, c in sorted(Counter(values).items())
-    )
+    return "*".join(map(_multiset_text, "rst", image))
 
 
-def _fibers(lm: LabelMap, deg: int) -> dict[tuple, list[tuple[GridPoint, ...]]]:
+@lru_cache(maxsize=4096)
+def _multiset_text(kind: str, values: tuple[int, ...]) -> str:
+    """The factors ``kind[v]`` or ``kind[v]^c`` of a sorted multiset,
+    joined by "*"; the fibers of one instance repeat few multisets."""
+    parts = []
+    for v, run in groupby(values):
+        c = len(tuple(run))
+        parts.append(f"{kind}[{v}]" if c == 1 else f"{kind}[{v}]^{c}")
+    return "*".join(parts)
+
+
+def _fibers(lm: LabelMap, deg: int, items: Sequence | None = None) -> dict[tuple, list[tuple]]:
     """The vertex monomials of degree ``deg`` that share their image with
-    another, grouped by image; each monomial is the tuple of its points
-    from ``combinations_with_replacement`` over the points in (x, y)
-    order, and the members of a group keep that enumeration order.
+    another, grouped by image.  The monomials come from
+    ``combinations_with_replacement`` over the points in (x, y) order,
+    each as the tuple of its points, or with ``items`` as the tuple of
+    the entries of ``items`` at its points' positions.  The members of a
+    group keep the enumeration order, and the groups come in the order of
+    their first members.
 
     A monomial's image is fixed by the sorted x, y and label multisets of
-    its points, and that triple of tuples is the key, so the grouping
-    reads ``lm.labels`` and builds no ``Monomial``."""
+    its points, and that triple of tuples is the group's key in the
+    result.  The grouping itself uses one integer per monomial: the sum
+    of its points' codes.  The integer has a ``deg.bit_length()``-bit
+    count field for each x value, each y value and each label present,
+    and a point's code is 1 in the fields of its x, its y and its label.
+    No count of a degree-``deg`` monomial exceeds ``deg``, which fits in
+    its field, so no field carries into the next: the sum holds the three
+    multisets exactly, and two monomials get the same integer if and only
+    if they have the same image.  The sums are taken at C speed, no
+    ``Monomial`` is built, and only the groups with two or more members
+    have their triple decoded from their integer."""
+    points = lm.points()
     labels = lm.labels
-    groups: dict[tuple, list[tuple[GridPoint, ...]]] = {}
-    for combo in combinations_with_replacement(lm.points(), deg):
-        # combo follows the (x, y) order of points, so its xs are sorted.
-        image = (
-            tuple(p.x for p in combo),
-            tuple(sorted(p.y for p in combo)),
-            tuple(sorted(labels[p] for p in combo)),
+    width = deg.bit_length()
+    # (0, x), (1, y) and (2, label) fields, each kind in ascending order.
+    fields = [
+        (kind, v)
+        for kind, values in enumerate(
+            ({p.x for p in points}, {p.y for p in points}, {labels[p] for p in points})
         )
-        groups.setdefault(image, []).append(combo)
-    return {image: members for image, members in groups.items() if len(members) > 1}
+        for v in sorted(values)
+    ]
+    unit = {f: 1 << (width * k) for k, f in enumerate(fields)}
+    codes = [unit[0, p.x] + unit[1, p.y] + unit[2, labels[p]] for p in points]
+    groups: dict[int, list[tuple]] = {}
+    for key, combo in zip(
+        map(sum, combinations_with_replacement(codes, deg)),
+        combinations_with_replacement(points if items is None else items, deg),
+    ):
+        groups.setdefault(key, []).append(combo)
+    count = (1 << width) - 1
+    fibers: dict[tuple, list[tuple]] = {}
+    for key, members in groups.items():
+        if len(members) > 1:
+            image: tuple[list, list, list] = ([], [], [])
+            for k, (kind, v) in enumerate(fields):
+                image[kind].extend([v] * ((key >> (width * k)) & count))
+            fibers[tuple(map(tuple, image))] = members
+    return fibers
 
 
 def _fiber_binomials(lm: LabelMap, deg: int) -> list[Binomial]:
     """Every binomial u - w with deg u = deg w = ``deg`` and equal images,
     one per pair u, w inside a fiber of ``_fibers``: the fibers sorted by
     the text of their image, the pairs in enumeration order."""
-    variables = {p: vertex_var(p) for p in lm.labels}
-    fibers = _fibers(lm, deg)
+    # Ascending, since vertex variables sort as their points do.
+    variables = [vertex_var(p) for p in lm.points()]
+    fibers = _fibers(lm, deg, range(len(variables)))
     out = []
     for image in sorted(fibers, key=_image_text):
-        members = [Monomial((variables[p], 1) for p in combo) for combo in fibers[image]]
+        # A member is a nondecreasing index tuple, so its exponents come
+        # out in ascending variable order, each variable once.
+        members = [
+            Monomial._from_sorted(tuple([(variables[i], m.count(i)) for i in dict.fromkeys(m)]))
+            for m in fibers[image]
+        ]
         out.extend(Binomial(u, w) for u, w in combinations(members, 2))
     return out
 

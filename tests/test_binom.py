@@ -113,6 +113,15 @@ def test_monomial_merges_a_repeated_variable():
         Monomial([(v, 2), (v, -1)])
 
 
+@given(st.lists(st.integers(min_value=0, max_value=5),
+                min_size=len(VAR_POOL), max_size=len(VAR_POOL)))
+def test_monomial_from_sorted_matches_the_constructor(exps):
+    pairs = [(v, e) for v, e in zip(sorted(VAR_POOL), exps) if e]
+    built, reference = Monomial._from_sorted(tuple(pairs)), Monomial(reversed(pairs))
+    assert built == reference and built.exps == reference.exps
+    assert hash(built) == hash(reference) and str(built) == str(reference)
+
+
 def test_term_order_rejects_a_variable_listed_twice():
     x11 = vertex_var((1, 1))
     with pytest.raises(ValueError):
@@ -410,6 +419,7 @@ def test_packed_primitives_match_sparse_reference(order, case):
     engine = _Engine(universe, order)
     pa, pb = engine.pack(a), engine.pack(b)
     assert pa[0] == a.degree and engine.unpack(pa[1]) == a
+    assert hash(engine.unpack(pa[1])) == hash(a)
     # The packed order, which orients every binomial the engine sees,
     # against the sparse reference.  A rotation c of a's exponents has
     # a's degree, so degrevlex always reaches its tie-break on (a, c).
@@ -630,6 +640,20 @@ def test_engine_fields_follow_priority(order):
     fields = [engine.shift[engine.index[v]] // 16 for v in priority_sorted(order, universe)]
     n = len(universe)
     assert fields == (list(range(n)) if order.kind == "degrevlex" else list(range(n))[::-1])
+
+
+def test_engine_rejects_a_universe_that_does_not_ascend():
+    """The layout reads priority off the universe's order, so an unsorted
+    one would lay out another term order; it is refused, and so is a
+    repeated variable."""
+    x11, r1 = vertex_var((1, 1)), r_var(1)
+    for universe in ([x11, r1], [r1, x11, x11], [r1, r1]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            _Engine(universe, DEGREVLEX)
+    engine = _Engine([r1, x11], DEGREVLEX)
+    a, b = Monomial([(x11, 1)]), Monomial([(r1, 1)])
+    assert greater(DEGREVLEX, a, b)
+    assert engine.greater(engine.pack(a), engine.pack(b))
 
 
 # -- reducer index -------------------------------------------------------------

@@ -6,13 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import FRAME_7X5, MEDIUM_A, SMALL, sweep_configs
+from conftest import FRAME_7X5, MEDIUM_A, SMALL, fraction_rank, sweep_configs
 from helpers import (
     label_map_from_json_dict,
     lattice_toric_basis,
     spairs_per_step,
     without_pruning,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytoric import cli
 from polytoric.binom import LEX, buchberger, parse_binomial
@@ -290,9 +292,31 @@ def test_oracle_small(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+# The counts ``oracle`` prints on each sweep configuration: balanced
+# pairs (equal to the inner minors), kernel dimension and kernel
+# binomials of degree <= 3, recorded before the fiber keys were packed.
+ORACLE_COUNTS = {
+    ((0, 0), (3, 3), (1, 1), (2, 2)): (20, 8, 372),
+    ((0, 0), (3, 4), (1, 1), (2, 2)): (36, 11, 852),
+    ((0, 0), (3, 4), (1, 1), (2, 3)): (28, 10, 636),
+    ((0, 0), (3, 4), (1, 2), (2, 3)): (36, 11, 852),
+    ((0, 0), (4, 3), (1, 1), (2, 2)): (36, 11, 852),
+    ((0, 0), (4, 3), (1, 1), (3, 2)): (28, 10, 636),
+    ((0, 0), (4, 3), (2, 1), (3, 2)): (36, 11, 852),
+    ((0, 0), (4, 4), (1, 1), (2, 2)): (64, 15, 1940),
+    ((0, 0), (4, 4), (1, 1), (2, 3)): (52, 14, 1520),
+    ((0, 0), (4, 4), (1, 2), (2, 3)): (64, 15, 1940),
+    ((0, 0), (4, 4), (1, 1), (3, 2)): (52, 14, 1520),
+    ((0, 0), (4, 4), (1, 1), (3, 3)): (36, 12, 972),
+    ((0, 0), (4, 4), (1, 2), (3, 3)): (52, 14, 1520),
+    ((0, 0), (4, 4), (2, 1), (3, 2)): (64, 15, 1940),
+    ((0, 0), (4, 4), (2, 1), (3, 3)): (52, 14, 1520),
+    ((0, 0), (4, 4), (2, 2), (3, 3)): (64, 15, 1940),
+}
+
+
 def _oracle_sweep():
-    """The 16 sweep configurations.  The nine 4x4 ones take about
-    0.4-1.2 s each and are marked slow."""
+    """The 16 sweep configurations.  The nine 4x4 ones are marked slow."""
     for coords in sweep_configs():
         marks = [pytest.mark.slow] if coords[1] == (4, 4) else []
         yield pytest.param(coords, marks=marks, id=str(coords))
@@ -302,8 +326,53 @@ def _oracle_sweep():
 def test_oracle_sweep_exit_0(tmp_path, capsys, coords):
     path = write_instance(tmp_path, coords)
     assert main(["oracle", "--instance", path]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4 and all(line.startswith("ok ") for line in lines)
+    pairs, dimension, binomials = ORACLE_COUNTS[coords]
+    assert capsys.readouterr().out == (
+        f"ok quadratic scan: {pairs} balanced pairs, {pairs} inner minors, "
+        "0 violations\n"
+        "ok hole containment: 0 violations\n"
+        f"ok kernel exactness: dimension {dimension}, "
+        f"rationally expected {dimension}\n"
+        f"ok degree<=3 completeness: {binomials} kernel binomials, "
+        "0 not reducing to zero\n"
+    )
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """Integer matrices of up to 6 rows and 1-9 columns, entries in -3..3.
+    A row is fresh or zero, or, after the first, a repeat or the negation
+    of an earlier row, or the sum or difference of two earlier rows when
+    that stays in range, so many matrices are rank-deficient."""
+    cols = draw(st.integers(min_value=1, max_value=9))
+    fresh = st.lists(st.integers(min_value=-3, max_value=3), min_size=cols, max_size=cols)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(
+            ("fresh", "zero", "repeat", "negate", "combine") if rows else ("fresh", "zero")))
+        if kind == "fresh":
+            row = draw(fresh)
+        elif kind == "zero":
+            row = [0] * cols
+        else:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            sign = draw(st.sampled_from((1, -1)))
+            row = {
+                "repeat": a,
+                "negate": [-x for x in a],
+                "combine": [x + sign * y for x, y in zip(a, b)],
+            }[kind]
+            if max(map(abs, row)) > 3:
+                row = a
+        rows.append(list(row))
+    return rows
+
+
+@given(entries=rank_test_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rational_rank_matches_fraction_elimination(entries):
+    assert cli._rational_rank(entries) == fraction_rank(entries)
 
 
 def test_oracle_budget_exit_3(tmp_path, capsys):

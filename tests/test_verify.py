@@ -318,10 +318,19 @@ def test_certifier_construction_digest():
 
 @pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
 def test_kernel_enumeration_matches_reference(coords):
+    """On the map and on two mutations of it: a label raised past
+    ``max_label`` and a label other than 1 set to 1.  Either leaves label
+    values a correct map never has, for the packed fiber keys to meet."""
     lm = build_label_map(cfg_of(coords))
-    for degree in (1, 2, 3):
-        assert (kernel_binomials_up_to_degree(lm, degree)
-                == kernel_binomials_reference(lm, degree))
+    points = lm.points()
+    raised = lm.with_label(points[len(points) // 2], lm.max_label + 1)
+    lowered = lm.with_label(next(p for p in points if lm.labels[p] != 1), 1)
+    for labels in (lm, raised, lowered):
+        for degree in (1, 2, 3):
+            got = kernel_binomials_up_to_degree(labels, degree)
+            expected = kernel_binomials_reference(labels, degree)
+            assert got == expected
+            assert [hash(f) for f in got] == [hash(f) for f in expected]
 
 
 def test_kernel_enumeration_properties():
