@@ -201,7 +201,7 @@ def test_lattice_kernel_on_random_matrices(a):
 
 
 @pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
-def test_toric_generators_match_the_lattice_route(coords):
+def test_toric_generators_match_the_unreduced_route(coords):
     lm = build_label_map(cfg_of(coords))
     assert toric_generators(lm) == lattice_toric_basis(lm)
 
