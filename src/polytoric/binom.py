@@ -181,8 +181,9 @@ class TermOrder:
     The default priority follows the order of :class:`Variable`, larger
     variables ranking higher (for vertex variables: later points have
     higher priority).  ``last`` lists variables demoted below everything,
-    most significant first (used to saturate with respect to one
-    variable).  The packed engine is the one implementation of the order.
+    most significant first (``saturate`` demotes the variables it has
+    not certified yet).  The packed engine is the one implementation of
+    the order.
     """
 
     kind: str = "degrevlex"
@@ -1022,23 +1023,38 @@ def buchberger(
     return GroebnerBasis(order, elements, construction)
 
 
-def _natural(packed: int, r: int, top: int) -> int:
-    """Repack a monomial from the degrevlex layout with the variable of
-    priority rank r (0 for the highest) last to the natural one, where
-    field r holds it: demoting it moved its field to the top, field
-    n - 1 at bit ``top``, and the fields above rank r down by one."""
-    low = _FIELD * r
-    return ((packed & ((1 << low) - 1)) | ((packed >> top) << low)
-            | ((packed & ((1 << top) - 1)) >> low << (low + _FIELD)))
+def _field_map(src: _Engine, dst: _Engine) -> dict[int, tuple[int, int]]:
+    """For two engines over one universe: the guard bit of each field of
+    ``src`` -> (that field's shift in ``src``, the same variable's shift
+    in ``dst``), as ``_repack`` reads it."""
+    return {_GUARD << a: (a, b) for a, b in zip(src.shift, dst.shift)}
 
 
-def _move_last(packed: int, ra: int, rb: int, top: int) -> int:
-    """Repack a monomial from the degrevlex layout with variable a last
-    to the one with variable b last, over one universe; ``ra`` and ``rb``
-    are the ranks of a and b (see ``_natural``)."""
-    natural, low = _natural(packed, ra, top), _FIELD * rb
-    return ((natural & ((1 << low) - 1)) | ((natural >> (low + _FIELD)) << low)
-            | (((natural >> low) & _FMASK) << top))
+def _repack(packed: int, fields: dict[int, tuple[int, int]], H: int) -> int:
+    """A monomial moved from one layout of a universe to another by the
+    ``_field_map`` between them, one step per nonzero field."""
+    out = 0
+    rest = ((packed | H) - (H >> (_FIELD - 1))) & H
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a, b = fields[low]
+        out += ((packed >> a) & _FMASK) << b
+    return out
+
+
+def _uncertified(engine: _Engine, pending: list[Variable], basis) -> list[Variable]:
+    """The variables of ``pending`` after the first that divide a lead of
+    ``basis``, a Groebner basis as engine binomials.  A variable that
+    divides no lead is a nonzerodivisor modulo the ideal of ``basis``,
+    which saturating by it would leave as it is (proof in
+    ``toric.saturate_generators``).  This is the one seam of the
+    certification: patched to return ``pending[1:]``, it gives every
+    variable a step of its own."""
+    support = 0
+    for b4 in basis:
+        support |= b4[1]
+    return [u for u in pending[1:] if (support >> engine.shift[engine.index[u]]) & _FMASK]
 
 
 def saturate(
@@ -1046,49 +1062,58 @@ def saturate(
     variables: Sequence[Variable],
     budget: int | None = None,
 ) -> list[Binomial]:
-    """Saturate by each variable v in turn: the reduced Groebner basis
-    under degrevlex with v last, then every element divided by the
-    largest power of v dividing both its terms.  ``budget`` caps the
-    S-pair reductions of each Buchberger run, not counting the pairs
-    that the Hilbert series proves zero.
+    """Saturate by every variable of ``variables``, a block of them per
+    step.  ``pending`` holds the variables not yet certified, in the
+    given order, and with v = pending[0] a step takes the reduced
+    Groebner basis under degrevlex with ``pending`` last, v lowest and
+    the others just above it in their natural priority, then divides
+    every element by the largest power of v dividing both its terms.
+    For homogeneous ``gens`` every variable of ``pending`` that then
+    divides no lead leaves it, v included, by ``_uncertified``; for
+    inhomogeneous ones only v leaves, so every variable gets a step.
+    ``budget`` caps the S-pair reductions of each Buchberger run, not
+    counting the pairs that the Hilbert series proves zero.
 
     The basis stays packed from step to step, over one universe (the
-    variables of ``gens`` and ``variables``), and each step repacks it
-    with ``_move_last``.  A step after the first only interreduces its
-    input when the input's leads have the Hilbert series of the ideal,
-    and otherwise prunes its full run by the difference of the two
-    series (the theorems are in ``toric.saturate_generators``).  The
-    ideal's series is read off the previous step's leads, again only
-    when the division changed an element, and never for inhomogeneous
-    ``gens``, which the division keeps no Groebner basis of.  Every
-    series is read in the natural layout, so one memo serves all steps,
-    and from ``_hilbert_numerator``: patched to return None, it turns off
-    the skips and the pruning both.
+    variables of ``gens`` and ``variables``), and each step moves it to
+    its own layout with ``_repack``.  A step after the first only
+    interreduces its input when the input's leads have the Hilbert
+    series of the ideal, and otherwise prunes its full run by the
+    difference of the two series (the theorems are in
+    ``toric.saturate_generators``).  The ideal's series is read off the
+    previous step's leads, again only when the division changed an
+    element, and never for inhomogeneous ``gens``, which the division
+    keeps no Groebner basis of.  Every series is read in the natural
+    layout, so one memo serves all steps, and from
+    ``_hilbert_numerator``: patched to return None, it turns off the
+    skips and the pruning both.
     """
     gens = _checked(gens)
-    if not variables:
+    pending = list(dict.fromkeys(variables))
+    if not pending:
         return list(gens)
-    universe = _universe(gens, variables)
-    rank = {v: len(universe) - 1 - i for i, v in enumerate(universe)}
+    universe = _universe(gens, pending)
+    natural = _Engine(universe, DEGREVLEX)
+    H = natural.H
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
     memo: dict = {}
-    series = prev = gap = None
-    for v in variables:
-        engine = _Engine(universe, TermOrder("degrevlex", last=(v,)))
-        r = rank[v]
-        if prev is None:
-            oriented = [engine.orient(g) for g in gens]
+    series = gap = engine = None
+    while pending:
+        step = _Engine(universe, TermOrder("degrevlex", last=tuple(reversed(pending))))
+        if engine is None:
+            oriented = [step.orient(g) for g in gens]
         else:
-            ra = rank[prev]
+            fields = _field_map(engine, step)
             oriented = [
-                engine.orient_packed((ld, _move_last(lp, ra, r, top)),
-                                     (td, _move_last(tp, ra, r, top)))
+                step.orient_packed((ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))
                 for ld, lp, td, tp in current
             ]
+        engine = step
+        to_natural = _field_map(engine, natural)
         if series is not None:
             leads = _hilbert_numerator(
-                engine, (_natural(b4[1], r, top) for b4, _ in oriented), memo)
+                engine, (_repack(b4[1], to_natural, H) for b4, _ in oriented), memo)
             gap = [a - b for a, b in zip_longest(leads, series, fillvalue=0)]
         if gap is not None and not any(gap):
             elems = [_Elem(engine, b4) for b4, _ in oriented]
@@ -1103,10 +1128,13 @@ def saturate(
                 changed = True
                 ld, lp, td, tp = ld - k, lp - (k << top), td - k, tp - (k << top)
             current.append((ld, lp, td, tp))
-        if homogeneous and (series is None or changed):
+        if not homogeneous:
+            pending = pending[1:]
+            continue
+        if series is None or changed:
             series = _hilbert_numerator(
-                engine, (_natural(b4[1], r, top) for b4 in current), memo)
-        prev = v
+                engine, (_repack(b4[1], to_natural, H) for b4 in current), memo)
+        pending = _uncertified(engine, pending, current)
     return [engine.from_binomial4(b4) for b4 in current]
 
 

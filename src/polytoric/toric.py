@@ -12,11 +12,14 @@ Everything is exact integer arithmetic.  The kernel comes from
 fraction-free column elimination (Hermite-style).  The saturation
 starts from its binomials together with Q, every degree-2 binomial
 u - w whose two sides have the same image, read off the fibers of A
-alone (:func:`_fibers`); see :func:`toric_generators`.  It runs one
-vertex variable at a time (:func:`saturate_generators`).  Every column
-of the matrix has the same sum, so every vector of L has sum 0 and
-every kernel binomial is homogeneous, which is what makes each step a
-saturation (Bayer and Stillman) and what the Hilbert-series checks of
+alone (:func:`_fibers`); see :func:`toric_generators`.  Each step
+saturates by one vertex variable, under an order that puts all the
+variables still uncertified last, and every variable that then divides
+no lead is certified without a step of its own
+(:func:`saturate_generators`).  Every column of the matrix has the same
+sum, so every vector of L has sum 0 and every kernel binomial is
+homogeneous, which is what makes each step a saturation (Bayer and
+Stillman), and what the certificates and the Hilbert-series checks of
 the steps after the first rest on.
 """
 
@@ -241,14 +244,36 @@ def saturate_generators(
     variables: Sequence[Variable],
     budget: int | None = None,
 ) -> list[Binomial]:
-    """Saturate the ideal of ``gens`` with respect to each variable in
-    turn, as a list of binomials; ``budget`` caps the S-pair reductions
-    of each Buchberger run, not counting the pairs the pruning drops.
+    """Saturate the ideal of ``gens`` with respect to every variable of
+    ``variables``, as a list of binomials; ``budget`` caps the S-pair
+    reductions of each Buchberger run, not counting the pairs the
+    pruning drops.
 
-    Step k computes the reduced Groebner basis G_k under degrevlex with
-    v_k last, then divides every element by the largest power of v_k
-    dividing both its terms.  For homogeneous ``gens`` the result is a
-    Groebner basis, for that order, of the ideal saturated by v_k.
+    Steps.  The variables not yet certified are ``pending``, in the
+    given order.  With v = pending[0], step k computes the reduced
+    Groebner basis G_k under degrevlex with ``pending`` last, v lowest,
+    then divides every element by the largest power of v dividing both
+    its terms.  For homogeneous ``gens`` the result is a Groebner basis,
+    for that order, of the ideal saturated by v (Bayer and Stillman: v
+    is the lowest variable of a degrevlex order; which variables sit
+    above it does not matter).  Then every variable of ``pending`` that
+    divides no lead of the divided basis is certified and leaves it.  v
+    always does: a homogeneous binomial whose lead holds v, the lowest
+    variable, holds it in its trail too, and that common power is gone.
+    With inhomogeneous ``gens`` only v leaves, so every variable gets a
+    step of its own.
+
+    Certificates.  (a) If x divides no lead of a Groebner basis of an
+    ideal I, under any term order, then x is a nonzerodivisor on S / I.
+    Take f in normal form, nonzero, with x f in I.  Then x lt(f) is in
+    in(I), which is generated by leads free of x, so lt(f) is in in(I):
+    a contradiction, since no term of a normal form is.  So I : x^inf = I.
+    (b) If I = I : x^inf, then (I : v^inf) : x^inf = I : v^inf: from
+    x^a f in I : v^inf, v^b x^a f is in I, so v^b f is in I : x^inf = I
+    and f is in I : v^inf.  So a certified variable stays certified
+    through the later steps, and the last step ends with an ideal J,
+    between I and I : (prod of the variables)^inf, that every variable
+    is a nonzerodivisor on, which makes J that saturation.
 
     Skip rule.  Let G be the previous step's output and I its ideal.
     Step k is only an interreduction of G when the monomial ideal of
@@ -294,7 +319,7 @@ def toric_generators(
     matrix A alone.  With L = ker_Z A, I(B) <= I(B) + I(Q) <= J_P = I_L,
     and J_P is saturated, so (I(B) + I(Q)) : (prod of all x_v)^infinity
     = J_P (Sturmfels, "Groebner Bases and Convex Polytopes", Lemma 12.2).
-    The saturation by one variable at a time reaches it, and the final
+    ``saturate_generators`` reaches it, and the final
     reduced basis is canonical, so the result does not depend on the
     starting set.  Only the cost does.  On a correct labelling Q is the
     set of inner minors, so when I_P = J_P the first step starts from

@@ -472,9 +472,36 @@ def divide_common_power(g: Binomial, v: Variable) -> Binomial:
 
 
 def saturation_steps_reference(gens, variables):
-    """The saturation loop with a full Buchberger run at every step, over
-    the sparse types: each step's reduced basis (before the common power
-    is divided out) and the loop's output."""
+    """``binom.saturate``'s loop with a full Buchberger run at every step,
+    over the sparse types: each step's reduced basis under degrevlex with
+    the uncertified variables last (before the common power of the lowest
+    one, v, is divided out) and the loop's output.  After the division,
+    for homogeneous ``gens``, every uncertified variable that divides no
+    lead is certified, v among them; otherwise only v is."""
+    steps = []
+    current = list(gens)
+    pending = list(dict.fromkeys(variables))
+    homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
+    while pending:
+        v = pending[0]
+        gb = buchberger(current, TermOrder("degrevlex", last=tuple(reversed(pending))))
+        steps.append(gb.elements)
+        current = [divide_common_power(g, v) for g in gb.elements]
+        if homogeneous:
+            in_leads = {u for g in current for u, _ in g.plus.exps}
+            pending = [u for u in pending if u in in_leads]
+            assert v not in pending, f"{v} divides a lead after its own step"
+        else:
+            pending = pending[1:]
+    return steps, current
+
+
+def saturation_one_variable_reference(gens, variables):
+    """The saturation loop by one variable v at a time, in the given
+    order, over the sparse types: each step's reduced basis under
+    degrevlex with v last (before the common power of v is divided out)
+    and the loop's output.  No variable is certified by the leads, so
+    every variable gets a step."""
     steps = []
     current = list(gens)
     for v in variables:

@@ -31,9 +31,10 @@ from polytoric.binom import (
     _Elem,
     _Engine,
     _divisible,
+    _field_map,
     _gm_update,
     _hilbert_numerator,
-    _move_last,
+    _repack,
     _signed_digits,
     DEGREVLEX,
     LEX,
@@ -613,16 +614,16 @@ def test_hilbert_numerator_deep_pivot_chain():
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_move_last_matches_repacking(data):
+    """``_repack`` moves a monomial between the degrevlex layouts of two
+    arbitrary ``last`` blocks over one universe."""
     n = data.draw(st.integers(min_value=1, max_value=len(ENGINE_POOL)))
     universe = sorted(ENGINE_POOL[:n])
-    a, b = data.draw(st.sampled_from(universe)), data.draw(st.sampled_from(universe))
+    blocks = [tuple(data.draw(st.permutations(universe))[:data.draw(st.integers(0, n))])
+              for _ in range(2)]
     mono = Monomial(zip(universe, data.draw(st.lists(
         st.integers(0, 40), min_size=n, max_size=n))))
-    src = _Engine(universe, TermOrder("degrevlex", last=(a,)))
-    dst = _Engine(universe, TermOrder("degrevlex", last=(b,)))
-    rank = {v: n - 1 - i for i, v in enumerate(universe)}
-    moved = _move_last(src.pack(mono)[1], rank[a], rank[b], 16 * (n - 1))
-    assert moved == dst.pack(mono)[1]
+    src, dst = (_Engine(universe, TermOrder("degrevlex", last=last)) for last in blocks)
+    assert _repack(src.pack(mono)[1], _field_map(src, dst), src.H) == dst.pack(mono)[1]
 
 
 @pytest.mark.parametrize("order", [

@@ -419,17 +419,17 @@ def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):
-    # ``toric_generators``' own start: 63 once the full saturation steps
-    # dropped the pairs that the Hilbert series proves zero, which no
-    # budget counts.
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 63)
+    # ``toric_generators``' own start: 59 since the saturation steps run
+    # under block orders (63 before), with the full steps dropping the
+    # pairs that the Hilbert series proves zero, which no budget counts.
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 59)
 
 
 def test_toric_budget_boundary_with_quadrics_unpruned(tmp_path, capsys, monkeypatch):
-    # 75 with the pruning patched out, as recorded when the quadratic
-    # kernel binomials joined the start.
+    # 77 with the pruning patched out, since the saturation steps run
+    # under block orders (75 before).
     without_pruning(monkeypatch)
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 75)
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 77)
 
 
 @pytest.mark.parametrize("args, message", [

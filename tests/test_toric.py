@@ -21,6 +21,7 @@ from helpers import (
     lattice_toric_basis,
     matrix_csv,
     normalized,
+    saturation_one_variable_reference,
     saturation_steps_reference,
     spairs_per_step,
     without_pruning,
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from polytoric import binom
 from polytoric.binom import (
     DEGREVLEX,
+    TermOrder,
     UNIT,
     ZERO,
     Monomial,
@@ -300,6 +302,14 @@ def sha256(text: str) -> str:
     pytest.param(THICK_FRAME, 144,
                  "b6f76a79c66a7a5a7d5909497840e236e4dee02f971afac09d5942a75259e694",
                  id="THICK_FRAME", marks=pytest.mark.slow),
+    # Frames with a ring two cells wide, recorded before the saturation
+    # ran its steps under block orders.
+    pytest.param(((1, 1), (7, 7), (3, 3), (5, 5)), 216,
+                 "299c090de42f3046b6e9a4c166dd3c46915f35ee0f09da371b2be7da5f563882",
+                 id="WIDE_7X7", marks=pytest.mark.slow),
+    pytest.param(((1, 1), (8, 8), (3, 3), (6, 6)), 300,
+                 "074adc3406f71c12861d50f4cae541e6ccaaf62779d6b3c033d18fa5d2374871",
+                 id="WIDE_8X8", marks=pytest.mark.slow),
 ])
 def test_toric_basis_digest(coords, size, digest):
     basis = toric_generators(build_label_map(cfg_of(coords)))
@@ -370,20 +380,20 @@ def saturation_input(coords, raised=None):
 
 
 # The bases are canonical, so their digests cannot see a change in which
-# S-pairs the engine reduces; these traces can.  Recorded with the eager
-# Gebauer-Moeller update, before the bookkeeping rewrite, and with a full
-# Buchberger run at every saturation step: ``_hilbert_numerator``, the
-# one seam of the Hilbert-series skip rule and pruning, is patched to
-# return None, so no step is skipped or pruned and every step reduces the
-# S-pairs it reduced before steps could be skipped.  The input is
-# ``lattice_kernel``'s basis alone, without the quadratic kernel
-# binomials that ``toric_generators`` adds (pinned further below).
+# S-pairs the engine reduces; these traces can.  Recorded when the
+# saturation steps started to run under block orders and to certify
+# variables by the leads, with a full Buchberger run at every step:
+# ``_hilbert_numerator``, the one seam of the Hilbert-series skip rule
+# and pruning, is patched to return None, so no step is skipped or
+# pruned.  The input is ``lattice_kernel``'s basis alone, without the
+# quadratic kernel binomials that ``toric_generators`` adds (pinned
+# further below).
 @pytest.mark.parametrize("coords, count, digest", [
-    pytest.param(SMALL, 1274,
-                 "f4a03b5a046385b8dd30ac5fc746364293a0cd4a6c3a121f2d60194183cb4da2",
+    pytest.param(SMALL, 954,
+                 "6347fe87c7af546964e2f2e5e59f55c01b112cabed4172f26337f805f30216a4",
                  id="SMALL"),
-    pytest.param(MEDIUM_B, 4678,
-                 "a3304843269e1192c198185b4311609907c47d4c7ba87036bb992fd733d22d90",
+    pytest.param(MEDIUM_B, 3148,
+                 "2a31bf07acc8ebccca4808209afeb79f5f2bb1300b9ceaa89bcf1fdd5a686b82",
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
@@ -393,22 +403,22 @@ def test_spair_trace_toric(monkeypatch, coords, count, digest):
 
 
 # The same traces with the Hilbert-series check on: the skipped steps
-# reduce no S-pair (see test_skipped_steps_leave_the_other_steps_spairs_alone).
-# The unpruned ones were recorded when the check was added, the pruned
-# ones when the full steps started to drop the pairs that the series
-# proves zero (see test_pruning_drops_only_zero_reductions).
+# reduce no S-pair (see test_skipped_steps_leave_the_other_steps_spairs_alone),
+# and the pruned steps drop only pairs that the series proves zero (see
+# test_pruning_drops_only_zero_reductions).  Recorded with the block
+# orders, as above.
 @pytest.mark.parametrize("coords, pruning, count, digest", [
-    pytest.param(SMALL, True, 456,
-                 "5899f65270cc1a12f7d81d181b807a3e8662be8ce6bb0426f3ad75a644e006aa",
+    pytest.param(SMALL, True, 410,
+                 "00017916d6dbb146769a401ba1143f114ccc225ef99d02e4d0406f962a8e8389",
                  id="SMALL"),
-    pytest.param(MEDIUM_B, True, 1346,
-                 "69a7f868884046dd17dc17e6bdc6ed419e3b9d4c2e312306f111e46ce6226481",
+    pytest.param(MEDIUM_B, True, 1229,
+                 "a0b68ef90258802ebdf8e4aca0fa00d13da2c6696e810a8332be848e1c9fcc75",
                  id="MEDIUM_B"),
-    pytest.param(SMALL, False, 543,
-                 "c8ea6009a01533f3b6ffcba4a587f7538a4cb9a9fcf6bb9b062c30de0a95c7ac",
+    pytest.param(SMALL, False, 545,
+                 "59d400e7389bb3d6548b14c7000a9a1c69ed1c5a2afd1f20dae3f226ab75a31c",
                  id="SMALL-unpruned"),
-    pytest.param(MEDIUM_B, False, 1525,
-                 "1c492c4446e21f606b91af0c3fe4d1ed5ec171e63041195bcb8a173a7db1cc5a",
+    pytest.param(MEDIUM_B, False, 1567,
+                 "ce7a73f7700340684f1477f0d0d097740d60b14d43a392e191c8380b660b00e5",
                  id="MEDIUM_B-unpruned"),
 ])
 def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, count, digest):
@@ -420,40 +430,38 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, coun
 
 # ``toric_generators``' own S-pairs, from ``lattice_kernel``'s basis and
 # every quadratic kernel binomial: at every step (the seam patched to
-# return None), with skipped steps, and with skipped and pruned steps.  The
-# first two recorded with the engine from before the pair update filled
-# the occurrence index and the interreduction took element lists, the
-# last when the full steps started to prune.
+# return None), with skipped steps, and with skipped and pruned steps.
+# Recorded with the block orders, as above.
 @pytest.mark.parametrize("coords, mode, count, digest", [
-    pytest.param(SMALL, "every-step", 941,
-                 "ee0210964da9623f3b2d525ae38eaa46dd3fa334fa7bf6c151f58673e422f63e",
+    pytest.param(SMALL, "every-step", 529,
+                 "bbee8fa5c8c47912eb823e2a74438d28d4e9466533790574c2d2495e0e437726",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, "unpruned", 397,
-                 "381b304a192b5496b03f483629cf63352e93c9d6faa56a5e98892ea093d3b4ad",
+    pytest.param(SMALL, "unpruned", 375,
+                 "3b386fb2ac72f5ab50a74e8bb4686c89822ce5b86fd8305f40a9acb53c9405dc",
                  id="SMALL-skips-unpruned"),
-    pytest.param(SMALL, "skips", 293,
-                 "3fe1a15dcfc2e773250ac9a2c64f556c08fe8b810a07e31bdda8d1a626d77044",
+    pytest.param(SMALL, "skips", 245,
+                 "1c6c0a640f22166e0dbeed710aad53d4eded96cbc4161c457ee7a6a795d450f3",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, "every-step", 3257,
-                 "ce8a2646a1e6fe01f79f170956f614589ef34fb67201f35d592780f0f775a991",
+    pytest.param(MEDIUM_B, "every-step", 1579,
+                 "9dfcda3221c243b644b3ede71491d37471c9de43beb1a73997657f3a8547bbee",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, "unpruned", 1017,
-                 "268590566dc4ddf4aa054a6bbdc6cceaec554b677d603d43bfdeef20bd8b36e9",
+    pytest.param(MEDIUM_B, "unpruned", 975,
+                 "164bc1a613afe331d30bf7428dc656e412b0379260086551a3d79b609955c339",
                  id="MEDIUM_B-skips-unpruned"),
-    pytest.param(MEDIUM_B, "skips", 790,
-                 "835d1b333acf0d63239f68d381d800886ef4d61806d70816ccd2c2f0c30dcea4",
+    pytest.param(MEDIUM_B, "skips", 635,
+                 "157586a5e26746a9047891686d2251b0cc889db83c44bee65188ca41c013e25b",
                  id="MEDIUM_B-skips"),
-    pytest.param(FRAME_7X5, "unpruned", 4354,
-                 "05181dfeae2608818dc4d30832d6a4bde672beb066aef3fa402446b721676960",
+    pytest.param(FRAME_7X5, "unpruned", 4058,
+                 "0ba42e9aa82c625bb075abf2218ffff305a980039d3a0754676b8ed0f5318a01",
                  id="FRAME_7X5-skips-unpruned"),
-    pytest.param(FRAME_7X5, "skips", 3142,
-                 "c3265bd41fa9fd950056a2e09501c04d29c4035d43ce0404db4fe1cb20ef7497",
+    pytest.param(FRAME_7X5, "skips", 2245,
+                 "058cbd2d7672bccdfa46c6ebd98b523eeaa06984352289e2a7622b6d751846ff",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, "unpruned", 27742,
-                 "6a39fadcef50eafceea47a8ad488fb79c4ee7b094682af538043c249888ecbe3",
+    pytest.param(THICK_FRAME, "unpruned", 21206,
+                 "ed606e557257d73df590e25d32fc18919a7cde38051f531f31768de9f92417fe",
                  id="THICK_FRAME-skips-unpruned", marks=pytest.mark.slow),
-    pytest.param(THICK_FRAME, "skips", 19389,
-                 "c476ff20b34ee0b1ce770ae977e11cb5d01093a38593f016c52b9cfc0eefdb00",
+    pytest.param(THICK_FRAME, "skips", 10680,
+                 "82a84b49c823441642181758da0a39817c6c224c41d931a0ae6feb8819a348a8",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
@@ -473,16 +481,40 @@ def test_spair_trace_minors_lex(monkeypatch):
         80, "61df7729f60ca38fd3bb566beedf23ad8d68875a23a353d88fbf49b4206d8e8e")
 
 
+def pending_per_step(monkeypatch, run):
+    """The variables still uncertified at each saturation step of
+    ``run()``, the step's own variable first."""
+    seen = []
+    uncertified = binom._uncertified
+
+    def record(engine, pending, basis):
+        seen.append(list(pending))
+        return uncertified(engine, pending, basis)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_uncertified", record)
+        run()
+    return seen
+
+
 @pytest.mark.parametrize("coords", [SMALL, MEDIUM_B], ids=["SMALL", "MEDIUM_B"])
 def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
     """With the pruning patched out, a step reduces either no S-pair
-    (skipped) or the S-pairs it reduces when no step is skipped."""
+    (skipped) or the S-pairs it reduces when no step is skipped.  Both
+    runs take the same steps, by the same variables: a step's reduced
+    basis, which certifies the variables, is the same skipped or run."""
     lm = build_label_map(cfg_of(coords))
     without_pruning(monkeypatch)
-    with_skips = spairs_per_step(monkeypatch, lambda: toric_generators(lm))
+
+    def run():
+        return toric_generators(lm)
+
+    with_skips = spairs_per_step(monkeypatch, run)
+    pending = pending_per_step(monkeypatch, run)
     monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
-    without = spairs_per_step(monkeypatch, lambda: toric_generators(lm))
-    assert len(with_skips) == len(without)
+    without = spairs_per_step(monkeypatch, run)
+    assert pending_per_step(monkeypatch, run) == pending
+    assert len(with_skips) == len(without) == len(pending) + 1
     skipped = [k for k, (a, b) in enumerate(zip(with_skips, without)) if a != b]
     assert skipped and all(with_skips[k] == [] for k in skipped)
 
@@ -521,13 +553,20 @@ def reductions_per_step(monkeypatch, run):
 def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
     """Each pruned step reduces the pairs of the unpruned step, in the
     same order, minus some pairs of its lowest degree, and every pair it
-    drops reduces to zero in the unpruned step."""
+    drops reduces to zero in the unpruned step.  Both runs take the same
+    steps, by the same variables."""
     lm = build_label_map(cfg_of(coords))
-    pruned = reductions_per_step(monkeypatch, lambda: toric_generators(lm))
+
+    def run():
+        return toric_generators(lm)
+
+    pruned = reductions_per_step(monkeypatch, run)
+    pending = pending_per_step(monkeypatch, run)
     with monkeypatch.context() as m:
         without_pruning(m)
-        full = reductions_per_step(m, lambda: toric_generators(lm))
-    assert len(pruned) == len(full)
+        full = reductions_per_step(m, run)
+        assert pending_per_step(m, run) == pending
+    assert len(pruned) == len(full) == len(pending) + 1
     dropped = []
     for kept, every in zip(pruned, full):
         rest = iter(every)
@@ -543,13 +582,15 @@ def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
     assert all(pair[0] == d0 and not pair[3] for pair, d0 in dropped)
 
 
-def recorded_saturation(monkeypatch, gens, variables):
+def recorded_saturation(monkeypatch, gens, variables, certified=None):
     """``saturate_generators``'s output, each step's reduced basis (the
     output of its one interreduction, skipped step or full run), and the
-    number of full Buchberger runs."""
+    number of full Buchberger runs.  ``certified``, when given, gets one
+    (pending, still pending, divided basis) triple per call of
+    ``binom._uncertified``, the basis as binomials."""
     steps = []
     runs = []
-    interreduce, run = binom._interreduce, binom._run_buchberger
+    interreduce, run, uncertified = binom._interreduce, binom._run_buchberger, binom._uncertified
 
     def record_step(engine, elems, prov, track):
         out = interreduce(engine, elems, prov, track)
@@ -560,9 +601,17 @@ def recorded_saturation(monkeypatch, gens, variables):
         runs.append(None)
         return run(*args)
 
+    def record_certified(engine, pending, basis):
+        kept = uncertified(engine, pending, basis)
+        if certified is not None:
+            certified.append((list(pending), kept,
+                              [engine.from_binomial4(b4) for b4 in basis]))
+        return kept
+
     with monkeypatch.context() as m:
         m.setattr(binom, "_interreduce", record_step)
         m.setattr(binom, "_run_buchberger", count_run)
+        m.setattr(binom, "_uncertified", record_certified)
         out = saturate_generators(gens, variables)
     return out, steps, len(runs)
 
@@ -591,18 +640,95 @@ def test_saturation_steps_match_full_runs(monkeypatch, coords, raised):
     assert out == ref_out
 
 
-# Full Buchberger runs among the saturation steps, recorded when the
-# Hilbert-series check was added; the first step always runs.
-@pytest.mark.parametrize("coords, runs", [
-    pytest.param(SMALL, 5, id="SMALL"),
-    pytest.param(MEDIUM_B, 5, id="MEDIUM_B"),
-    pytest.param(FRAME_7X5, 7, id="FRAME_7X5"),
+# Full Buchberger runs and skipped steps of the saturation, recorded when
+# the steps started to run under block orders and to certify by the
+# leads; the first step always runs.
+@pytest.mark.parametrize("coords, runs, skips", [
+    pytest.param(SMALL, 5, 6, id="SMALL"),
+    pytest.param(MEDIUM_B, 5, 9, id="MEDIUM_B"),
+    pytest.param(FRAME_7X5, 7, 10, id="FRAME_7X5"),
 ])
-def test_saturation_skips_steps(monkeypatch, coords, runs):
+def test_saturation_skips_steps(monkeypatch, coords, runs, skips):
     gens, variables = saturation_input(coords)
     _, steps, got = recorded_saturation(monkeypatch, gens, variables)
+    assert (got, len(steps) - got) == (runs, skips)
+    assert len(steps) < len(variables)
+
+
+@pytest.mark.parametrize("coords, raised", [
+    pytest.param(SMALL, None, id="SMALL"),
+    pytest.param(SMALL, GridPoint(1, 1), id="SMALL-raised"),
+    pytest.param(MEDIUM_B, None, id="MEDIUM_B"),
+])
+def test_saturation_by_one_variable_per_step_keeps_the_bases(monkeypatch, coords, raised):
+    """With ``_uncertified`` patched to certify only the step's own
+    variable, every variable gets a step of its own, lowest in its order,
+    and the output and ``toric_generators``' basis stay the same."""
+    gens, variables = saturation_input(coords, raised)
+    out = saturate_generators(gens, variables)
+    lm = build_label_map(cfg_of(coords))
+    if raised is not None:
+        lm = lm.with_label(raised, lm.labels[raised] + 1)
+    basis = toric_generators(lm)
+    monkeypatch.setattr(binom, "_uncertified", lambda engine, pending, basis: pending[1:])
+    certified = []
+    one_by_one, steps, _ = recorded_saturation(monkeypatch, gens, variables, certified)
     assert len(steps) == len(variables)
-    assert got == runs
+    assert [pending[0] for pending, _, _ in certified] == variables
+    assert one_by_one == saturation_one_variable_reference(gens, variables)[1]
+    assert buchberger(one_by_one).elements == buchberger(out).elements
+    assert toric_generators(lm) == basis
+
+
+@pytest.mark.parametrize("coords, raised", [
+    pytest.param(SMALL, None, id="SMALL"),
+    pytest.param(SMALL, GridPoint(1, 1), id="SMALL-raised"),
+    pytest.param(MEDIUM_B, None, id="MEDIUM_B"),
+])
+def test_certified_variables_are_nonzerodivisors(monkeypatch, coords, raised):
+    """Every variable u certified without a step of its own passes the
+    Bayer-Stillman test on the basis it was certified by: under
+    degrevlex with u last, no element of the reduced basis has u in both
+    terms, so u is a nonzerodivisor modulo the ideal."""
+    gens, variables = saturation_input(coords, raised)
+    certified = []
+    _, steps, _ = recorded_saturation(monkeypatch, gens, variables, certified)
+    assert len(certified) == len(steps)
+    checked = 0
+    for pending, kept, basis in certified:
+        for u in pending[1:]:
+            if u in kept:
+                continue
+            checked += 1
+            gb = buchberger(basis, TermOrder("degrevlex", last=(u,)))
+            assert not any(exponent(g.plus, u) and exponent(g.minus, u)
+                           for g in gb.elements), u
+    assert checked == len(variables) - len(steps)
+
+
+@pytest.mark.parametrize("coords", [
+    pytest.param(SMALL, id="SMALL"),
+    pytest.param(MEDIUM_B, id="MEDIUM_B", marks=pytest.mark.slow),
+])
+def test_one_variable_reference_matches_toric_generators_on_mutations(coords):
+    """On every labelling with one label moved by 1 (to 1 or more), the
+    saturation by one variable at a time from ``lattice_kernel``'s basis,
+    over the sparse types, then a degrevlex run, gives the basis that
+    ``toric_generators`` gives."""
+    lm = build_label_map(cfg_of(coords))
+    mutations = 0
+    for v in lm.points():
+        for value in (lm.labels[v] - 1, lm.labels[v] + 1):
+            if value < 1:
+                continue
+            bad = lm.with_label(v, value)
+            matrix = build_matrix(bad)
+            gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
+            variables = [vertex_var(p) for p in matrix.cols]
+            _, out = saturation_one_variable_reference(gens, variables)
+            assert list(buchberger(out, DEGREVLEX).elements) == toric_generators(bad), (v, value)
+            mutations += 1
+    assert mutations > len(lm.points())
 
 
 def test_saturation_of_inhomogeneous_input_runs_every_step(monkeypatch):
