@@ -1068,8 +1068,8 @@ def saturate(
     Groebner basis under degrevlex with ``pending`` last, v lowest and
     the others just above it in their natural priority, then divides
     every element by the largest power of v dividing both its terms.
-    For homogeneous ``gens`` every variable of ``pending`` that then
-    divides no lead leaves it, v included, by ``_uncertified``; for
+    For homogeneous ``gens``, v and every other variable of ``pending``
+    that then divides no lead leave it (``_uncertified``); for
     inhomogeneous ones only v leaves, so every variable gets a step.
     ``budget`` caps the S-pair reductions of each Buchberger run, not
     counting the pairs that the Hilbert series proves zero.
