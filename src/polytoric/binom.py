@@ -27,30 +27,42 @@ from typing import Iterable, Sequence, Union
 from .errors import ParseError, ResourceBudgetExceeded
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Variable(tuple):
     """A ring variable: vertex variable x[i,j] or target variable r/s/t[i].
 
-    Variables compare by their fields in order, kind first ("r" < "s" <
-    "t" < "x"), then i, then j.  That order fixes the order of a monomial's
-    factors and of every engine universe, so the packed layout, and with
-    it every basis, depends on the field order.
+    A variable is the tuple (kind, i, j), with j = 0 for r, s and t, and
+    it hashes, compares and sorts as that tuple, all in C: kind first
+    ("r" < "s" < "t" < "x"), then i, then j.  That order fixes the order
+    of a monomial's factors and of every engine universe, so the packed
+    layout, and with it every basis, depends on the field order.  Being
+    a tuple, a variable also equals the plain tuple of its fields; no
+    code here compares the two.
     """
 
-    kind: str
-    i: int
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("r", "s", "t", "x"):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.i < 0 or self.j < 0:
+    def __new__(cls, kind: str, i: int, j: int = 0):
+        if kind not in ("r", "s", "t", "x"):
+            raise ValueError(f"unknown variable kind {kind!r}")
+        if i < 0 or j < 0:
             raise ValueError("variable indices must be non-negative")
+        return tuple.__new__(cls, (kind, i, j))
+
+    kind = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __str__(self) -> str:
-        if self.kind == "x":
-            return f"x[{self.i},{self.j}]"
-        return f"{self.kind}[{self.i}]"
+        kind, i, j = self
+        if kind == "x":
+            return f"x[{i},{j}]"
+        return f"{kind}[{i}]"
+
+    def __repr__(self) -> str:
+        return "Variable(kind={!r}, i={!r}, j={!r})".format(*self)
 
 
 def vertex_var(point) -> Variable:
@@ -417,7 +429,9 @@ class _Basis:
     included, so the elements whose lead divides t lie in the buckets of
     t's set bits.  Each bucket is sorted by reducer key: ``sort_key`` of
     the lead, then the element index.  The same buckets give the later
-    leads that criterion B tests when a pair is popped (``dominated``).
+    leads that criterion B tests (``dominated``) on a popped pair whose
+    lcm degree is at least ``min_ld + 2``, ``min_ld`` being the smallest
+    lead degree held; no other pair can meet it.
 
     The occurrence index lists, for each variable (its guard bit), the
     indices of the elements whose lead holds it, ascending.  The elements
@@ -437,9 +451,13 @@ class _Basis:
         self.buckets: dict[int, list[tuple]] = {}
         # guard bit -> ascending indices of the leads holding it
         self.occurs: dict[int, list[int]] = {}
+        # smallest lead degree held, the bound of criterion B
+        self.min_ld = _DEGREE_CAP
 
     def append(self, e: _Elem, prov) -> int:
         idx = len(self.elems)
+        if e.ld < self.min_ld:
+            self.min_ld = e.ld
         self.elems.append(e)
         self.prov.append(prov)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
@@ -470,7 +488,13 @@ class _Basis:
     def dominated(self, i: int, j: int, lpk: int) -> bool:
         """Gebauer-Moeller criterion B for the pair (i, j) with lcm
         ``lpk``: some element m > j has a lead dividing the lcm, and
-        lcm(i, m) and lcm(j, m) both differ from it."""
+        lcm(i, m) and lcm(j, m) both differ from it.
+
+        It can only hold when deg L >= ``min_ld`` + 2, L = ``lpk``.  If m
+        meets it, A = lcm(i, m) and B = lcm(j, m) are proper divisors of
+        L, lcm(A, B) = L, and lead m divides gcd(A, B).  Since deg A +
+        deg B = deg lcm(A, B) + deg gcd(A, B), deg L + deg lead m <=
+        2 (deg L - 1), so deg lead m <= deg L - 2, for any order."""
         engine = self.engine
         H = engine.H
         li, lj = self.elems[i].lp, self.elems[j].lp
@@ -688,6 +712,12 @@ def _run_buchberger(engine: _Engine, oriented, budget, track, gap=None):
     testing each new element against every queued pair would.  A pair
     dropped there does not count against ``budget``.
 
+    The test is skipped when the lcm degree d is below ``basis.min_ld``
+    + 2, where it cannot hold.  If m drops the pair with lcm L, then
+    A = lcm(i, m) and B = lcm(j, m) are proper divisors of L with
+    lcm(A, B) = L and lead m dividing gcd(A, B); deg A + deg B =
+    deg L + deg gcd(A, B) gives deg lead m <= deg L - 2.
+
     ``gap``, when given, lists the Hilbert numerator of the generators'
     leads minus that of their ideal (see ``saturate``).  It gives the
     deficit HF_leads(d0) - HF_ideal(d0) at the lowest lcm degree d0
@@ -711,7 +741,7 @@ def _run_buchberger(engine: _Engine, oriented, budget, track, gap=None):
             deficit = None
             continue
         d, i, j, lpk = heappop(heap)
-        if basis.dominated(i, j, lpk):
+        if d >= basis.min_ld + 2 and basis.dominated(i, j, lpk):
             continue
         reductions += 1
         if budget is not None and reductions > budget:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -769,6 +771,65 @@ def test_gm_update_coprime_lead_check():
     assert [(i, j) for _, i, j, _ in heap] == [(0, 1)]
 
 
+# Leads of degree 1 to 4 over four variables: enough overlap that
+# criterion B holds for many pairs.
+BOUND_POOL = ENGINE_POOL[:4]
+bound_leads = st.builds(
+    lambda exps: Monomial(zip(BOUND_POOL, exps)),
+    st.lists(st.integers(min_value=0, max_value=2),
+             min_size=len(BOUND_POOL), max_size=len(BOUND_POOL)),
+).filter(lambda m: 1 <= m.degree <= 4)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+@given(leads=st.lists(bound_leads, min_size=2, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_criterion_b_needs_lcm_degree_two_above_the_lowest_lead(order, leads):
+    """``dominated``, called on every pair with no degree guard, agrees
+    with criterion B read off the sparse leads, and holds only for lcm
+    degrees of at least ``min_ld`` + 2, the bound ``_run_buchberger``
+    tests before it calls it."""
+    engine = _Engine(BOUND_POOL, order)
+    basis = _Basis(engine)
+    for lead in leads:
+        deg, packed = engine.pack(lead)
+        basis.append(_Elem(engine, (deg, packed, 0, 0)), None)
+    assert basis.min_ld == min(lead.degree for lead in leads)
+    for j in range(len(leads)):
+        for i in range(j):
+            big = lcm(leads[i], leads[j])
+            expected = any(
+                divides(leads[m], big) and lcm(leads[i], leads[m]) != big
+                and lcm(leads[j], leads[m]) != big
+                for m in range(j + 1, len(leads)))
+            deg, lpk = engine.lcm(basis.elems[i].lp, basis.elems[j].lp)
+            assert basis.dominated(i, j, lpk) == expected
+            if expected:
+                assert deg >= basis.min_ld + 2
+
+
+def test_criterion_b_fires_at_the_degree_bound(monkeypatch):
+    """The bound is tight.  Under degrevlex the leads are x4*x5, x2*x5
+    and x5.  Their first pair (lcm degree 3) waits while the linear lead
+    x5 joins, and criterion B drops it through that lead, at lcm degree
+    exactly ``min_ld`` + 2.  A higher guard in ``_run_buchberger`` would
+    reduce that pair."""
+    seen = []
+    real = _Basis.dominated
+
+    def spy(basis, i, j, lpk):
+        hit = real(basis, i, j, lpk)
+        seen.append((i, j, lpk % 0xFFFF - basis.min_ld, hit))
+        return hit
+
+    monkeypatch.setattr(_Basis, "dominated", spy)
+    gens = [bino((1, 2), (4, 5)), bino((1, 4), (2, 5)), bino((5,), (3,))]
+    assert [normalized(g, DEGREVLEX).plus for g in gens] == [
+        mono(4, 5), mono(2, 5), mono(5)]
+    buchberger(gens)
+    assert (0, 1, 2, True) in seen
+
+
 # -- packed basis memo ---------------------------------------------------------
 
 
@@ -949,3 +1010,38 @@ def test_variable_order_is_the_rank_order(vs, data):
     by_v = dict(exps)
     assert Monomial([(v, by_v[v]) for v in shuffled]).exps == tuple(
         sorted(exps, key=lambda p: variable_sort_key(p[0])))
+
+
+@given(vs=st.lists(variables, min_size=1, max_size=12))
+def test_variable_is_a_value_type(vs):
+    """A variable is the tuple (kind, i, j): it hashes and sorts as that
+    tuple, prints as before, refuses bad fields and assignment, holds no
+    per-instance dict, and survives pickle and deepcopy."""
+    from polytoric.grid import GridPoint
+
+    fields = [(v.kind, v.i, v.j) for v in vs]
+    assert [hash(v) for v in vs] == [hash(f) for f in fields]
+    assert sorted(vs) == [Variable(*f) for f in sorted(fields)]
+    restored = pickle.loads(pickle.dumps(vs))
+    assert restored == vs and all(type(v) is Variable for v in restored)
+    assert copy.deepcopy(vs) == vs
+    v = vs[0]
+    assert repr(v) == f"Variable(kind={v.kind!r}, i={v.i!r}, j={v.j!r})"
+    assert str(v) == (f"x[{v.i},{v.j}]" if v.kind == "x" else f"{v.kind}[{v.i}]")
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(AttributeError):
+        v.kind = "x"
+    with pytest.raises(AttributeError):
+        v.weight = 1
+    assert v != GridPoint(v.i, v.j) and GridPoint(v.i, v.j) != v
+
+
+def test_variable_repr_and_field_checks():
+    assert repr(vertex_var((1, 2))) == "Variable(kind='x', i=1, j=2)"
+    assert repr(r_var(3)) == "Variable(kind='r', i=3, j=0)"
+    assert str(Variable(kind="s", i=4)) == "s[4]"
+    with pytest.raises(ValueError, match="unknown variable kind"):
+        Variable("y", 1)
+    for i, j in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            Variable("x", i, j)
