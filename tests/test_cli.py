@@ -273,6 +273,19 @@ def test_certify_garbage_exit_2(tmp_path, capsys):
                  "x[9,9]*x[1,1] - x[1,9]*x[9,1]"]) == 2
 
 
+# Messages that print a grid point, pinned in full.
+@pytest.mark.parametrize("coords, args, message", [
+    (SMALL, ["certify", "x[9,9]*x[1,1] - x[1,9]*x[9,1]"],
+     "error: (9, 9) is not a vertex\n"),
+    (((2, 2), (4, 4), (1, 1), (3, 3)), ["verify"],
+     "error: need strict chain a < a' < b' < b, got (2, 2) (1, 1) (3, 3) (4, 4)\n"),
+], ids=["certify_outside_vertex", "verify_broken_chain"])
+def test_point_messages_pinned(tmp_path, capsys, coords, args, message):
+    path = write_instance(tmp_path, coords)
+    assert main([args[0], "--instance", path, *args[1:]]) == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("power", [2100, 40000])  # both past the degree cap
 def test_certify_beyond_engine_scale_exit_3(tmp_path, capsys, power):
     path = write_instance(tmp_path, SMALL)

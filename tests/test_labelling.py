@@ -208,3 +208,15 @@ def test_with_label_mutation_hook():
     assert lm.labels[GridPoint(2, 2)] == 1
     with pytest.raises(VertexOutsidePolyomino):
         lm.with_label(GridPoint(9, 9), 1)
+
+
+def test_point_messages_pinned():
+    cfg = cfg_of(SMALL)
+    with pytest.raises(VertexOutsidePolyomino) as err:
+        label(cfg, GridPoint(9, 9))
+    assert str(err.value) == (
+        "(9, 9) is not a vertex of the polyomino of ((1, 1), (4, 4), (2, 2), (3, 3))"
+    )
+    with pytest.raises(VertexOutsidePolyomino) as err:
+        build_label_map(cfg).with_label(GridPoint(9, 9), 1)
+    assert str(err.value) == "(9, 9) is not a vertex"
