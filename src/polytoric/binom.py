@@ -66,11 +66,8 @@ class Variable(tuple):
 
 
 def vertex_var(point) -> Variable:
-    """Vertex variable for a grid point (anything with .x/.y or a pair)."""
-    if hasattr(point, "x"):
-        return Variable("x", point.x, point.y)
-    x, y = point
-    return Variable("x", x, y)
+    """Vertex variable for a grid point or a plain (x, y) pair."""
+    return Variable("x", *point)
 
 
 def r_var(i: int) -> Variable:
@@ -106,16 +103,6 @@ class Monomial:
                 items.append((v, e))
         object.__setattr__(self, "exps", tuple(items))
         object.__setattr__(self, "_hash", hash(self.exps))
-
-    @classmethod
-    def _from_sorted(cls, exps: tuple[tuple[Variable, int], ...]) -> "Monomial":
-        """``Monomial(exps)`` for pairs already in strictly ascending
-        variable order with positive exponents, without the sort and the
-        merge; the caller vouches for the order."""
-        mono = object.__new__(cls)
-        object.__setattr__(mono, "exps", exps)
-        object.__setattr__(mono, "_hash", hash(exps))
-        return mono
 
     def __setattr__(self, *_):
         raise AttributeError("Monomial is immutable")
@@ -367,7 +354,7 @@ class _Engine:
             e = (packed >> self.shift[i]) & _FMASK
             if e:
                 pairs.append((v, e))
-        return Monomial._from_sorted(tuple(pairs))
+        return Monomial(pairs)
 
     def mask_of(self, packed: int) -> int:
         return ((packed | self.H) - self.ONES) & self.H
@@ -606,10 +593,11 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
     quotient of lower degree divides it, and never queued when its
     partner's lead is coprime to lmf.  A quotient of degree 1 is a
     single variable: the kept ones are folded into one union mask, and a
-    later quotient meeting it is dropped with one AND.  Only quotients
-    of degree 0 or 2+ are scanned, and only by quotients of a higher
-    degree.  Candidates are taken by (lcm degree, packed lcm), one pair
-    per lcm, from the smallest partner index.
+    later quotient meeting it is dropped with one AND.  Only the kept
+    quotients of degree 0 or 2+ are scanned; one of the same degree as
+    the candidate is a distinct quotient and cannot divide it.
+    Candidates are taken by (lcm degree, packed lcm), one pair per lcm,
+    from the smallest partner index.
 
     Only the partners that share a variable with lmf, read from the
     occurrence index, get a quotient; the same pass lists the new
@@ -651,23 +639,15 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
         guards = diff & H
         first.setdefault((diff & ((guards >> (_FIELD - 1)) * _FMASK)) ^ guards, i)
     union = 0
-    # Kept quotients of degree 0 or 2+: those below the current degree,
-    # and those of it, which cannot divide a distinct quotient of the
-    # same degree and join the scan at the next degree.
-    lower: list[int] = []
-    level: list[int] = []
-    level_deg = 0
+    kept: list[int] = []
     for qdeg, q in sorted((q % _FMASK, q) for q in first):
-        if qdeg != level_deg:
-            lower += level
-            level, level_deg = [], qdeg
         qmask = ((q | H) - ONES) & H
-        if qmask & union or any(((q | H) - k) & H == H for k in lower):
+        if qmask & union or any(((q | H) - k) & H == H for k in kept):
             continue
         if qdeg == 1:
             union |= qmask
         else:
-            level.append(q)
+            kept.append(q)
         if basis.find_reducer(qdeg, q, qmask) < 0:
             heappush(heap, (new_elem.ld + qdeg, first[q], m, lmf + q))
     basis.append(new_elem, prov)
@@ -817,21 +797,19 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
     shared generators to its packed K, for nodes of at most
     ``_MEMO_SIZE`` generators.  K does not change when variables are
     renamed, and a packed set read in another layout of one universe is
-    that renaming, so one memo serves every layout of the universe.
+    that renaming, so one memo serves every layout of the universe;
+    ``saturate`` reads each step's series in that step's layout.
     """
     H, ONES = engine.H, engine.ONES
     shift = _FIELD - 1
-    # Minimal generators, in degree order.  The kept linear ones are one
-    # union mask; the others are bucketed by their lowest variable, and
-    # p scans only the buckets of its own variables.  The unit monomial
-    # (mask 0) stays, isolated, and its factor 1 - t^0 makes K zero.
+    # Minimal generators, in degree order, bucketed by their lowest
+    # variable: p scans only the buckets of its own variables.  The unit
+    # monomial (mask 0) stays, isolated, and its factor 1 - t^0 makes K
+    # zero.
     minimal: list[tuple[int, int]] = []
     buckets: dict[int, list[tuple[int, int]]] = {}
-    linear = 0
-    for d, p in sorted((p % _FMASK, p) for p in set(leads)):
+    for _, p in sorted((p % _FMASK, p) for p in set(leads)):
         mask = ((p | H) - ONES) & H
-        if mask & linear:
-            continue
         rest = mask
         while rest:
             low = rest & -rest
@@ -840,10 +818,7 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
                 break
         else:
             minimal.append((p, mask))
-            if d == 1:
-                linear |= mask
-            else:
-                buckets.setdefault(mask & -mask, []).append((p, mask))
+            buckets.setdefault(mask & -mask, []).append((p, mask))
     w = len(minimal) + 2
     table = memo.setdefault(w, {})
     # A task is a generator list to evaluate, or a combine step
@@ -1113,18 +1088,16 @@ def saturate(
     ``toric.saturate_generators``).  The ideal's series is read off the
     previous step's leads, again only when the division changed an
     element, and never for inhomogeneous ``gens``, which the division
-    keeps no Groebner basis of.  Every series is read in the natural
-    layout, so one memo serves all steps, and from
-    ``_hilbert_numerator``: patched to return None, it turns off the
-    skips and the pruning both.
+    keeps no Groebner basis of.  Every series is read from
+    ``_hilbert_numerator``, each in its step's layout, with one memo for
+    all steps; patched to return None, it turns off the skips and the
+    pruning both.
     """
     gens = _checked(gens)
     pending = list(dict.fromkeys(variables))
     if not pending:
         return list(gens)
     universe = _universe(gens, pending)
-    natural = _Engine(universe, DEGREVLEX)
-    H = natural.H
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
     memo: dict = {}
@@ -1134,16 +1107,15 @@ def saturate(
         if engine is None:
             oriented = [step.orient(g) for g in gens]
         else:
-            fields = _field_map(engine, step)
+            # Every layout of one universe has the same guard bits.
+            fields, H = _field_map(engine, step), step.H
             oriented = [
                 step.orient_packed((ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))
                 for ld, lp, td, tp in current
             ]
         engine = step
-        to_natural = _field_map(engine, natural)
         if series is not None:
-            leads = _hilbert_numerator(
-                engine, (_repack(b4[1], to_natural, H) for b4, _ in oriented), memo)
+            leads = _hilbert_numerator(engine, (b4[1] for b4, _ in oriented), memo)
             gap = [a - b for a, b in zip_longest(leads, series, fillvalue=0)]
         if gap is not None and not any(gap):
             elems = [_Elem(engine, b4) for b4, _ in oriented]
@@ -1162,8 +1134,7 @@ def saturate(
             pending = pending[1:]
             continue
         if series is None or changed:
-            series = _hilbert_numerator(
-                engine, (_repack(b4[1], to_natural, H) for b4 in current), memo)
+            series = _hilbert_numerator(engine, (b4[1] for b4 in current), memo)
         pending = _uncertified(engine, pending, current)
     return [engine.from_binomial4(b4) for b4 in current]
 

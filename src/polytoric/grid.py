@@ -1,30 +1,44 @@
 """Lattice geometry: cells, intervals, polyominoes, inner intervals.
 
-Points live in the non-negative quadrant and are never translated; a
-cell is identified by its lower-left corner.  A polyomino is a finite
-edge-connected set of cells; the rectangle-difference constructor
-removes the cells of an inner rectangle from an outer one.
+Points live in the non-negative quadrant, are never translated and
+sort as (x, y) pairs; a cell is identified by its lower-left corner.  A
+polyomino is a finite edge-connected set of cells; the rectangle-
+difference constructor removes the cells of an inner rectangle from an
+outer one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .binom import Binomial, Monomial, vertex_var
 from .errors import ConfigInvalid, DegenerateInterval, EmptyCollection
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """A lattice point; ordered componentwise, not lexicographically."""
+class GridPoint(tuple):
+    """A lattice point: the pair (x, y), both non-negative.
 
-    x: int
-    y: int
+    It hashes, compares and sorts as that pair, in C: ``<`` and
+    ``sorted`` give the (x, y) order of the vertex variables
+    (``vertex_var``), while ``leq`` and ``lt`` stay the componentwise
+    order of interval corners and chains.  A point equals the plain
+    pair (x, y) and prints as it.
+    """
 
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0:
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int):
+        if x < 0 or y < 0:
             raise ValueError("grid points have non-negative coordinates")
+        return tuple.__new__(cls, (x, y))
+
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def leq(self, other: "GridPoint") -> bool:
         return self.x <= other.x and self.y <= other.y
@@ -34,14 +48,6 @@ class GridPoint:
 
     def shifted(self, dx: int, dy: int) -> "GridPoint":
         return GridPoint(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
-
-def point_key(p: GridPoint) -> tuple[int, int]:
-    """Canonical sort key for grid points: (x, y)."""
-    return (p.x, p.y)
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,7 @@ class RectDiffConfig:
             if not lo.lt(hi):
                 raise ConfigInvalid(
                     f"need strict chain a < a' < b' < b, got "
-                    f"{self.a.as_tuple()} {self.a_inner.as_tuple()} "
-                    f"{self.b_inner.as_tuple()} {self.b.as_tuple()}"
+                    f"{self.a} {self.a_inner} {self.b_inner} {self.b}"
                 )
         width, height = self.b.x - self.a.x, self.b.y - self.a.y
         if max(width, height) > MAX_SIDE:
@@ -160,12 +165,7 @@ class RectDiffConfig:
         return GridInterval(self.a_inner, self.b_inner)
 
     def as_tuples(self):
-        return (
-            self.a.as_tuple(),
-            self.b.as_tuple(),
-            self.a_inner.as_tuple(),
-            self.b_inner.as_tuple(),
-        )
+        return (self.a, self.b, self.a_inner, self.b_inner)
 
     def to_json_dict(self) -> dict:
         """The instance in the JSON form that instance files use."""

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import VertexOutsidePolyomino
-from .grid import GridPoint, RectDiffConfig, build_rect_diff, point_key
+from .grid import GridPoint, RectDiffConfig, build_rect_diff
 
 # One row per region: (name, membership by the raw inequalities, label
 # formula).
@@ -84,12 +84,12 @@ class LabelMap:
             raise ValueError("the four hole corners already produce labels 1 and 2")
 
     def points(self) -> list[GridPoint]:
-        return sorted(self.labels, key=point_key)
+        return sorted(self.labels)
 
     def with_label(self, v: GridPoint, value: int) -> "LabelMap":
         """Copy with one label overridden (mutation-testing hook)."""
         if v not in self.labels:
-            raise VertexOutsidePolyomino(f"{v.as_tuple()} is not a vertex")
+            raise VertexOutsidePolyomino(f"{v} is not a vertex")
         labels = dict(self.labels)
         labels[v] = value
         return LabelMap(self.cfg, labels, max(labels.values()))
@@ -103,14 +103,14 @@ def label(cfg: RectDiffConfig, v: GridPoint) -> int:
         if matched:
             return matched[0][1]
     raise VertexOutsidePolyomino(
-        f"{v.as_tuple()} is not a vertex of the polyomino of {cfg.as_tuples()}"
+        f"{v} is not a vertex of the polyomino of {cfg.as_tuples()}"
     )
 
 
 def build_label_map(cfg: RectDiffConfig) -> LabelMap:
     """Label every vertex; max_label is the attained maximum."""
     labels = {}
-    for v in sorted(build_rect_diff(cfg).vertex_set(), key=point_key):
+    for v in sorted(build_rect_diff(cfg).vertex_set()):
         labels[v] = label(cfg, v)
     return LabelMap(cfg, labels, max(labels.values()))
 

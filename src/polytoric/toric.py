@@ -90,7 +90,7 @@ def phi_image(m: Monomial, lm: LabelMap) -> Monomial:
             raise VertexOutsidePolyomino(f"{v} is not a vertex variable")
         p = GridPoint(v.i, v.j)
         if p not in lm.labels:
-            raise VertexOutsidePolyomino(f"{p.as_tuple()} is not a vertex")
+            raise VertexOutsidePolyomino(f"{p} is not a vertex")
         image += [(r_var(p.x), e), (s_var(p.y), e), (t_var(lm.labels[p]), e)]
     return Monomial(image)
 
@@ -169,14 +169,13 @@ def _multiset_text(kind: str, values: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def _fibers(lm: LabelMap, deg: int, items: Sequence | None = None) -> dict[tuple, list[tuple]]:
+def _fibers(lm: LabelMap, deg: int) -> dict[tuple, list[tuple]]:
     """The vertex monomials of degree ``deg`` that share their image with
     another, grouped by image.  The monomials come from
     ``combinations_with_replacement`` over the points in (x, y) order,
-    each as the tuple of its points, or with ``items`` as the tuple of
-    the entries of ``items`` at its points' positions.  The members of a
-    group keep the enumeration order, and the groups come in the order of
-    their first members.
+    each as the tuple of its points.  The members of a group keep the
+    enumeration order, and the groups come in the order of their first
+    members.
 
     A monomial's image is fixed by the sorted x, y and label multisets of
     its points, and that triple of tuples is the group's key in the
@@ -206,7 +205,7 @@ def _fibers(lm: LabelMap, deg: int, items: Sequence | None = None) -> dict[tuple
     groups: dict[int, list[tuple]] = {}
     for key, combo in zip(
         map(sum, combinations_with_replacement(codes, deg)),
-        combinations_with_replacement(points if items is None else items, deg),
+        combinations_with_replacement(points, deg),
     ):
         groups.setdefault(key, []).append(combo)
     count = (1 << width) - 1
@@ -224,17 +223,11 @@ def _fiber_binomials(lm: LabelMap, deg: int) -> list[Binomial]:
     """Every binomial u - w with deg u = deg w = ``deg`` and equal images,
     one per pair u, w inside a fiber of ``_fibers``: the fibers sorted by
     the text of their image, the pairs in enumeration order."""
-    # Ascending, since vertex variables sort as their points do.
-    variables = [vertex_var(p) for p in lm.points()]
-    fibers = _fibers(lm, deg, range(len(variables)))
+    var = {p: vertex_var(p) for p in lm.points()}
+    fibers = _fibers(lm, deg)
     out = []
     for image in sorted(fibers, key=_image_text):
-        # A member is a nondecreasing index tuple, so its exponents come
-        # out in ascending variable order, each variable once.
-        members = [
-            Monomial._from_sorted(tuple([(variables[i], m.count(i)) for i in dict.fromkeys(m)]))
-            for m in fibers[image]
-        ]
+        members = [Monomial([(var[p], 1) for p in m]) for m in fibers[image]]
         out.extend(Binomial(u, w) for u, w in combinations(members, 2))
     return out
 

@@ -98,7 +98,7 @@ class QuadraticScan:
 def _violation(kind: str, lm: LabelMap, points) -> dict:
     return {
         "kind": kind,
-        "vertices": [p.as_tuple() for p in points],
+        "vertices": list(points),
         "labels": [lm.labels.get(p) for p in points],
     }
 

@@ -39,7 +39,6 @@ from polytoric.grid import (
     Polyomino,
     RectDiffConfig,
     build_rect_diff,
-    point_key,
 )
 from polytoric.labelling import LabelMap, _implemented_regions, _raw_regions, label
 from polytoric.toric import (
@@ -201,7 +200,7 @@ def check_region_consistency(cfg: RectDiffConfig) -> RegionReport:
     """Partition the vertex set into the implemented regions, check the
     partition is exhaustive and pairwise disjoint, and report every
     point where two raw (non-exclusive) cases disagree."""
-    vertices = sorted(build_rect_diff(cfg).vertex_set(), key=point_key)
+    vertices = sorted(build_rect_diff(cfg).vertex_set())
     region_of: dict[GridPoint, str] = {}
     raw_conflicts: dict[GridPoint, dict[str, int]] = {}
     resolved: dict[GridPoint, int] = {}
@@ -421,7 +420,7 @@ def kernel_binomials_reference(lm: LabelMap, max_degree: int) -> list[Binomial]:
     """Reference for ``verify.kernel_binomials_up_to_degree``: a sparse
     Monomial and its ``phi_image`` for every combination of variables,
     grouped by image, groups in ``str(image)`` order."""
-    points = sorted(lm.labels, key=point_key)
+    points = sorted(lm.labels)
     variables = [vertex_var(p) for p in points]
     out = []
     for deg in range(1, max_degree + 1):

@@ -116,15 +116,6 @@ def test_monomial_merges_a_repeated_variable():
         Monomial([(v, 2), (v, -1)])
 
 
-@given(st.lists(st.integers(min_value=0, max_value=5),
-                min_size=len(VAR_POOL), max_size=len(VAR_POOL)))
-def test_monomial_from_sorted_matches_the_constructor(exps):
-    pairs = [(v, e) for v, e in zip(sorted(VAR_POOL), exps) if e]
-    built, reference = Monomial._from_sorted(tuple(pairs)), Monomial(reversed(pairs))
-    assert built == reference and built.exps == reference.exps
-    assert hash(built) == hash(reference) and str(built) == str(reference)
-
-
 def test_term_order_rejects_a_variable_listed_twice():
     x11 = vertex_var((1, 1))
     with pytest.raises(ValueError):

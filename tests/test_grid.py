@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 
 import pytest
@@ -14,7 +17,7 @@ from helpers import is_inner_interval, is_polyomino, is_proper
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytoric.binom import Binomial, Monomial, vertex_var
+from polytoric.binom import Binomial, Monomial, Variable, vertex_var
 from polytoric.errors import ConfigInvalid, DegenerateInterval, EmptyCollection
 from polytoric.grid import (
     Cell,
@@ -28,6 +31,35 @@ from polytoric.grid import (
 )
 
 ALL_INSTANCES = (SMALL, MEDIUM_A, MEDIUM_B, FRAME_7X5)
+
+
+points = st.builds(GridPoint, st.integers(0, 20), st.integers(0, 20))
+
+
+@given(ps=st.lists(points, min_size=1, max_size=12))
+def test_point_is_a_value_type(ps):
+    """A point is the pair (x, y): it hashes and sorts as that pair, in
+    the order of its vertex variables, prints and encodes as the pair,
+    refuses negative coordinates and assignment, holds no per-instance
+    dict, and survives pickle and deepcopy."""
+    assert [hash(p) for p in ps] == [hash((p.x, p.y)) for p in ps]
+    assert sorted(ps) == sorted(ps, key=lambda p: (p.x, p.y))
+    assert sorted(map(vertex_var, ps)) == [vertex_var(p) for p in sorted(ps)]
+    for restored in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps)):
+        assert restored == ps and all(type(p) is GridPoint for p in restored)
+    p = ps[0]
+    assert str(p) == f"({p.x}, {p.y})" and json.dumps(p) == f"[{p.x}, {p.y}]"
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p.x = 1
+    with pytest.raises(AttributeError):
+        p.weight = 1
+    with pytest.raises(ValueError, match="non-negative"):
+        GridPoint(-1, p.y)
+    with pytest.raises(ValueError, match="non-negative"):
+        GridPoint(p.x, -1)
+    assert p != Variable("x", p.x, p.y)
+    assert GridPoint(1, 3) < GridPoint(2, 0) and not GridPoint(1, 3).lt(GridPoint(2, 0))
 
 
 def test_point_partial_order():

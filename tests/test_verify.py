@@ -143,7 +143,7 @@ def test_quadratic_scan_violations_on_random_labellings(coords, digest):
         rejected = [pair for pair in scan.balanced_pairs if not is_minor_pair(p, *pair)]
         assert rejected
         assert [v["vertices"] for v in scan.violations] == [
-            [q.as_tuple() for q in (*m1, *m2)] for m1, m2 in rejected
+            [tuple(q) for q in (*m1, *m2)] for m1, m2 in rejected
         ]
         scans.append(scan.violations)
     assert hashlib.sha256(json.dumps(scans).encode()).hexdigest() == digest
