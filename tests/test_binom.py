@@ -939,6 +939,24 @@ def test_zero_binomial_rejected():
     assert not ZERO
 
 
+def test_value_texts_are_pinned():
+    """The str and repr of monomials, binomials and a basis, and the
+    zero-binomial message, as the reports and the CLI print them."""
+    m = parse_monomial("x[1,1]*x[2,2]")
+    assert (str(m), repr(m)) == ("x[1,1]*x[2,2]", "Monomial(x[1,1]*x[2,2])")
+    assert (str(UNIT), repr(UNIT)) == ("1", "Monomial(1)")
+    b = parse_binomial("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
+    assert str(b) == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
+    assert repr(b) == "Binomial(x[1,1]*x[2,2] - x[1,2]*x[2,1])"
+    with pytest.raises(ValueError) as exc:
+        Binomial(m, m)
+    assert str(exc.value) == "zero binomial: use the ZERO sentinel instead"
+    assert repr(GroebnerBasis(DEGREVLEX, (b,))) == (
+        "GroebnerBasis(order=TermOrder(kind='degrevlex', last=()), "
+        "elements=(Binomial(x[1,1]*x[2,2] - x[1,2]*x[2,1]),), construction=None)"
+    )
+
+
 def test_normalized_orients_leading_monomial():
     f = bino((1, 4), (2, 3))
     assert normalized(f, DEGREVLEX).plus == mono(2, 3)

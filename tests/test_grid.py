@@ -81,6 +81,15 @@ def test_interval_validation_and_corners():
         GridInterval(GridPoint(2, 2), GridPoint(1, 3))
 
 
+def test_interval_texts_are_pinned():
+    iv = GridInterval(GridPoint(1, 1), GridPoint(2, 2))
+    assert str(iv) == "[(1,1),(2,2)]"
+    assert repr(iv) == "GridInterval(lo=(1, 1), hi=(2, 2))"
+    with pytest.raises(DegenerateInterval) as exc:
+        GridInterval(GridPoint(2, 2), GridPoint(1, 3))
+    assert str(exc.value) == "interval corners out of order: [(2,2),(1,3)]"
+
+
 def test_cell_vertices():
     c = Cell(GridPoint(1, 1))
     assert set(c.vertices()) == {
