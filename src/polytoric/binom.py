@@ -82,17 +82,19 @@ def t_var(k: int) -> Variable:
     return Variable("t", k)
 
 
-class Monomial:
-    """A monomial as a sorted tuple of (variable, exponent) pairs.
+class Monomial(tuple):
+    """A monomial: the sorted tuple of its (variable, exponent) pairs.
 
     Exponents are strictly positive; the empty tuple is the unit.  The
-    constructor sums a repeated variable's exponents and drops zero ones.
-    Instances are immutable and hashable.
+    constructor sorts the pairs by variable, sums a repeated variable's
+    exponents and drops zero ones.  A monomial hashes and compares as
+    that tuple, in C, and equals the plain tuple of its pairs.  ``<`` is
+    tuple order, not a term order: only the engine orders terms.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[tuple[Variable, int]] = ()):
+    def __new__(cls, exps: Iterable[tuple[Variable, int]] = ()):
         items: list[tuple[Variable, int]] = []
         for v, e in sorted(exps, key=itemgetter(0)):
             if e < 0:
@@ -101,30 +103,20 @@ class Monomial:
                 e += items.pop()[1]
             if e:
                 items.append((v, e))
-        object.__setattr__(self, "exps", tuple(items))
-        object.__setattr__(self, "_hash", hash(self.exps))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Monomial is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return tuple.__new__(cls, items)
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(e for _, e in self)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exps + other.exps)
+        return Monomial(self + other)
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self:
             return "1"
         parts = []
-        for v, e in self.exps:
+        for v, e in self:
             parts.append(str(v) if e == 1 else f"{v}^{e}")
         return "*".join(parts)
 
@@ -151,16 +143,24 @@ ZERO = _ZeroBinomial()
 BinomialOrZero = Union["Binomial", _ZeroBinomial]
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """A pure difference plus - minus of two distinct monomials."""
+class Binomial(tuple):
+    """A pure difference plus - minus of two distinct monomials: the
+    pair (plus, minus), which it hashes and compares as, in C, and
+    equals.  ``<`` is tuple order, not a term order: only the engine
+    orders terms."""
 
-    plus: Monomial
-    minus: Monomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.plus == self.minus:
+    def __new__(cls, plus: Monomial, minus: Monomial):
+        if plus == minus:
             raise ValueError("zero binomial: use the ZERO sentinel instead")
+        return tuple.__new__(cls, (plus, minus))
+
+    plus = property(itemgetter(0))
+    minus = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def degree(self) -> int:
@@ -338,7 +338,7 @@ class _Engine:
     def pack(self, mono: Monomial) -> tuple[int, int]:
         packed = 0
         deg = 0
-        for v, e in mono.exps:
+        for v, e in mono:
             i = self.index.get(v)
             if i is None:
                 raise ValueError(f"variable {v} outside the engine universe")
@@ -930,7 +930,7 @@ def _universe(binomials: Iterable[Binomial], extra: Iterable[Variable]) -> tuple
     """The sorted variables of ``binomials`` and ``extra``."""
     seen = set(extra)
     for b in binomials:
-        seen.update(v for v, _ in b.plus.exps + b.minus.exps)
+        seen.update(v for v, _ in b.plus + b.minus)
     return tuple(sorted(seen))
 
 

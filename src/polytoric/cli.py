@@ -22,14 +22,7 @@ from .binom import (
     parse_binomial,
     reduce as binom_reduce,
 )
-from .errors import (
-    ConfigInvalid,
-    NotInKernel,
-    ParseError,
-    PolytoricError,
-    ResourceBudgetExceeded,
-    VertexOutsidePolyomino,
-)
+from .errors import NotInKernel, ParseError, PolytoricError, ResourceBudgetExceeded
 from .grid import RectDiffConfig, build_rect_diff, enumerate_inner_minors
 from .labelling import (
     build_label_map,
@@ -298,15 +291,9 @@ def main(argv=None) -> int:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise ParseError(f"--budget must be 0 or more, not {args.budget}")
         return args.func(args)
-    except (ParseError, ConfigInvalid, VertexOutsidePolyomino) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PolytoricError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def entry() -> None:

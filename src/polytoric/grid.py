@@ -1,7 +1,7 @@
 """Lattice geometry: cells, intervals, polyominoes, inner intervals.
 
 Points live in the non-negative quadrant, are never translated and
-sort as (x, y) pairs; a cell is identified by its lower-left corner.  A
+sort as (x, y) pairs; a cell is its lower-left corner, a GridPoint.  A
 polyomino is a finite edge-connected set of cells; the rectangle-
 difference constructor removes the cells of an inner rectangle from an
 outer one.
@@ -50,20 +50,26 @@ class GridPoint(tuple):
         return GridPoint(self.x + dx, self.y + dy)
 
 
-@dataclass(frozen=True)
-class GridInterval:
-    """The set of lattice points between two comparable corners.
+class GridInterval(tuple):
+    """The lattice points between two comparable corners: the pair
+    (lo, hi) of the diagonal corners, which it hashes and compares as,
+    in C, and equals; (lo.x, hi.y) and (hi.x, lo.y) are the anti-diagonal
+    ones.  ``<`` is tuple order, in which ``inner_intervals`` lists them;
+    ``leq`` compares corners componentwise."""
 
-    lo and hi are the diagonal corners; (lo.x, hi.y) and (hi.x, lo.y)
-    the anti-diagonal ones.
-    """
+    __slots__ = ()
 
-    lo: GridPoint
-    hi: GridPoint
-
-    def __post_init__(self):
-        if not self.lo.leq(self.hi):
+    def __new__(cls, lo: GridPoint, hi: GridPoint):
+        self = tuple.__new__(cls, (lo, hi))
+        if not lo.leq(hi):
             raise DegenerateInterval(f"interval corners out of order: {self}")
+        return self
+
+    lo = property(itemgetter(0))
+    hi = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def anti_diagonal(self) -> tuple[GridPoint, GridPoint]:
         return (GridPoint(self.lo.x, self.hi.y), GridPoint(self.hi.x, self.lo.y))
@@ -72,10 +78,11 @@ class GridInterval:
         e1, e2 = self.anti_diagonal()
         return (self.lo, self.hi, e1, e2)
 
-    def cells(self) -> Iterator["Cell"]:
+    def cells(self) -> Iterator[GridPoint]:
+        """The cells of the interval, each as its lower-left corner."""
         for x in range(self.lo.x, self.hi.x):
             for y in range(self.lo.y, self.hi.y):
-                yield Cell(GridPoint(x, y))
+                yield GridPoint(x, y)
 
     def contains_point(self, p: GridPoint) -> bool:
         return self.lo.leq(p) and p.leq(self.hi)
@@ -83,39 +90,31 @@ class GridInterval:
     def __str__(self) -> str:
         return f"[({self.lo.x},{self.lo.y}),({self.hi.x},{self.hi.y})]"
 
-
-@dataclass(frozen=True)
-class Cell:
-    """A unit cell identified by its lower-left corner."""
-
-    corner: GridPoint
-
-    def vertices(self) -> tuple[GridPoint, GridPoint, GridPoint, GridPoint]:
-        c = self.corner
-        return (c, c.shifted(1, 0), c.shifted(0, 1), c.shifted(1, 1))
+    def __repr__(self) -> str:
+        return f"GridInterval(lo={self.lo!r}, hi={self.hi!r})"
 
 
 @dataclass(frozen=True)
 class Polyomino:
-    """A finite, nonempty collection of cells."""
+    """A finite, nonempty set of cells, each given by its lower-left corner."""
 
-    cells: frozenset[Cell]
+    cells: frozenset[GridPoint]
 
     def __post_init__(self):
         if not self.cells:
             raise EmptyCollection("a polyomino needs at least one cell")
 
     @classmethod
-    def of(cls, cells: Iterable[Cell]) -> "Polyomino":
+    def of(cls, cells: Iterable[GridPoint]) -> "Polyomino":
         return cls(frozenset(cells))
 
     def vertex_set(self) -> frozenset[GridPoint]:
-        """Union of the vertices of the member cells."""
-        return frozenset(v for c in self.cells for v in c.vertices())
+        """Union of the four corners of the member cells."""
+        return frozenset(c.shifted(dx, dy) for c in self.cells for dx in (0, 1) for dy in (0, 1))
 
     def bounding_box(self) -> GridInterval:
-        xs = [c.corner.x for c in self.cells]
-        ys = [c.corner.y for c in self.cells]
+        xs = [c.x for c in self.cells]
+        ys = [c.y for c in self.cells]
         return GridInterval(
             GridPoint(min(xs), min(ys)), GridPoint(max(xs) + 1, max(ys) + 1)
         )
@@ -189,14 +188,14 @@ def inner_intervals(p: Polyomino) -> list[GridInterval]:
     box = p.bounding_box()
     x0, y0 = box.lo.x, box.lo.y
     w, h = box.hi.x - x0, box.hi.y - y0
+    points = [[GridPoint(x0 + i, y0 + j) for j in range(h + 1)] for i in range(w + 1)]
     # count[i][j]: cells of p with lower-left corner in
     # [x0, x0 + i) x [y0, y0 + j).
     count = [[0] * (h + 1) for _ in range(w + 1)]
     for i in range(w):
         for j in range(h):
-            inside = Cell(GridPoint(x0 + i, y0 + j)) in p.cells
+            inside = points[i][j] in p.cells
             count[i + 1][j + 1] = count[i][j + 1] + count[i + 1][j] - count[i][j] + inside
-    points = [[GridPoint(x0 + i, y0 + j) for j in range(h + 1)] for i in range(w + 1)]
     out = []
     for lx in range(w):
         for ly in range(h):

@@ -85,7 +85,7 @@ def build_matrix(lm: LabelMap) -> ExponentMatrix:
 def phi_image(m: Monomial, lm: LabelMap) -> Monomial:
     """Image of a vertex monomial under the monomial map."""
     image = []
-    for v, e in m.exps:
+    for v, e in m:
         if v.kind != "x":
             raise VertexOutsidePolyomino(f"{v} is not a vertex variable")
         p = GridPoint(v.i, v.j)

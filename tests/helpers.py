@@ -33,7 +33,6 @@ from polytoric.binom import (
 )
 from polytoric.errors import DegenerateInterval, EmptyCollection
 from polytoric.grid import (
-    Cell,
     GridInterval,
     GridPoint,
     Polyomino,
@@ -57,23 +56,23 @@ from polytoric.toric import (
 
 
 def exponent(m: Monomial, v: Variable) -> int:
-    return dict(m.exps).get(v, 0)
+    return dict(m).get(v, 0)
 
 
 def is_unit(m: Monomial) -> bool:
-    return not m.exps
+    return not m
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
     """True iff a divides b."""
-    bd = dict(b.exps)
-    return all(bd.get(v, 0) >= e for v, e in a.exps)
+    bd = dict(b)
+    return all(bd.get(v, 0) >= e for v, e in a)
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:
     """a / b; b must divide a."""
-    d = dict(a.exps)
-    for v, e in b.exps:
+    d = dict(a)
+    for v, e in b:
         r = d.get(v, 0) - e
         if r < 0:
             raise ValueError(f"{b} does not divide {a}")
@@ -82,14 +81,14 @@ def quotient(a: Monomial, b: Monomial) -> Monomial:
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
-    d = dict(a.exps)
-    for v, e in b.exps:
+    d = dict(a)
+    for v, e in b:
         d[v] = max(d.get(v, 0), e)
     return Monomial(d.items())
 
 
 def gcd(a: Monomial, b: Monomial) -> Monomial:
-    return Monomial((v, min(e, exponent(b, v))) for v, e in a.exps)
+    return Monomial((v, min(e, exponent(b, v))) for v, e in a)
 
 
 def priority_sorted(order: TermOrder, variables) -> list[Variable]:
@@ -108,7 +107,7 @@ def greater(order: TermOrder, a: Monomial, b: Monomial) -> bool:
         return False
     if order.kind == "degrevlex" and a.degree != b.degree:
         return a.degree > b.degree
-    pr = priority_sorted(order, {v for v, _ in a.exps + b.exps})
+    pr = priority_sorted(order, {v for v, _ in a + b})
     if order.kind == "lex":
         for v in pr:
             ea, eb = exponent(a, v), exponent(b, v)
@@ -175,10 +174,10 @@ def is_polyomino(cells) -> bool:
     while frontier:
         c = frontier.pop()
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            cx, cy = c.corner.x + dx, c.corner.y + dy
+            cx, cy = c.x + dx, c.y + dy
             if cx < 0 or cy < 0:
                 continue
-            nb = Cell(GridPoint(cx, cy))
+            nb = GridPoint(cx, cy)
             if nb in cell_set and nb not in seen:
                 seen.add(nb)
                 frontier.append(nb)
@@ -487,7 +486,7 @@ def saturation_steps_reference(gens, variables):
         steps.append(gb.elements)
         current = [divide_common_power(g, v) for g in gb.elements]
         if homogeneous:
-            in_leads = {u for g in current for u, _ in g.plus.exps}
+            in_leads = {u for g in current for u, _ in g.plus}
             pending = [u for u in pending if u in in_leads]
             assert v not in pending, f"{v} divides a lead after its own step"
         else:

@@ -108,8 +108,8 @@ def test_monomial_merges_a_repeated_variable():
     v = vertex_var((1, 1))
     twice, squared = Monomial([(v, 1), (v, 1)]), Monomial([(v, 2)])
     assert twice == squared and hash(twice) == hash(squared)
-    assert twice.exps == ((v, 2),)
-    assert Monomial([(v, 1), (r_var(1), 0), (v, 2)]).exps == ((v, 3),)
+    assert tuple(twice) == ((v, 2),)
+    assert tuple(Monomial([(v, 1), (r_var(1), 0), (v, 2)])) == ((v, 3),)
     with pytest.raises(ValueError):
         Binomial(twice, squared)
     with pytest.raises(ValueError):
@@ -286,9 +286,9 @@ def test_buchberger_principal():
 def test_buchberger_domino_minors_are_a_basis():
     """The three inner minors of the two-cell rectangle already form the
     reduced basis: every S-pair reduces to zero (checked directly)."""
-    from polytoric.grid import Cell, GridPoint, Polyomino
+    from polytoric.grid import GridPoint, Polyomino
 
-    p = Polyomino.of([Cell(GridPoint(1, 1)), Cell(GridPoint(2, 1))])
+    p = Polyomino.of([GridPoint(1, 1), GridPoint(2, 1)])
     minors = enumerate_inner_minors(p)
     assert len(minors) == 3
     gb = buchberger(minors, DEGREVLEX)
@@ -704,7 +704,7 @@ def assert_occurrences_match_leads(engine, basis):
     elements whose lead holds it, found by a linear scan."""
     expected = {}
     for k, e in enumerate(basis.elems):
-        for v, _ in engine.unpack(e.lp).exps:
+        for v, _ in engine.unpack(e.lp):
             expected.setdefault(_GUARD << engine.shift[engine.index[v]], []).append(k)
     assert basis.occurs == expected
 
@@ -1017,7 +1017,7 @@ def test_variable_order_is_the_rank_order(vs, data):
     shuffled = data.draw(st.permutations(vs))
     exps = [(v, k + 1) for k, v in enumerate(vs)]
     by_v = dict(exps)
-    assert Monomial([(v, by_v[v]) for v in shuffled]).exps == tuple(
+    assert tuple(Monomial([(v, by_v[v]) for v in shuffled])) == tuple(
         sorted(exps, key=lambda p: variable_sort_key(p[0])))
 
 
@@ -1043,6 +1043,48 @@ def test_variable_is_a_value_type(vs):
     with pytest.raises(AttributeError):
         v.weight = 1
     assert v != GridPoint(v.i, v.j) and GridPoint(v.i, v.j) != v
+
+
+@pytest.fixture(scope="module")
+def tracked_basis():
+    minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
+    return buchberger(minors, DEGREVLEX, track=True)
+
+
+@given(ms=st.lists(monomials, min_size=2, max_size=8, unique=True))
+def test_monomial_and_binomial_are_value_types(ms, tracked_basis):
+    """A monomial is the tuple of its (variable, exponent) pairs and a
+    binomial the pair (plus, minus): each hashes and compares as that
+    plain tuple, ``<`` is tuple order, neither holds a per-instance dict
+    or takes an assignment, the constructors keep their checks, and both
+    survive pickle and deepcopy, also inside a tracked GroebnerBasis."""
+    bs = [Binomial(u, w) for u, w in zip(ms, ms[1:])]
+    assert all(tuple(b) == (b.plus, b.minus) for b in bs)
+    for values in (ms, bs):
+        assert [hash(v) for v in values] == [hash(tuple(v)) for v in values]
+        assert values == [tuple(v) for v in values]
+        assert sorted(values) == sorted(values, key=tuple)
+        for restored in (pickle.loads(pickle.dumps(values)), copy.deepcopy(values)):
+            assert restored == values
+            assert [type(v) for v in restored] == [type(v) for v in values]
+        v = values[0]
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(AttributeError):
+            v.weight = 1
+    with pytest.raises(AttributeError):
+        bs[0].plus = bs[0].minus
+    with pytest.raises(ValueError, match="negative exponent"):
+        Monomial([(VAR_POOL[0], -1)])
+    with pytest.raises(ValueError, match="zero binomial"):
+        Binomial(ms[0], Monomial(tuple(ms[0])))
+    for restored in (pickle.loads(pickle.dumps(tracked_basis)), copy.deepcopy(tracked_basis)):
+        assert restored == tracked_basis
+        binomials = [*restored.elements]
+        for cert in restored.construction:
+            binomials += [cert.target, *(t.generator for t in cert.terms)]
+            assert all(type(t.multiplier) is Monomial for t in cert.terms)
+        assert all(type(b) is Binomial for b in binomials)
+        assert all(type(m) is Monomial for b in binomials for m in b)
 
 
 def test_variable_repr_and_field_checks():

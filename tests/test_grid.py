@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from polytoric.binom import Binomial, Monomial, Variable, vertex_var
 from polytoric.errors import ConfigInvalid, DegenerateInterval, EmptyCollection
 from polytoric.grid import (
-    Cell,
     GridInterval,
     GridPoint,
     Polyomino,
@@ -62,6 +61,34 @@ def test_point_is_a_value_type(ps):
     assert GridPoint(1, 3) < GridPoint(2, 0) and not GridPoint(1, 3).lt(GridPoint(2, 0))
 
 
+intervals = st.builds(
+    lambda lo, dx, dy: GridInterval(lo, lo.shifted(dx, dy)),
+    points, st.integers(0, 5), st.integers(0, 5),
+)
+
+
+@given(ivs=st.lists(intervals, min_size=1, max_size=12))
+def test_interval_is_a_value_type(ivs):
+    """An interval is the pair (lo, hi): it hashes and compares as that
+    pair, sorts in the order of ``inner_intervals``, holds no
+    per-instance dict, refuses assignment and corners out of order, and
+    survives pickle and deepcopy."""
+    assert [hash(iv) for iv in ivs] == [hash((iv.lo, iv.hi)) for iv in ivs]
+    assert ivs == [(iv.lo, iv.hi) for iv in ivs]
+    assert sorted(ivs) == sorted(ivs, key=lambda iv: (iv.lo.x, iv.lo.y, iv.hi.x, iv.hi.y))
+    for restored in (pickle.loads(pickle.dumps(ivs)), copy.deepcopy(ivs)):
+        assert restored == ivs
+        assert all(type(iv) is GridInterval and type(iv.lo) is GridPoint for iv in restored)
+    iv = ivs[0]
+    assert not hasattr(iv, "__dict__")
+    with pytest.raises(AttributeError):
+        iv.lo = iv.hi
+    with pytest.raises(AttributeError):
+        iv.weight = 1
+    with pytest.raises(DegenerateInterval, match="out of order"):
+        GridInterval(iv.hi.shifted(1, 0), iv.lo)
+
+
 def test_point_partial_order():
     p, q = GridPoint(1, 3), GridPoint(2, 3)
     assert p.leq(q) and not p.lt(q)
@@ -91,8 +118,7 @@ def test_interval_texts_are_pinned():
 
 
 def test_cell_vertices():
-    c = Cell(GridPoint(1, 1))
-    assert set(c.vertices()) == {
+    assert Polyomino.of([GridPoint(1, 1)]).vertex_set() == {
         GridPoint(1, 1), GridPoint(2, 1), GridPoint(1, 2), GridPoint(2, 2)
     }
 
@@ -109,7 +135,7 @@ def test_config_validation():
     RectDiffConfig.of((0, 0), (16, 16), (1, 1), (2, 2))
     RectDiffConfig.of((4, 4), (20, 20), (5, 5), (6, 6))
     cfg = cfg_of(SMALL)
-    assert cfg.hole().cells().__next__() == Cell(GridPoint(2, 2))
+    assert cfg.hole().cells().__next__() == GridPoint(2, 2)
 
 
 def test_build_rect_diff_cell_counts():
@@ -120,7 +146,7 @@ def test_build_rect_diff_cell_counts():
 
 
 def test_vertex_set_single_cell():
-    p = Polyomino.of([Cell(GridPoint(1, 1))])
+    p = Polyomino.of([GridPoint(1, 1)])
     assert p.vertex_set() == {
         GridPoint(1, 1), GridPoint(2, 1), GridPoint(1, 2), GridPoint(2, 2)
     }
@@ -138,10 +164,10 @@ def test_vertex_set_excludes_hole_interior():
 def test_is_polyomino():
     for coords in ALL_INSTANCES:
         assert is_polyomino(build_rect_diff(cfg_of(coords)).cells)
-    assert not is_polyomino({Cell(GridPoint(1, 1)), Cell(GridPoint(3, 3))})
-    assert is_polyomino({Cell(GridPoint(1, 1)), Cell(GridPoint(2, 1))})
+    assert not is_polyomino({GridPoint(1, 1), GridPoint(3, 3)})
+    assert is_polyomino({GridPoint(1, 1), GridPoint(2, 1)})
     # diagonal contact is not edge adjacency
-    assert not is_polyomino({Cell(GridPoint(1, 1)), Cell(GridPoint(2, 2))})
+    assert not is_polyomino({GridPoint(1, 1), GridPoint(2, 2)})
     with pytest.raises(EmptyCollection):
         is_polyomino(set())
     with pytest.raises(EmptyCollection):
@@ -169,7 +195,7 @@ def test_inner_minor_counts(coords, expected):
 
 
 def test_single_cell_minor():
-    minors = enumerate_inner_minors(Polyomino.of([Cell(GridPoint(1, 1))]))
+    minors = enumerate_inner_minors(Polyomino.of([GridPoint(1, 1)]))
     x = lambda i, j: Monomial([(vertex_var((i, j)), 1)])
     assert minors == [Binomial(x(1, 1) * x(2, 2), x(1, 2) * x(2, 1))]
 
@@ -255,5 +281,5 @@ def test_inner_intervals_match_cell_by_cell_on_rect_diffs(coords):
 @settings(max_examples=150, deadline=None)
 def test_inner_intervals_match_cell_by_cell_on_random_cell_sets(cells):
     # Any nonempty cell set, connected or not, with holes anywhere.
-    p = Polyomino.of(Cell(GridPoint(x, y)) for x, y in cells)
+    p = Polyomino.of(GridPoint(x, y) for x, y in cells)
     assert inner_intervals(p) == inner_intervals_cell_by_cell(p)

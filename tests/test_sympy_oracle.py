@@ -48,12 +48,12 @@ def in_sympy(gens, order: TermOrder):
     first (so sympy's order with these generators is ``order``), and a
     map from a binomial to its sympy expression."""
     universe = priority_sorted(
-        order, {v for g in gens for v, _ in g.plus.exps + g.minus.exps})
+        order, {v for g in gens for v, _ in g.plus + g.minus})
     symbols = {v: sympy.Symbol(str(v)) for v in universe}
 
     def expr(g: Binomial):
-        return (sympy.Mul(*(symbols[v] ** e for v, e in g.plus.exps))
-                - sympy.Mul(*(symbols[v] ** e for v, e in g.minus.exps)))
+        return (sympy.Mul(*(symbols[v] ** e for v, e in g.plus))
+                - sympy.Mul(*(symbols[v] ** e for v, e in g.minus)))
 
     return list(symbols.values()), expr
 
