@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 from itertools import zip_longest
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParseError, ResourceBudgetExceeded
 
@@ -1053,19 +1053,50 @@ def _uncertified(engine: _Engine, pending: list[Variable], basis) -> list[Variab
     ``basis``, a Groebner basis as engine binomials.  A variable that
     divides no lead is a nonzerodivisor modulo the ideal of ``basis``,
     which saturating by it would leave as it is (proof in
-    ``toric.saturate_generators``).  This is the one seam of the
-    certification: patched to return ``pending[1:]``, it gives every
-    variable a step of its own."""
+    ``toric.saturate_generators``).  This is the seam of the
+    certification by leads; ``_stabilizer`` is the seam of the
+    certification by orbits.  Patched to return ``pending[1:]``, it
+    certifies only each step's own variable and the orbits of those."""
     support = 0
     for b4 in basis:
         support |= b4[1]
     return [u for u in pending[1:] if (support >> engine.shift[engine.index[u]]) & _FMASK]
 
 
+def _stabilizer(engine: _Engine, maps, basis) -> list:
+    """The permutations of ``maps`` that fix the ideal of ``basis``, a
+    Groebner basis as engine binomials: a map is kept when it permutes
+    the universe and sends every element to a binomial that reduces to
+    zero against ``basis`` (proof in ``toric.saturate_generators``).
+    This is the seam of the certification by orbits: patched to return
+    [], it certifies no orbit, and every step certifies what it would
+    certify with no maps given."""
+    kept = []
+    if not maps:
+        return kept
+    reducer = _Basis(engine)
+    for b4 in basis:
+        reducer.append(_Elem(engine, b4), None)
+    H = engine.H
+    for g in maps:
+        target = [engine.index.get(g.get(u, u)) for u in engine.vars]
+        if None in target or len(set(target)) != len(target):
+            continue
+        fields = {_GUARD << a: (a, engine.shift[i]) for a, i in zip(engine.shift, target)}
+        if all(
+            reducer.reduce(engine.orient_packed(
+                (ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))[0], None)[0] is None
+            for ld, lp, td, tp in basis
+        ):
+            kept.append(g)
+    return kept
+
+
 def saturate(
     gens: Sequence[Binomial],
     variables: Sequence[Variable],
     budget: int | None = None,
+    symmetries: Sequence[Mapping[Variable, Variable]] = (),
 ) -> list[Binomial]:
     """Saturate by every variable of ``variables``, a block of them per
     step.  ``pending`` holds the variables not yet certified, in the
@@ -1078,6 +1109,15 @@ def saturate(
     inhomogeneous ones only v leaves, so every variable gets a step.
     ``budget`` caps the S-pair reductions of each Buchberger run, not
     counting the pairs that the Hilbert series proves zero.
+
+    ``symmetries`` are candidate permutations of the variables, each a
+    map from a variable to its image (unlisted variables stay put).  At
+    the first step, if its division changed no element and ``gens`` are
+    homogeneous, ``_stabilizer`` keeps those that fix the step's ideal.
+    From then on every image, under a kept map, of a variable certified
+    in a step leaves ``pending`` too, up to the first step whose
+    division changes an element; from there on no orbit is used.  The
+    default, no maps, certifies no orbit.
 
     The basis stays packed from step to step, over one universe (the
     variables of ``gens`` and ``variables``), and each step moves it to
@@ -1102,6 +1142,8 @@ def saturate(
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
     memo: dict = {}
     series = gap = engine = None
+    # The kept maps; None until the first step has tested them.
+    group = None
     while pending:
         step = _Engine(universe, TermOrder("degrevlex", last=tuple(reversed(pending))))
         if engine is None:
@@ -1135,7 +1177,16 @@ def saturate(
             continue
         if series is None or changed:
             series = _hilbert_numerator(engine, (b4[1] for b4 in current), memo)
-        pending = _uncertified(engine, pending, current)
+        left = _uncertified(engine, pending, current)
+        if changed:
+            group = []
+        elif group is None:
+            group = _stabilizer(engine, symmetries, current)
+        if group:
+            certified = set(pending).difference(left)
+            orbits = {g.get(u, u) for g in group for u in certified}
+            left = [u for u in left if u not in orbits]
+        pending = left
     return [engine.from_binomial4(b4) for b4 in current]
 
 

@@ -21,6 +21,15 @@ sum, so every vector of L has sum 0 and every kernel binomial is
 homogeneous, which is what makes each step a saturation (Bayer and
 Stillman), and what the certificates and the Hilbert-series checks of
 the steps after the first rest on.
+
+The maps of the outer box that send the vertex set onto itself
+(:func:`_box_symmetries`) are offered to the saturation as candidate
+symmetries.  When the first step's division changes no element, it
+keeps those that fix its ideal, checked by reduction against its
+Groebner basis, and each certificate from then on covers the orbit of
+its variable under them, until a division changes an element.  This
+only cuts steps: the final reduced basis is canonical and does not
+change.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .binom import (
     DEGREVLEX,
@@ -232,15 +241,41 @@ def _fiber_binomials(lm: LabelMap, deg: int) -> list[Binomial]:
     return out
 
 
+def _box_symmetries(lm: LabelMap) -> list[dict[Variable, Variable]]:
+    """The maps of the outer box onto itself, other than the identity,
+    that send the vertex set onto itself, each as a permutation of the
+    vertex variables: of the two reflections and the half turn, and on a
+    square box also the two diagonal reflections and the quarter turns.
+    Whether a map also fixes the ideal is left to ``saturate``'s test."""
+    a, b = lm.cfg.a, lm.cfg.b
+    w, h = b.x - a.x, b.y - a.y
+
+    def images(p: GridPoint) -> list[GridPoint]:
+        u, v = p.x - a.x, p.y - a.y
+        moved = [(w - u, v), (u, h - v), (w - u, h - v)]
+        if w == h:
+            moved += [(v, u), (w - v, w - u), (v, w - u), (w - v, u)]
+        return [GridPoint(a.x + i, a.y + j) for i, j in moved]
+
+    points = lm.points()
+    return [
+        {vertex_var(p): vertex_var(q) for p, q in zip(points, column)}
+        for column in zip(*map(images, points))
+        if all(q in lm.labels for q in column)
+    ]
+
+
 def saturate_generators(
     gens: Sequence[Binomial],
     variables: Sequence[Variable],
     budget: int | None = None,
+    symmetries: Sequence[Mapping[Variable, Variable]] = (),
 ) -> list[Binomial]:
     """Saturate the ideal of ``gens`` with respect to every variable of
     ``variables``, as a list of binomials; ``budget`` caps the S-pair
     reductions of each Buchberger run, not counting the pairs the
-    pruning drops.
+    pruning drops.  ``symmetries`` are candidate permutations of the
+    variables; certificate (c) says which of them are used, and when.
 
     Steps.  The variables not yet certified are ``pending``, in the
     given order.  With v = pending[0], step k computes the reduced
@@ -254,7 +289,8 @@ def saturate_generators(
     always does: a homogeneous binomial whose lead holds v, the lowest
     variable, holds it in its trail too, and that common power is gone.
     With inhomogeneous ``gens`` only v leaves, so every variable gets a
-    step of its own.
+    step of its own.  While the ideal is the first step's, every image
+    of a certified variable under a kept symmetry is certified too.
 
     Certificates.  (a) If x divides no lead of a Groebner basis of an
     ideal I, under any term order, then x is a nonzerodivisor on S / I.
@@ -267,6 +303,25 @@ def saturate_generators(
     through the later steps, and the last step ends with an ideal J,
     between I and I : (prod of the variables)^inf, that every variable
     is a nonzerodivisor on, which makes J that saturation.
+    (c) Orbits.  Let g be a permutation of the variables, extended to a
+    ring automorphism of S, with g(I) = I.  Then x is a nonzerodivisor
+    on S / I exactly when g(x) is: from g(x) f in I, x g^-1(f) is in
+    g^-1(I) = I, so g^-1(f) is in I and f is in g(I) = I.  The test of
+    g: let G be a Groebner basis of I; reduction to zero against G is
+    membership in I, both ways, so every g(b), b in G, reduces to zero
+    exactly when g maps generators of I into I, that is g(I) <= I.  A
+    permutation has finite order m, so I = g^m(I) <= g(I) <= I.  So the
+    test keeps exactly the candidates that fix I, and a candidate that
+    permutes the vertices but not the ideal (a corrupted labelling, say)
+    is dropped.  The first step is tested, and only when its division
+    changed no element: then its divided basis is a Groebner basis of
+    its input ideal I.  While no division changes an element every step
+    works on that same I, so a kept g sends each variable certified in
+    a step to one certified by the same certificate, and (b) carries it
+    through the later steps.  A division that changes an element grows
+    the ideal to I : v^inf, which g sends to I : g(v)^inf, in general a
+    different ideal; the test says nothing about it, so from that step
+    on no orbit is used.  The certificates given so far stay, by (b).
 
     Skip rule.  Let G be the previous step's output and I its ideal.
     Step k is only an interreduction of G when the monomial ideal of
@@ -295,7 +350,7 @@ def saturate_generators(
     and the Buchberger algorithm", JSC 1996), with the series from
     Bigatti's pivot algorithm (JPAA 1997).
     """
-    return saturate(gens, variables, budget=budget)
+    return saturate(gens, variables, budget=budget, symmetries=symmetries)
 
 
 def toric_generators(
@@ -318,13 +373,16 @@ def toric_generators(
     set of inner minors, so when I_P = J_P the first step starts from
     generators of J_P instead of rebuilding its quadrics from I(B).  B
     stays in the start because Q spans L only on a correct labelling,
-    and the lemma needs a basis of L."""
+    and the lemma needs a basis of L.  The maps of ``_box_symmetries``
+    go to the saturation as candidates; it uses only those that it
+    proves fix the ideal (certificate (c) of ``saturate_generators``)."""
     matrix = build_matrix(lm)
     lattice = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     gens = list(dict.fromkeys(lattice + _fiber_binomials(lm, 2)))
     variables = [vertex_var(p) for p in matrix.cols]
     if not gens:
         return []
-    saturated = saturate_generators(gens, variables, budget=budget)
+    saturated = saturate_generators(gens, variables, budget=budget,
+                                    symmetries=_box_symmetries(lm))
     final = buchberger(saturated, order, budget=budget)
     return list(final.elements)

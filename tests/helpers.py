@@ -531,6 +531,12 @@ def without_pruning(monkeypatch):
                         run(engine, oriented, budget, track))
 
 
+def without_orbits(monkeypatch):
+    """Patch ``binom._stabilizer``, the seam of the certification by
+    orbits, to keep no map: the saturation certifies no orbit."""
+    monkeypatch.setattr(binom, "_stabilizer", lambda engine, maps, basis: [])
+
+
 def spairs_per_step(monkeypatch, run):
     """The leads of the S-pairs reduced during ``run()``, one list per
     interreduction, that is per saturation step or Buchberger run."""

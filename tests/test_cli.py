@@ -432,17 +432,20 @@ def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):
-    # ``toric_generators``' own start: 59 since the saturation steps run
-    # under block orders (63 before), with the full steps dropping the
-    # pairs that the Hilbert series proves zero, which no budget counts.
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 59)
+    # ``toric_generators``' own start: 79 since the saturation certifies
+    # the orbits of the box's symmetries (59 before, 63 before the block
+    # orders), with the full steps dropping the pairs that the Hilbert
+    # series proves zero, which no budget counts.  Fewer steps run, and
+    # the largest run reduces more pairs.
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 79)
 
 
 def test_toric_budget_boundary_with_quadrics_unpruned(tmp_path, capsys, monkeypatch):
-    # 77 with the pruning patched out, since the saturation steps run
-    # under block orders (75 before).
+    # 86 with the pruning patched out, since the saturation certifies
+    # the orbits of the box's symmetries (77 before, 75 before the block
+    # orders).
     without_pruning(monkeypatch)
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 77)
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 86)
 
 
 @pytest.mark.parametrize("args, message", [

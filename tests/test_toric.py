@@ -24,6 +24,7 @@ from helpers import (
     saturation_one_variable_reference,
     saturation_steps_reference,
     spairs_per_step,
+    without_orbits,
     without_pruning,
 )
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from polytoric.binom import (
     TermOrder,
     UNIT,
     ZERO,
+    Binomial,
     Monomial,
     buchberger,
     parse_binomial,
@@ -53,6 +55,7 @@ from polytoric.toric import (
     lattice_kernel,
     lattice_vector_to_binomial,
     phi_image,
+    _box_symmetries,
     saturate_generators,
     toric_generators,
 )
@@ -204,6 +207,9 @@ def test_lattice_kernel_on_random_matrices(a):
 
 @pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
 def test_toric_generators_match_the_unreduced_route(coords):
+    """``toric_generators`` (quadratic start, pruning, certified orbits)
+    and the saturation from ``lattice_kernel``'s basis alone reach the
+    same basis on every sweep configuration."""
     lm = build_label_map(cfg_of(coords))
     assert toric_generators(lm) == lattice_toric_basis(lm)
 
@@ -431,37 +437,39 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, coun
 # ``toric_generators``' own S-pairs, from ``lattice_kernel``'s basis and
 # every quadratic kernel binomial: at every step (the seam patched to
 # return None), with skipped steps, and with skipped and pruned steps.
-# Recorded with the block orders, as above.
+# Recorded when the saturation started to certify the orbits of the
+# box's symmetries, which takes fewer steps.  SMALL's skips cost no
+# pair: with orbits, no step of it is skipped.
 @pytest.mark.parametrize("coords, mode, count, digest", [
-    pytest.param(SMALL, "every-step", 529,
-                 "bbee8fa5c8c47912eb823e2a74438d28d4e9466533790574c2d2495e0e437726",
+    pytest.param(SMALL, "every-step", 263,
+                 "53777ab67342d9ae1fb91435f3563a5f3d6ef110cc2fe69c7811ba832c1e4378",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, "unpruned", 375,
-                 "3b386fb2ac72f5ab50a74e8bb4686c89822ce5b86fd8305f40a9acb53c9405dc",
+    pytest.param(SMALL, "unpruned", 263,
+                 "53777ab67342d9ae1fb91435f3563a5f3d6ef110cc2fe69c7811ba832c1e4378",
                  id="SMALL-skips-unpruned"),
-    pytest.param(SMALL, "skips", 245,
-                 "1c6c0a640f22166e0dbeed710aad53d4eded96cbc4161c457ee7a6a795d450f3",
+    pytest.param(SMALL, "skips", 218,
+                 "8009450f89ec1ed19af8faef0dbeacc8e65cc7af40831fc5fde901b7cda56cd1",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, "every-step", 1579,
-                 "9dfcda3221c243b644b3ede71491d37471c9de43beb1a73997657f3a8547bbee",
+    pytest.param(MEDIUM_B, "every-step", 725,
+                 "4c85b5fc1769869504a308118d6b6396e0197a5b0a1ccdf489a30a5e28d6b65e",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, "unpruned", 975,
-                 "164bc1a613afe331d30bf7428dc656e412b0379260086551a3d79b609955c339",
+    pytest.param(MEDIUM_B, "unpruned", 604,
+                 "c0334bb6431729aca42c3aaa7d13548f73cbeb62f7169dfe7d11f0d4d427e2c2",
                  id="MEDIUM_B-skips-unpruned"),
-    pytest.param(MEDIUM_B, "skips", 635,
-                 "157586a5e26746a9047891686d2251b0cc889db83c44bee65188ca41c013e25b",
+    pytest.param(MEDIUM_B, "skips", 496,
+                 "5c1190711962db40a3bfbfe2cb1ed6bcfe95f888dc253303c05146b50afe5fa5",
                  id="MEDIUM_B-skips"),
-    pytest.param(FRAME_7X5, "unpruned", 4058,
-                 "0ba42e9aa82c625bb075abf2218ffff305a980039d3a0754676b8ed0f5318a01",
+    pytest.param(FRAME_7X5, "unpruned", 2280,
+                 "eef6c9b80f8a45dbe451a8b8c949e1d9ab2c2ac4ddb72a76374a984b52f6d232",
                  id="FRAME_7X5-skips-unpruned"),
-    pytest.param(FRAME_7X5, "skips", 2245,
-                 "058cbd2d7672bccdfa46c6ebd98b523eeaa06984352289e2a7622b6d751846ff",
+    pytest.param(FRAME_7X5, "skips", 1284,
+                 "10fc2811f865f9619c89f4112043e975136f9e06928a6b268feb9182e2e13c88",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, "unpruned", 21206,
-                 "ed606e557257d73df590e25d32fc18919a7cde38051f531f31768de9f92417fe",
+    pytest.param(THICK_FRAME, "unpruned", 13116,
+                 "3d97fca6f149f2c6908f08156a12c54e7dd3bf2478790cd1e2faf1581916499a",
                  id="THICK_FRAME-skips-unpruned", marks=pytest.mark.slow),
-    pytest.param(THICK_FRAME, "skips", 10680,
-                 "82a84b49c823441642181758da0a39817c6c224c41d931a0ae6feb8819a348a8",
+    pytest.param(THICK_FRAME, "skips", 11093,
+                 "72aa454ee45ca521b76d0e6c38a6fcd5c7c472b40aa6e7f1ba77f0c2dc73e231",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
@@ -497,14 +505,20 @@ def pending_per_step(monkeypatch, run):
     return seen
 
 
-@pytest.mark.parametrize("coords", [SMALL, MEDIUM_B], ids=["SMALL", "MEDIUM_B"])
-def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
+@pytest.mark.parametrize("coords, orbits", [
+    # With orbits no step of SMALL is skipped, so it runs without them.
+    pytest.param(SMALL, False, id="SMALL"),
+    pytest.param(MEDIUM_B, True, id="MEDIUM_B"),
+])
+def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords, orbits):
     """With the pruning patched out, a step reduces either no S-pair
     (skipped) or the S-pairs it reduces when no step is skipped.  Both
     runs take the same steps, by the same variables: a step's reduced
     basis, which certifies the variables, is the same skipped or run."""
     lm = build_label_map(cfg_of(coords))
     without_pruning(monkeypatch)
+    if not orbits:
+        without_orbits(monkeypatch)
 
     def run():
         return toric_generators(lm)
@@ -582,7 +596,7 @@ def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
     assert all(pair[0] == d0 and not pair[3] for pair, d0 in dropped)
 
 
-def recorded_saturation(monkeypatch, gens, variables, certified=None):
+def recorded_saturation(monkeypatch, gens, variables, certified=None, symmetries=()):
     """``saturate_generators``'s output, each step's reduced basis (the
     output of its one interreduction, skipped step or full run), and the
     number of full Buchberger runs.  ``certified``, when given, gets one
@@ -612,7 +626,7 @@ def recorded_saturation(monkeypatch, gens, variables, certified=None):
         m.setattr(binom, "_interreduce", record_step)
         m.setattr(binom, "_run_buchberger", count_run)
         m.setattr(binom, "_uncertified", record_certified)
-        out = saturate_generators(gens, variables)
+        out = saturate_generators(gens, variables, symmetries=symmetries)
     return out, steps, len(runs)
 
 
@@ -744,3 +758,166 @@ def test_saturation_of_inhomogeneous_input_runs_every_step(monkeypatch):
     out, steps, runs = recorded_saturation(monkeypatch, gens, variables)
     assert (steps, out) == saturation_steps_reference(gens, variables)
     assert runs == len(variables)
+
+
+def image(g, b: Binomial) -> Binomial:
+    """The binomial b with every variable v replaced by g.get(v, v)."""
+    return Binomial(*(Monomial([(g.get(v, v), e) for v, e in side]) for side in b))
+
+
+@pytest.mark.parametrize("coords, count", [
+    pytest.param(SMALL, 7, id="SMALL"),
+    pytest.param(THIN_6X6, 7, id="THIN_6X6"),
+    pytest.param(MEDIUM_A, 3, id="MEDIUM_A"),
+    pytest.param(FRAME_7X5, 1, id="FRAME_7X5"),
+    pytest.param(((0, 0), (6, 5), (1, 1), (3, 3)), 0, id="corner_hole"),
+])
+def test_box_symmetries_permute_the_vertices(coords, count):
+    """The box's maps that fix the vertex set: all seven of the square's
+    on a centred square hole, the reflections and the half turn on a
+    hole centred in a wider box, one reflection on the 7x5 frame."""
+    lm = build_label_map(cfg_of(coords))
+    variables = {vertex_var(p) for p in lm.points()}
+    maps = _box_symmetries(lm)
+    assert len(maps) == count
+    for g in maps:
+        assert set(g) == set(g.values()) == variables
+        assert any(g[v] != v for v in g)
+    assert len({tuple(sorted(g.items())) for g in maps}) == count
+
+
+def orbit_steps(monkeypatch, run):
+    """The saturation steps of ``run()``, each as (pending, what
+    ``_uncertified`` left of it, the step's divided basis), the calls of
+    ``_stabilizer``, each as (maps offered, maps kept, basis), the bases
+    as binomials, and what ``run()`` returned."""
+    steps, tests = [], []
+    uncertified, stabilizer = binom._uncertified, binom._stabilizer
+
+    def record_step(engine, pending, basis):
+        left = uncertified(engine, pending, basis)
+        steps.append((list(pending), left, [engine.from_binomial4(b4) for b4 in basis]))
+        return left
+
+    def record_test(engine, maps, basis):
+        kept = stabilizer(engine, maps, basis)
+        tests.append((list(maps), kept, [engine.from_binomial4(b4) for b4 in basis]))
+        return kept
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_uncertified", record_step)
+        m.setattr(binom, "_stabilizer", record_test)
+        out = run()
+    return steps, tests, out
+
+
+@pytest.mark.parametrize("coords", [
+    pytest.param(MEDIUM_B, id="MEDIUM_B"),
+    pytest.param(THIN_6X6, id="THIN_6X6"),
+])
+def test_one_step_certifies_a_whole_orbit(monkeypatch, coords):
+    """On a frame whose square box's seven maps fix the ideal, the first
+    step keeps all of them, and some step certifies more variables than
+    ``_uncertified`` left it: the images of those it certified.  Each
+    variable certified by an orbit alone passes the Bayer-Stillman test
+    on that step's basis: under degrevlex with it last, no element of
+    the reduced basis has it in both terms."""
+    lm = build_label_map(cfg_of(coords))
+    maps = _box_symmetries(lm)
+    steps, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
+    assert [(len(offered), kept) for offered, kept, _ in tests] == [(7, maps)]
+    by_orbit = 0
+    for k, (pending, left, basis) in enumerate(steps):
+        after = steps[k + 1][0] if k + 1 < len(steps) else []
+        assert set(after) <= set(left)
+        certified = set(pending) - set(left)
+        for u in set(left) - set(after):
+            assert any(g[c] == u for g in maps for c in certified), u
+            gb = buchberger(basis, TermOrder("degrevlex", last=(u,)))
+            assert not any(exponent(g.plus, u) and exponent(g.minus, u)
+                           for g in gb.elements), u
+            by_orbit += 1
+    assert by_orbit
+    assert len(steps) < len(lm.points()) - by_orbit
+
+
+@pytest.mark.parametrize("coords", [
+    pytest.param(SMALL, id="SMALL"),
+    pytest.param(MEDIUM_B, id="MEDIUM_B", marks=pytest.mark.slow),
+])
+def test_the_stabilizer_keeps_exactly_the_maps_that_fix_the_ideal(monkeypatch, coords):
+    """On the instance and on every labelling with one label moved by 1,
+    a map offered to ``_stabilizer`` is kept exactly when the reduced
+    basis of the image of the step's basis is the step's own reduced
+    basis, that is when the map fixes the step's ideal; and the toric
+    basis is the one with no orbits.  Every map offered fixes the vertex
+    set, and some are rejected, so a corrupted labelling gets no orbit
+    that its ideal does not have."""
+    lm = build_label_map(cfg_of(coords))
+    labellings = [lm] + [lm.with_label(v, value) for v in lm.points()
+                         for value in (lm.labels[v] - 1, lm.labels[v] + 1) if value >= 1]
+    rejected = 0
+    for bad in labellings:
+        _, tests, with_orbits = orbit_steps(monkeypatch, lambda: toric_generators(bad))
+        for offered, kept, basis in tests:
+            assert offered == _box_symmetries(bad)
+            gb = buchberger(basis).elements
+            fixing = [g for g in offered
+                      if buchberger([image(g, b) for b in basis]).elements == gb]
+            assert kept == fixing
+            rejected += len(offered) - len(kept)
+        with monkeypatch.context() as m:
+            without_orbits(m)
+            assert toric_generators(bad) == with_orbits
+    assert rejected
+
+
+def test_no_orbit_when_every_box_map_moves_the_hole(monkeypatch):
+    """(0,0),(5,4),(1,1),(3,2): the hole is one cell high, so it holds no
+    vertex and the box's three maps fix the vertex set, but each moves
+    the hole.  The test keeps none of them, and the S-pairs are the ones
+    recorded before the saturation took symmetries."""
+    lm = build_label_map(cfg_of(((0, 0), (5, 4), (1, 1), (3, 2))))
+    assert len(_box_symmetries(lm)) == 3
+    _, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
+    assert [kept for _, kept, _ in tests] == [[]]
+    assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (
+        4067, "56072166c8491e25abd1e9b3b9fb38f2a53216a004b54872090e9c30195e7cfe")
+
+
+def test_inhomogeneous_input_takes_no_orbit(monkeypatch):
+    """Inhomogeneous generators and a map that fixes their ideal (the
+    generators are closed under it): still one full run per variable and
+    the reference's steps, and the map is never tested."""
+    swap = {r_var(1): r_var(2), r_var(2): r_var(1)}
+    gens = [parse_binomial(g) for g in (
+        "r[2]*r[3] - r[1]^2*r[3]",
+        "r[1]*r[2]^2*r[3]^2 - r[1]*r[2]*r[4]",
+    )]
+    gens += [image(swap, g) for g in gens]
+    variables = [r_var(1), r_var(2), r_var(3)]
+    tested = []
+    monkeypatch.setattr(binom, "_stabilizer", lambda *args: tested.append(args) or [])
+    out, steps, runs = recorded_saturation(monkeypatch, gens, variables, symmetries=[swap])
+    assert (steps, out) == saturation_steps_reference(gens, variables)
+    assert runs == len(variables)
+    assert tested == []
+
+
+def _orbit_cases():
+    for name, coords in [("SMALL", SMALL), ("MEDIUM_B", MEDIUM_B), ("FRAME_7X5", FRAME_7X5),
+                         ("THIN_6X6", THIN_6X6), ("FRAME_8X5", FRAME_8X5)]:
+        yield pytest.param(coords, id=name)
+    yield pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow)
+    for coords in sweep_configs():
+        yield pytest.param(coords, id=str(coords))
+
+
+@pytest.mark.parametrize("coords", list(_orbit_cases()))
+def test_orbits_change_no_basis(monkeypatch, coords):
+    """``toric_generators`` gives the same basis, byte for byte, with
+    ``_stabilizer`` patched to keep no map."""
+    lm = build_label_map(cfg_of(coords))
+    with_orbits = "\n".join(map(str, toric_generators(lm)))
+    without_orbits(monkeypatch)
+    assert "\n".join(map(str, toric_generators(lm))) == with_orbits
