@@ -424,7 +424,7 @@ class _Basis:
     indices of the elements whose lead holds it, ascending.  The elements
     sharing a variable with a monomial are those listed under its set
     bits; ``_gm_update``, its only reader, fills it and gives quotients
-    to those alone.
+    to those alone.  ``linear`` is the support mask of the degree-1 leads.
 
     A provenance entry is a flat tuple of (gen_index, (deg, packed),
     sign) meaning value = sum sign * multiplier * gens[gen_index].
@@ -440,11 +440,14 @@ class _Basis:
         self.occurs: dict[int, list[int]] = {}
         # smallest lead degree held, the bound of criterion B
         self.min_ld = _DEGREE_CAP
+        self.linear = 0
 
     def append(self, e: _Elem, prov) -> int:
         idx = len(self.elems)
         if e.ld < self.min_ld:
             self.min_ld = e.ld
+        if e.ld == 1:
+            self.linear |= e.mask
         self.elems.append(e)
         self.prov.append(prov)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
@@ -617,6 +620,11 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
 
     Criterion B, which drops an older pair whose lcm a later lead
     divides, runs when the pair is popped (see ``_run_buchberger``).
+
+    Returns the support mask of the degree-1 quotients and of the
+    degree-1 leads held before the new one.  When lmf is outside the
+    ideal L of those leads, as a reduced lead is, these are exactly the
+    variables of L : lmf, since no quotient is then 1.
     """
     new_elem = _Elem(engine, b4)
     m = len(basis.elems)
@@ -650,7 +658,9 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
             kept.append(q)
         if basis.find_reducer(qdeg, q, qmask) < 0:
             heappush(heap, (new_elem.ld + qdeg, first[q], m, lmf + q))
+    union |= basis.linear
     basis.append(new_elem, prov)
+    return union
 
 
 def _interreduce(engine: _Engine, elems: list[_Elem], prov: list, track: bool):
@@ -677,7 +687,7 @@ def _interreduce(engine: _Engine, elems: list[_Elem], prov: list, track: bool):
     return final, final_prov
 
 
-def _run_buchberger(engine: _Engine, oriented, budget, track, gap=None):
+def _run_buchberger(engine: _Engine, oriented, budget, track, deficit=None):
     """Buchberger completion with the Gebauer-Moeller criteria.
 
     ``oriented`` lists the generators as (b4, flip) pairs, as
@@ -698,30 +708,25 @@ def _run_buchberger(engine: _Engine, oriented, budget, track, gap=None):
     lcm(A, B) = L and lead m dividing gcd(A, B); deg A + deg B =
     deg L + deg gcd(A, B) gives deg lead m <= deg L - 2.
 
-    ``gap``, when given, lists the Hilbert numerator of the generators'
-    leads minus that of their ideal (see ``saturate``).  It gives the
-    deficit HF_leads(d0) - HF_ideal(d0) at the lowest lcm degree d0
-    queued after the generators.  Each nonzero reduction in degree d0
-    lowers it by one, and once it is 0 the pairs left in that degree are
-    dropped, uncounted (proof in ``toric.saturate_generators``).
+    ``deficit``, when given, maps some degrees d to HF(S / L)(d) -
+    HF(S / I)(d), with L the ideal of the leads held and I that of the
+    generators (see ``saturate``), and is kept exact in place.  A nonzero
+    reduction in degree d adds a lead m: it lowers the deficit in degree
+    d by 1 and the one in degree d + 1 by n minus the number of variables
+    of L : m, which ``_gm_update`` returns, and forgets the higher ones.
+    A pair popped in a degree whose deficit is 0 is dropped, uncounted
+    (proofs in ``toric.saturate_generators``).
     """
     basis = _Basis(engine)
     heap: list[tuple[int, int, int, int]] = []
     for k, (b4, flip) in enumerate(oriented):
         _gm_update(engine, basis, heap, b4, ((k, (0, 0), flip),))
-    d0 = deficit = None
-    if gap is not None and heap:
-        d0, n = heap[0][0], len(engine.vars)
-        deficit = sum(c * comb(n - 1 + d0 - i, n - 1) for i, c in enumerate(gap[:d0 + 1]))
+    deficit = {} if deficit is None else deficit
+    n = len(engine.vars)
     reductions = 0
     while heap:
-        if deficit == 0:
-            while heap and heap[0][0] == d0:
-                heappop(heap)
-            deficit = None
-            continue
         d, i, j, lpk = heappop(heap)
-        if d >= basis.min_ld + 2 and basis.dominated(i, j, lpk):
+        if deficit.get(d) == 0 or d >= basis.min_ld + 2 and basis.dominated(i, j, lpk):
             continue
         reductions += 1
         if budget is not None and reductions > budget:
@@ -742,9 +747,12 @@ def _run_buchberger(engine: _Engine, oriented, budget, track, gap=None):
             prov = basis.flatten(((i, ui, sf), (j, uj, -sf)) + tuple(
                 (k, m, -sig_f * sg) for k, m, sg in steps
             ))
-        _gm_update(engine, basis, heap, nf, prov)
-        if d == d0:
-            deficit -= 1
+        colon = _gm_update(engine, basis, heap, nf, prov)
+        for e in [e for e in deficit if e >= d]:
+            if e > d + 1:
+                del deficit[e]
+            else:
+                deficit[e] -= 1 if e == d else n - colon.bit_count()
     return _interreduce(engine, basis.elems, basis.prov, track)
 
 
@@ -911,6 +919,45 @@ def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tup
         tasks += [(None, (key, factor, 0)), (free, None), (colon, None)]
     return _signed_digits(values.pop(), w)
 
+
+def _hilbert_value(numerator, n: int, d: int) -> int:
+    """The coefficient of t^d in numerator(t) / (1 - t)^n."""
+    return sum(c * comb(n - 1 + d - i, n - 1) for i, c in enumerate(numerator[:d + 1]))
+
+
+def _low_hilbert(engine: _Engine, leads: Iterable[int]) -> tuple[int, int, int]:
+    """HF(S / <leads>)(d) for d = 1, 2, 3, for packed ``leads`` of degree
+    1 or 2, by counting.  Setting the leads of degree 1 to zero leaves,
+    over the m other variables, the ideal of the set Q of the quadric
+    leads free of them.  Its degree-3 part is the union of the sets q S_1,
+    of size m each.  Two of them meet only when q and q' share a
+    variable, in their lcm; three only when q, q' and q'' are ab, bc and
+    ca, in abc; no cubic has four quadric divisors.  So by inclusion and
+    exclusion it has m |Q| - P + T elements, P the pairs of Q sharing a
+    variable and T the triangles of the graph of its squarefree leads."""
+    H, ONES = engine.H, engine.ONES
+    leads = set(leads)
+    linear = sum(p for p in leads if p % _FMASK == 1)
+    m = sum(not linear >> s & 1 for s in engine.shift)
+    quads = pairs = triangles = 0
+    # guard bit -> the number of quadric leads holding it, and -> the
+    # other variables of the squarefree ones
+    held: dict[int, int] = {}
+    near: dict[int, set] = {}
+    for q in leads:
+        mask = ((q | H) - ONES) & H
+        if q % _FMASK != 2 or mask >> (_FIELD - 1) & linear:
+            continue
+        quads += 1
+        a, b = mask & -mask, mask & (mask - 1)
+        for v in (a, b) if b else (a,):
+            pairs += held.get(v, 0)
+            held[v] = held.get(v, 0) + 1
+        if b:
+            triangles += len(near.setdefault(a, set()) & near.setdefault(b, set()))
+            near[a].add(b)
+            near[b].add(a)
+    return m, comb(m + 1, 2) - quads, comb(m + 2, 3) - (m * quads - pairs + triangles)
 
 
 # --------------------------------------------------------------------------
@@ -1108,7 +1155,7 @@ def saturate(
     that then divides no lead leave it (``_uncertified``); for
     inhomogeneous ones only v leaves, so every variable gets a step.
     ``budget`` caps the S-pair reductions of each Buchberger run, not
-    counting the pairs that the Hilbert series proves zero.
+    counting the pairs that the Hilbert function proves zero.
 
     ``symmetries`` are candidate permutations of the variables, each a
     map from a variable to its image (unlisted variables stay put).  At
@@ -1121,17 +1168,21 @@ def saturate(
 
     The basis stays packed from step to step, over one universe (the
     variables of ``gens`` and ``variables``), and each step moves it to
-    its own layout with ``_repack``.  A step after the first only
-    interreduces its input when the input's leads have the Hilbert
-    series of the ideal, and otherwise prunes its full run by the
-    difference of the two series (the theorems are in
+    its own layout with ``_repack``.  For homogeneous ``gens``, a step
+    after the first drops each input element of degree 3 or more that
+    reduces to zero against those of degree 2 or less.  It then compares
+    the Hilbert functions of its input's leads and of the ideal in
+    degrees 1 to 2D, D the top degree of its input: for D <= 2 by
+    counting (``_low_hilbert``), else from the leads' series.  When they
+    agree it only interreduces its input, and otherwise it runs in full,
+    pruned by the differences (the theorems are in
     ``toric.saturate_generators``).  The ideal's series is read off the
     previous step's leads, again only when the division changed an
     element, and never for inhomogeneous ``gens``, which the division
     keeps no Groebner basis of.  Every series is read from
     ``_hilbert_numerator``, each in its step's layout, with one memo for
-    all steps; patched to return None, it turns off the skips and the
-    pruning both.
+    all steps; patched to return None, it turns off the counts, the
+    skips and the pruning, but not the drop.
     """
     gens = _checked(gens)
     pending = list(dict.fromkeys(variables))
@@ -1141,7 +1192,7 @@ def saturate(
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
     memo: dict = {}
-    series = gap = engine = None
+    series = engine = None
     # The kept maps; None until the first step has tested them.
     group = None
     while pending:
@@ -1155,15 +1206,32 @@ def saturate(
                 step.orient_packed((ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))
                 for ld, lp, td, tp in current
             ]
+            if homogeneous and any(b4[0] > 2 for b4, _ in oriented):
+                # Drop what reduces to zero against the quadrics and below.
+                low = _Basis(step)
+                for b4, _ in oriented:
+                    if b4[0] <= 2:
+                        low.append(_Elem(step, b4), None)
+                oriented = [g for g in oriented
+                            if g[0][0] <= 2 or low.reduce(g[0], None)[0] is not None]
         engine = step
+        deficit = None
         if series is not None:
-            leads = _hilbert_numerator(engine, (b4[1] for b4, _ in oriented), memo)
-            gap = [a - b for a, b in zip_longest(leads, series, fillvalue=0)]
-        if gap is not None and not any(gap):
+            n = len(universe)
+            leads = [b4[1] for b4, _ in oriented]
+            high = max((b4[0] for b4, _ in oriented), default=0)
+            if high <= 2:
+                deficit = {d: h - _hilbert_value(series, n, d)
+                           for d, h in enumerate(_low_hilbert(engine, leads), 1)}
+            else:
+                gap = [a - b for a, b in zip_longest(
+                    _hilbert_numerator(engine, leads, memo), series, fillvalue=0)]
+                deficit = {d: _hilbert_value(gap, n, d) for d in range(1, 2 * high + 1)}
+        if deficit is not None and not any(deficit.values()):
             elems = [_Elem(engine, b4) for b4, _ in oriented]
             reduced = _interreduce(engine, elems, [None] * len(elems), False)[0]
         else:
-            reduced = _run_buchberger(engine, oriented, budget, False, gap)[0]
+            reduced = _run_buchberger(engine, oriented, budget, False, deficit)[0]
         current = []
         changed = False
         for ld, lp, td, tp in reduced:

@@ -324,26 +324,40 @@ def saturate_generators(
     on no orbit is used.  The certificates given so far stay, by (b).
 
     Skip rule.  Let G be the previous step's output and I its ideal.
-    Step k is only an interreduction of G when the monomial ideal of
-    G's leads under the new order has the Hilbert series of S / I.
-    Hypotheses: both orders are degree-compatible (degrevlex is), and G
-    is a Groebner basis of I for the previous order, which the division
-    keeps when ``gens`` are homogeneous.  Then the new leads generate an
-    ideal inside the new initial ideal, S / I and S / in(I) have the same
-    Hilbert series under either order (Macaulay), and a monomial ideal
-    inside another with the same series equals it.  So G is a Groebner
-    basis for the new order, and interreducing it gives the one reduced
-    basis, G_k, that a full run gives.  Any other step runs Buchberger
-    in full, and with inhomogeneous ``gens`` every step does.  No step
-    is skipped only because the basis stopped changing.
+    With ``gens`` homogeneous, the division keeps G a Groebner basis of
+    I for the previous order, whose leads give the series of S / I
+    (Macaulay, for any degree-compatible order).  Step k drops each
+    element of G of degree 3 or more that reduces to zero against those
+    of degree 2 or less, which leaves G' generating I.  Let D be the top
+    degree of G' and L the ideal of its leads under the new order; L <=
+    in(I), and the deficit HF(S / L) - HF(S / I) is never negative.
+    (i) Pair degrees.  Buchberger's criterion needs only the pairs whose
+    leads are not coprime, and their lcms have degree at most 2D - 1.
+    Such an S-pair lies in I, homogeneous of its lcm degree d, and where
+    L and in(I) agree in degree d its normal form is 0, or its lead
+    would be in in(I) and not in L.  So G' is a Groebner basis exactly
+    when the deficit is 0 up to degree 2D, and then interreducing it
+    gives the reduced basis G_k that a full run gives.  For D <= 2 that
+    is degrees 1 to 3, which ``_low_hilbert`` counts.  Degree 1 matters
+    only when two leads are one variable, but then it must be checked: a
+    linear form of I that no lead divides can hide while degrees 2 and 3
+    agree.  For D >= 3 HF(S / L) comes from the leads' series.  Any other
+    step runs Buchberger in full, with inhomogeneous ``gens`` every step
+    does, and no step is skipped only because the basis stopped changing.
 
-    Pruning rule.  Under the same hypotheses, a step run in full reads
-    the deficit HF(S / <G's leads>)(d0) - HF(S / I)(d0) at its lowest
-    pair degree d0: the degree-d0 monomials of the new initial ideal
-    that no lead divides.  A nonzero reduction in degree d0 adds exactly
-    one of them as a lead (its normal form is homogeneous of degree d0),
-    and nothing else adds a lead of degree d0.  At deficit 0 every pair
-    left in degree d0 reduces to zero; it is dropped, uncounted by
+    Pruning rule.  A step run in full starts from the deficits up to
+    degree 2D (up to 3 when counted) and pops its pairs by lcm degree.
+    Only a nonzero reduction adds a lead, and in degree d it adds the
+    lead m of its normal form, outside L.  (ii) Exact sequence.  From 0
+    -> S / (L : m)(-d) -> S / L -> S / (L + m) -> 0 (multiplication by
+    m), HF(S / (L + m)) is 1 less in degree d and n - k less in degree
+    d + 1, with n variables and k of them in L : m.  L : m is generated
+    by the l / gcd(l, m) over the leads l, none of them 1, so its
+    variables are the degree-1 quotients of the leads sharing a variable
+    with m, which ``_gm_update`` has for the chain criterion, and the
+    degree-1 leads.  So the run keeps the deficits in degrees d and d + 1
+    exact and forgets the higher ones.  At deficit 0 in degree d, every
+    pair left there reduces to zero, by (i); it is dropped, uncounted by
     ``budget``.  Zero reductions change neither the basis nor the queue,
     so the step keeps its other pairs, their order and its output.  Both
     rules are Traverso's Hilbert-driven Buchberger ("Hilbert functions

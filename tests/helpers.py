@@ -523,11 +523,12 @@ def lattice_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomia
 
 
 def without_pruning(monkeypatch):
-    """Patch ``binom._run_buchberger`` so that no run gets a series gap:
-    the saturation still skips steps, but prunes no pair."""
+    """Patch ``binom._run_buchberger`` so that no run gets a Hilbert
+    function deficit: the saturation still skips steps, but prunes no
+    pair."""
     run = binom._run_buchberger
     monkeypatch.setattr(binom, "_run_buchberger",
-                        lambda engine, oriented, budget, track, gap=None:
+                        lambda engine, oriented, budget, track, deficit=None:
                         run(engine, oriented, budget, track))
 
 

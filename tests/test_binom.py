@@ -36,6 +36,8 @@ from polytoric.binom import (
     _field_map,
     _gm_update,
     _hilbert_numerator,
+    _hilbert_value,
+    _low_hilbert,
     _repack,
     _signed_digits,
     DEGREVLEX,
@@ -554,6 +556,32 @@ def test_hilbert_numerator_matches_the_references(ideal):
     assert numerator == numerator_by_inclusion_exclusion(gens)
 
 
+@st.composite
+def low_degree_leads(draw):
+    """At most six variables and up to ten leads of degree 1 or 2, as
+    exponent tuples: squares, repeated leads and linear leads."""
+    n = draw(st.integers(min_value=1, max_value=len(SERIES_POOL)))
+    var = st.integers(0, n - 1)
+    picks = draw(st.lists(st.one_of(st.tuples(var), st.tuples(var, var)), max_size=10))
+    return n, [tuple(pick.count(i) for i in range(n)) for pick in picks]
+
+
+@given(ideal=low_degree_leads(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_low_hilbert_counts_match_the_numerator(ideal, data):
+    """HF(1), HF(2) and HF(3) by counting are the series coefficients of
+    the Bigatti numerator, in any layout; ``_hilbert_value`` reads them."""
+    n, gens = ideal
+    universe = SERIES_POOL[:n]
+    engine = _Engine(universe, TermOrder("degrevlex", last=tuple(
+        data.draw(st.lists(st.sampled_from(universe), unique=True)))))
+    leads = [packed(engine, g) for g in gens]
+    numerator = _hilbert_numerator(engine, leads, {})
+    series = series_coefficients(numerator, n, 3)
+    assert [_hilbert_value(numerator, n, d) for d in range(4)] == series
+    assert _low_hilbert(engine, leads) == tuple(series[1:])
+
+
 @pytest.mark.parametrize("w", [2, 3, 16, 76, 200])
 def test_signed_digits_decode_the_extreme_coefficients(w):
     """A polynomial packed at t = 2**w decodes back when every
@@ -730,6 +758,29 @@ def test_gm_update_queues_the_pairs_of_the_full_walk(order, pairs):
         reference_gm_update(engine, reference, reference_heap, b4, None)
         assert sorted(heap) == sorted(reference_heap)
         assert_occurrences_match_leads(engine, basis)
+
+
+@given(monomials=st.lists(st.one_of(
+    st.sampled_from([Monomial([(v, 1)]) for v in UPDATE_POOL]),
+    update_monomials.filter(bool)), min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_gm_update_returns_the_variables_of_the_colon(monomials):
+    """Whenever the new lead m lies outside the ideal L of the leads held,
+    the update returns the variables x with x * m in L, as a mask; a
+    lead of degree 1 is one of them unless it divides m."""
+    engine = _Engine(UPDATE_POOL, DEGREVLEX)
+    basis = _Basis(engine)
+    heap = []
+    leads = []
+    checked = 0
+    for m in monomials:
+        colon = _gm_update(engine, basis, heap, engine.orient(Binomial(m, UNIT))[0], None)
+        if not any(divides(lead, m) for lead in leads):
+            checked += 1
+            assert colon == sum(_GUARD << engine.shift[k] for k, v in enumerate(UPDATE_POOL)
+                                if any(divides(lead, m * Monomial([(v, 1)])) for lead in leads))
+        leads.append(m)
+    assert checked
 
 
 def test_gm_update_coprime_lead_check():

@@ -432,20 +432,22 @@ def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):
-    # ``toric_generators``' own start: 79 since the saturation certifies
-    # the orbits of the box's symmetries (59 before, 63 before the block
-    # orders), with the full steps dropping the pairs that the Hilbert
-    # series proves zero, which no budget counts.  Fewer steps run, and
-    # the largest run reduces more pairs.
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 79)
+    # ``toric_generators``' own start: 53 since the steps after the first
+    # drop the generators that reduce to zero against the quadrics and
+    # prune the degree after the lowest too (79 before, since the
+    # saturation certifies the orbits of the box's symmetries; 59 before
+    # that, 63 before the block orders), with the full steps dropping the
+    # pairs that the Hilbert function proves zero, which no budget counts.
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 53)
 
 
 def test_toric_budget_boundary_with_quadrics_unpruned(tmp_path, capsys, monkeypatch):
-    # 86 with the pruning patched out, since the saturation certifies
-    # the orbits of the box's symmetries (77 before, 75 before the block
-    # orders).
+    # 84 with the pruning patched out, since the steps after the first
+    # drop the generators that reduce to zero against the quadrics (86
+    # since the saturation certifies the orbits of the box's symmetries,
+    # 77 before, 75 before the block orders).
     without_pruning(monkeypatch)
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 86)
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 84)
 
 
 @pytest.mark.parametrize("args, message", [

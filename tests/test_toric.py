@@ -23,6 +23,7 @@ from helpers import (
     normalized,
     saturation_one_variable_reference,
     saturation_steps_reference,
+    series_coefficients,
     spairs_per_step,
     without_orbits,
     without_pruning,
@@ -393,13 +394,15 @@ def saturation_input(coords, raised=None):
 # and pruning, is patched to return None, so no step is skipped or
 # pruned.  The input is ``lattice_kernel``'s basis alone, without the
 # quadratic kernel binomials that ``toric_generators`` adds (pinned
-# further below).
+# further below).  Re-recorded when each step after the first started to
+# drop the generators of degree 3 or more that reduce to zero against
+# those of degree 2 or less.
 @pytest.mark.parametrize("coords, count, digest", [
-    pytest.param(SMALL, 954,
-                 "6347fe87c7af546964e2f2e5e59f55c01b112cabed4172f26337f805f30216a4",
+    pytest.param(SMALL, 938,
+                 "259db428dfc284201bca2ebbd4a1a38c7c2c0524673e676de10c025461b3de16",
                  id="SMALL"),
-    pytest.param(MEDIUM_B, 3148,
-                 "2a31bf07acc8ebccca4808209afeb79f5f2bb1300b9ceaa89bcf1fdd5a686b82",
+    pytest.param(MEDIUM_B, 3111,
+                 "5708851f72599120d756d226610466bf2ab5b3e4a60f627ae1e0b34e9a90bd3d",
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
@@ -412,19 +415,20 @@ def test_spair_trace_toric(monkeypatch, coords, count, digest):
 # reduce no S-pair (see test_skipped_steps_leave_the_other_steps_spairs_alone),
 # and the pruned steps drop only pairs that the series proves zero (see
 # test_pruning_drops_only_zero_reductions).  Recorded with the block
-# orders, as above.
+# orders, as above, and again when the steps started to drop generators
+# (as above) and to prune the degree after the lowest too.
 @pytest.mark.parametrize("coords, pruning, count, digest", [
-    pytest.param(SMALL, True, 410,
-                 "00017916d6dbb146769a401ba1143f114ccc225ef99d02e4d0406f962a8e8389",
+    pytest.param(SMALL, True, 324,
+                 "584aa588cc12e837fcef849b00ef2db68ceb5e652ded0c6d63f31c01749aca5d",
                  id="SMALL"),
-    pytest.param(MEDIUM_B, True, 1229,
-                 "a0b68ef90258802ebdf8e4aca0fa00d13da2c6696e810a8332be848e1c9fcc75",
+    pytest.param(MEDIUM_B, True, 987,
+                 "cba25a987eac8baaa277d5c39b2e743de1c0232725484d6fe16806e79020a853",
                  id="MEDIUM_B"),
-    pytest.param(SMALL, False, 545,
-                 "59d400e7389bb3d6548b14c7000a9a1c69ed1c5a2afd1f20dae3f226ab75a31c",
+    pytest.param(SMALL, False, 540,
+                 "691587ca218b05ecb5a7be050b12d62f6644bcede7d99ca1815ec7615897e9c2",
                  id="SMALL-unpruned"),
-    pytest.param(MEDIUM_B, False, 1567,
-                 "ce7a73f7700340684f1477f0d0d097740d60b14d43a392e191c8380b660b00e5",
+    pytest.param(MEDIUM_B, False, 1558,
+                 "da2d515352e236e0b309eac5369a68be583b2bb446e4028ef6b6ff6f5a0f34b6",
                  id="MEDIUM_B-unpruned"),
 ])
 def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, count, digest):
@@ -438,26 +442,28 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, coun
 # every quadratic kernel binomial: at every step (the seam patched to
 # return None), with skipped steps, and with skipped and pruned steps.
 # Recorded when the saturation started to certify the orbits of the
-# box's symmetries, which takes fewer steps.  SMALL's skips cost no
-# pair: with orbits, no step of it is skipped.
+# box's symmetries, which takes fewer steps, and again when the steps
+# after the first started to drop generators that reduce to zero against
+# the quadrics and to prune the degree after the lowest too.  SMALL's
+# skips cost no pair: with orbits, no step of it is skipped.
 @pytest.mark.parametrize("coords, mode, count, digest", [
-    pytest.param(SMALL, "every-step", 263,
-                 "53777ab67342d9ae1fb91435f3563a5f3d6ef110cc2fe69c7811ba832c1e4378",
+    pytest.param(SMALL, "every-step", 261,
+                 "72a85e2725a6d8ab1b9df738c9855703ed61410a0615d32ff0ca38401133eb9a",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, "unpruned", 263,
-                 "53777ab67342d9ae1fb91435f3563a5f3d6ef110cc2fe69c7811ba832c1e4378",
+    pytest.param(SMALL, "unpruned", 261,
+                 "72a85e2725a6d8ab1b9df738c9855703ed61410a0615d32ff0ca38401133eb9a",
                  id="SMALL-skips-unpruned"),
-    pytest.param(SMALL, "skips", 218,
-                 "8009450f89ec1ed19af8faef0dbeacc8e65cc7af40831fc5fde901b7cda56cd1",
+    pytest.param(SMALL, "skips", 187,
+                 "619d41e63fb0e7d4a2ffb592dfb99993690219ec575899ca50ef145dfd2bea68",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, "every-step", 725,
-                 "4c85b5fc1769869504a308118d6b6396e0197a5b0a1ccdf489a30a5e28d6b65e",
+    pytest.param(MEDIUM_B, "every-step", 713,
+                 "7102f307b07d83efe8345ade5662bbf5c5b8226b44658fe96afb43e2d10706ff",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, "unpruned", 604,
-                 "c0334bb6431729aca42c3aaa7d13548f73cbeb62f7169dfe7d11f0d4d427e2c2",
+    pytest.param(MEDIUM_B, "unpruned", 597,
+                 "7e7dd705faafc515063855c1c09508ae841fe17b4b8cca67539e1bc0a1ab3877",
                  id="MEDIUM_B-skips-unpruned"),
-    pytest.param(MEDIUM_B, "skips", 496,
-                 "5c1190711962db40a3bfbfe2cb1ed6bcfe95f888dc253303c05146b50afe5fa5",
+    pytest.param(MEDIUM_B, "skips", 444,
+                 "2764081a57bf8f8a7a26c7cf0300243cff2e3e1aae37a0652fb198c0fc80509e",
                  id="MEDIUM_B-skips"),
     pytest.param(FRAME_7X5, "unpruned", 2280,
                  "eef6c9b80f8a45dbe451a8b8c949e1d9ab2c2ac4ddb72a76374a984b52f6d232",
@@ -465,11 +471,11 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, coun
     pytest.param(FRAME_7X5, "skips", 1284,
                  "10fc2811f865f9619c89f4112043e975136f9e06928a6b268feb9182e2e13c88",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, "unpruned", 13116,
-                 "3d97fca6f149f2c6908f08156a12c54e7dd3bf2478790cd1e2faf1581916499a",
+    pytest.param(THICK_FRAME, "unpruned", 12998,
+                 "908e8c5fd1a9f24d6a7a1b8f2e9c14dbcea21204eb0369afd4a386f9c25438e6",
                  id="THICK_FRAME-skips-unpruned", marks=pytest.mark.slow),
-    pytest.param(THICK_FRAME, "skips", 11093,
-                 "72aa454ee45ca521b76d0e6c38a6fcd5c7c472b40aa6e7f1ba77f0c2dc73e231",
+    pytest.param(THICK_FRAME, "skips", 7249,
+                 "095d9e4c5fd7240e185af5195bf8854e10f765af4bc72e94d03e3432900b2672",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
@@ -562,13 +568,18 @@ def reductions_per_step(monkeypatch, run):
     return steps[:-1]
 
 
-@pytest.mark.parametrize("coords", [SMALL, MEDIUM_B, FRAME_7X5],
-                         ids=["SMALL", "MEDIUM_B", "FRAME_7X5"])
+@pytest.mark.parametrize("coords", [
+    pytest.param(SMALL, id="SMALL"),
+    pytest.param(MEDIUM_B, id="MEDIUM_B"),
+    pytest.param(FRAME_7X5, id="FRAME_7X5"),
+    pytest.param(((0, 0), (5, 4), (1, 1), (3, 2)), id="no-orbit"),
+    pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow),
+])
 def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
     """Each pruned step reduces the pairs of the unpruned step, in the
-    same order, minus some pairs of its lowest degree, and every pair it
-    drops reduces to zero in the unpruned step.  Both runs take the same
-    steps, by the same variables."""
+    same order, minus some pairs of its lowest degree or the next, and
+    every pair it drops reduces to zero in the unpruned step.  Both runs
+    take the same steps, by the same variables."""
     lm = build_label_map(cfg_of(coords))
 
     def run():
@@ -593,7 +604,144 @@ def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
                 pytest.fail(f"{pair} is not in the unpruned step")
         dropped += [(other, min(p[0] for p in every)) for other in rest]
     assert dropped
-    assert all(pair[0] == d0 and not pair[3] for pair, d0 in dropped)
+    assert all(pair[0] - d0 in (0, 1) and not pair[3] for pair, d0 in dropped)
+
+
+def count_decided_steps(monkeypatch, run):
+    """Per saturation step of ``run()`` that ``_low_hilbert`` decides:
+    (engine, the leads counted, the deficits the step's Buchberger run
+    starts from or None when the step is skipped, the leads of the
+    step's reduced basis)."""
+    steps = []
+    low, full, interreduce = binom._low_hilbert, binom._run_buchberger, binom._interreduce
+
+    def record_counts(engine, leads):
+        leads = list(leads)
+        steps.append([engine, leads, None, None])
+        return low(engine, leads)
+
+    def record_run(engine, oriented, budget, track, deficit=None):
+        if steps and steps[-1][3] is None:
+            steps[-1][2] = dict(deficit)
+        return full(engine, oriented, budget, track, deficit)
+
+    def record_basis(*args):
+        out = interreduce(*args)
+        if steps and steps[-1][3] is None:
+            steps[-1][3] = [b4[1] for b4 in out[0]]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_low_hilbert", record_counts)
+        m.setattr(binom, "_run_buchberger", record_run)
+        m.setattr(binom, "_interreduce", record_basis)
+        run()
+    return steps
+
+
+def test_counts_decide_steps_as_the_numerator_would(monkeypatch):
+    """Every step decided by counting, on the standard instances and the
+    16 sweep configurations, has only leads of degree 2 or less.  It is
+    skipped exactly when its leads have the Hilbert series of its ideal,
+    read from the numerator of its reduced basis's leads, and otherwise
+    runs from the deficits in degrees 1 to 3 that the numerators give."""
+    decided = {True: 0, False: 0}
+    for coords in [SMALL, MEDIUM_B, FRAME_7X5, *sweep_configs()]:
+        lm = build_label_map(cfg_of(coords))
+        for engine, leads, deficit, basis in count_decided_steps(
+                monkeypatch, lambda: toric_generators(lm)):
+            n = len(engine.vars)
+            assert all(p % binom._FMASK <= 2 for p in leads)
+            ours = binom._hilbert_numerator(engine, leads, {})
+            ideal = binom._hilbert_numerator(engine, basis, {})
+            assert (deficit is None) == (ours == ideal), coords
+            if deficit is not None:
+                gap = [a - b for a, b in zip(series_coefficients(ours, n, 3),
+                                             series_coefficients(ideal, n, 3))]
+                assert deficit == {d: gap[d] for d in (1, 2, 3)}, coords
+            decided[deficit is None] += 1
+    assert decided[True] and decided[False]
+
+
+@pytest.mark.parametrize("start, coords", [
+    pytest.param(lattice_toric_basis, SMALL, id="SMALL-lattice"),
+    pytest.param(lattice_toric_basis, MEDIUM_B, id="MEDIUM_B-lattice"),
+    pytest.param(toric_generators, ((0, 0), (5, 4), (1, 1), (3, 2)), id="no-orbit"),
+    pytest.param(toric_generators, THICK_FRAME, id="THICK_FRAME"),
+])
+def test_tracked_deficit_matches_a_fresh_numerator(monkeypatch, start, coords):
+    """When a pruned run pops its first pair of degree d0 + 1, d0 the
+    degree of its first pair, the deficit it tracks there is the one
+    that fresh numerators give: of the leads it holds then, and of its
+    reduced basis's leads, whose series is its ideal's."""
+    lm = build_label_map(cfg_of(coords))
+    runs = []
+    full, update, pop = binom._run_buchberger, binom._gm_update, binom.heappop
+
+    def record_run(engine, oriented, budget, track, deficit=None):
+        runs.append({"deficit": deficit, "start": dict(deficit or {}), "d0": None, "at": None})
+        out = full(engine, oriented, budget, track, deficit)
+        runs[-1]["engine"], runs[-1]["basis"] = engine, [b4[1] for b4 in out[0]]
+        return out
+
+    def record_update(engine, basis, heap, b4, prov):
+        runs[-1]["held"] = basis
+        return update(engine, basis, heap, b4, prov)
+
+    def record_pop(heap):
+        item = pop(heap)
+        run = runs[-1]
+        if run["d0"] is None:
+            run["d0"] = item[0]
+        elif run["at"] is None and item[0] == run["d0"] + 1 and item[0] in (run["deficit"] or {}):
+            run["at"] = (run["deficit"][item[0]], [e.lp for e in run["held"].elems])
+        return item
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_run_buchberger", record_run)
+        m.setattr(binom, "_gm_update", record_update)
+        m.setattr(binom, "heappop", record_pop)
+        start(lm)
+    checked = [run for run in runs if run["at"] is not None]
+    assert checked
+    for run in checked:
+        engine, d = run["engine"], run["d0"] + 1
+        n = len(engine.vars)
+        tracked, held = run["at"]
+        fresh = (series_coefficients(binom._hilbert_numerator(engine, held, {}), n, d)[d]
+                 - series_coefficients(binom._hilbert_numerator(engine, run["basis"], {}), n, d)[d])
+        assert tracked == fresh
+    assert any(run["at"][0] != run["start"][run["d0"] + 1] for run in checked)
+
+
+def test_frame_7x5_reads_one_numerator(monkeypatch):
+    """The count rule decides every step of the 7x5 frame after the
+    first, whose generators are all quadrics: the one Hilbert numerator
+    is the series of the first step's ideal."""
+    lm = build_label_map(cfg_of(FRAME_7X5))
+    calls = []
+    numerator = binom._hilbert_numerator
+    monkeypatch.setattr(binom, "_hilbert_numerator",
+                        lambda *args: calls.append(None) or numerator(*args))
+    toric_generators(lm)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coords", [MEDIUM_B, FRAME_7X5], ids=["MEDIUM_B", "FRAME_7X5"])
+def test_numerator_seam_turns_off_counts_skips_and_pruning(monkeypatch, coords):
+    """With ``_hilbert_numerator`` patched to return None, no step is
+    counted or skipped and no run gets a deficit."""
+    lm = build_label_map(cfg_of(coords))
+    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
+    counted, deficits = [], []
+    full = binom._run_buchberger
+    monkeypatch.setattr(binom, "_low_hilbert", lambda *args: counted.append(args))
+    monkeypatch.setattr(binom, "_run_buchberger",
+                        lambda engine, oriented, budget, track, deficit=None:
+                        deficits.append(deficit) or full(engine, oriented, budget, track, deficit))
+    steps = pending_per_step(monkeypatch, lambda: toric_generators(lm))
+    assert counted == []
+    assert deficits == [None] * (len(steps) + 1)
 
 
 def recorded_saturation(monkeypatch, gens, variables, certified=None, symmetries=()):
@@ -876,13 +1024,15 @@ def test_no_orbit_when_every_box_map_moves_the_hole(monkeypatch):
     """(0,0),(5,4),(1,1),(3,2): the hole is one cell high, so it holds no
     vertex and the box's three maps fix the vertex set, but each moves
     the hole.  The test keeps none of them, and the S-pairs are the ones
-    recorded before the saturation took symmetries."""
+    recorded before the saturation took symmetries, less the pairs that
+    the dropped generators and the pruning of the degree after the
+    lowest take out (4067 before)."""
     lm = build_label_map(cfg_of(((0, 0), (5, 4), (1, 1), (3, 2))))
     assert len(_box_symmetries(lm)) == 3
     _, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
     assert [kept for _, kept, _ in tests] == [[]]
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (
-        4067, "56072166c8491e25abd1e9b3b9fb38f2a53216a004b54872090e9c30195e7cfe")
+        3403, "3d96f25640d31f230c3a93ee436415cbf7c1f441ff93dd036bf2e30a6fb9da93")
 
 
 def test_inhomogeneous_input_takes_no_orbit(monkeypatch):
