@@ -2,9 +2,10 @@
 
 Monomials are finitely supported exponent maps, binomials are pure
 differences of two monomials, and every operation here (S-polynomials,
-division with quotient tracking, Buchberger completion) keeps all
-coefficients in {+1, -1}.  No field arithmetic ever happens, so every
-result is valid over an arbitrary coefficient field.
+division, Buchberger completion) keeps all coefficients in {+1, -1}.
+No field arithmetic ever happens, so every result is valid over an
+arbitrary coefficient field.  Only division can record its quotients,
+as a certificate over the divisors; completion records none.
 
 The public types store exponents sparsely.  The Buchberger engine packs
 an exponent vector into a single integer, 16 bits per variable, so that
@@ -249,17 +250,15 @@ class GroebnerBasis:
     term order itself; under lex a low-degree lead comes first even when
     it is the larger monomial.
 
-    When built with tracking, ``construction`` holds one certificate per
-    element expressing it in terms of the input generators.
-
     :func:`reduce` packs the elements once per term order and keeps the
     packed form here, so later normal forms against this basis reuse it.
+    It reads only ``elements``, in their given order and signs, so any
+    sequence of divisors may be wrapped to share one packed form.
     """
 
     order: TermOrder
     elements: tuple[Binomial, ...]
-    construction: tuple[Certificate, ...] | None = None
-    # TermOrder -> (_Engine, _Basis); only read after it is stored.
+    # TermOrder -> (_Engine, _Basis, flips); only read after it is stored.
     _packed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self):
@@ -407,8 +406,7 @@ class _Elem:
 
 
 class _Basis:
-    """Growing basis with a reducer index and a provenance record per
-    element (None when not tracking).
+    """Growing basis with a reducer index and an occurrence index.
 
     The reducer index buckets the leads by their lowest variable (the
     lowest set guard bit of the lead's support mask).  A lead that
@@ -425,15 +423,11 @@ class _Basis:
     sharing a variable with a monomial are those listed under its set
     bits; ``_gm_update``, its only reader, fills it and gives quotients
     to those alone.  ``linear`` is the support mask of the degree-1 leads.
-
-    A provenance entry is a flat tuple of (gen_index, (deg, packed),
-    sign) meaning value = sum sign * multiplier * gens[gen_index].
     """
 
     def __init__(self, engine: _Engine):
         self.engine = engine
         self.elems: list[_Elem] = []
-        self.prov: list[tuple] = []
         # lowest guard bit -> sorted [(reducer key, element)]
         self.buckets: dict[int, list[tuple]] = {}
         # guard bit -> ascending indices of the leads holding it
@@ -442,14 +436,13 @@ class _Basis:
         self.min_ld = _DEGREE_CAP
         self.linear = 0
 
-    def append(self, e: _Elem, prov) -> int:
+    def append(self, e: _Elem) -> int:
         idx = len(self.elems)
         if e.ld < self.min_ld:
             self.min_ld = e.ld
         if e.ld == 1:
             self.linear |= e.mask
         self.elems.append(e)
-        self.prov.append(prov)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
         insort(bucket, (self.engine.sort_key(e.ld, e.lp) + (idx,), e))
         return idx
@@ -501,15 +494,6 @@ class _Basis:
                         and engine.lcm(lj, e.lp)[1] != lpk):
                     return True
         return False
-
-    def flatten(self, comb):
-        """Flat provenance of sum(sign * mult * elems[idx]) over the
-        (idx, (deg, packed), sign) steps of ``comb``."""
-        return tuple(
-            (k, (md + md2, mp + mp2), sg * sg2)
-            for idx, (md, mp), sg in comb
-            for k, (md2, mp2), sg2 in self.prov[idx]
-        )
 
     def reduce_tail(self, td: int, tp: int, steps: list | None, sign: int):
         """Normal form (deg, packed) of a trail monomial.  Each step adds
@@ -563,11 +547,8 @@ class _Basis:
 
 
 def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
-    """S-binomial of two basis elements.
-
-    Returns (b4 or None, sigma, u_f, u_g) where the true S-polynomial
-    u_f * f - u_g * g equals sigma * b4.
-    """
+    """S-binomial of two basis elements, lead first, or None when it is
+    zero."""
     ldeg, lpk = engine.lcm(f.lp, g.lp)
     if ldeg >= _DEGREE_CAP:
         raise _degree_cap_exceeded()
@@ -580,13 +561,11 @@ def _spoly4(engine: _Engine, f: _Elem, g: _Elem):
         raise _degree_cap_exceeded()
     # u_f * f - u_g * g = (L - a) - (L - b) = b - a
     if a[1] == b[1]:
-        return None, 1, uf, ug
-    if engine.greater(b, a):
-        return b + a, 1, uf, ug
-    return a + b, -1, uf, ug
+        return None
+    return b + a if engine.greater(b, a) else a + b
 
 
-def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
+def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4):
     """Add an element and queue its new S-pairs, thinned by the
     Gebauer-Moeller chain and coprime criteria.
 
@@ -659,40 +638,29 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4, prov):
         if basis.find_reducer(qdeg, q, qmask) < 0:
             heappush(heap, (new_elem.ld + qdeg, first[q], m, lmf + q))
     union |= basis.linear
-    basis.append(new_elem, prov)
+    basis.append(new_elem)
     return union
 
 
-def _interreduce(engine: _Engine, elems: list[_Elem], prov: list, track: bool):
-    """Reduced basis from a Groebner basis, given as its elements and
-    their provenance entries: minimal leads, reduced tails.
-
-    Returns (elements as b4 tuples in ``engine.sort_key`` order of their
-    leads, flat provenance per element when tracking).
-    """
+def _interreduce(engine: _Engine, elems: list[_Elem]):
+    """Reduced basis from a Groebner basis, given as its elements:
+    minimal leads, reduced tails, as b4 tuples in ``engine.sort_key``
+    order of their leads."""
     minimal = _Basis(engine)
-    for e, p in sorted(zip(elems, prov), key=lambda ep: engine.sort_key(ep[0].ld, ep[0].lp)):
+    for e in sorted(elems, key=lambda e: engine.sort_key(e.ld, e.lp)):
         if minimal.find_reducer(e.ld, e.lp, e.mask) < 0:
-            minimal.append(e, p)
-    final = []
-    final_prov = []
-    for k, e in enumerate(minimal.elems):
-        # The element's own lead never divides its tail (that would force
-        # tail >= lead), so reducing against all kept leads is safe.
-        steps = [(k, (0, 0), 1)] if track else None
-        td, tp = minimal.reduce_tail(e.td, e.tp, steps, 1)
-        final.append((e.ld, e.lp, td, tp))
-        if track:
-            final_prov.append(minimal.flatten(steps))
-    return final, final_prov
+            minimal.append(e)
+    # An element's own lead never divides its tail (that would force
+    # tail >= lead), so reducing against all kept leads is safe.
+    return [(e.ld, e.lp) + minimal.reduce_tail(e.td, e.tp, None, 1) for e in minimal.elems]
 
 
-def _run_buchberger(engine: _Engine, oriented, budget, track, deficit=None):
+def _run_buchberger(engine: _Engine, gens4, budget, deficit=None):
     """Buchberger completion with the Gebauer-Moeller criteria.
 
-    ``oriented`` lists the generators as (b4, flip) pairs, as
-    ``_Engine.orient`` returns them; returns what ``_interreduce`` does,
-    provenance over the generators' indices in ``oriented``.
+    ``gens4`` lists the generators as engine binomials, lead first;
+    returns the reduced basis as ``_interreduce`` does.  The run keeps no
+    record of how an element arose from the generators.
 
     The heap holds (lcm degree, i, j, packed lcm) and pops the smallest.
     Criterion B runs on the popped pair against the elements with index
@@ -719,8 +687,8 @@ def _run_buchberger(engine: _Engine, oriented, budget, track, deficit=None):
     """
     basis = _Basis(engine)
     heap: list[tuple[int, int, int, int]] = []
-    for k, (b4, flip) in enumerate(oriented):
-        _gm_update(engine, basis, heap, b4, ((k, (0, 0), flip),))
+    for b4 in gens4:
+        _gm_update(engine, basis, heap, b4)
     deficit = {} if deficit is None else deficit
     n = len(engine.vars)
     reductions = 0
@@ -733,27 +701,19 @@ def _run_buchberger(engine: _Engine, oriented, budget, track, deficit=None):
             raise ResourceBudgetExceeded(
                 f"S-pair reduction budget of {budget} exceeded"
             )
-        s, sig_s, ui, uj = _spoly4(engine, basis.elems[i], basis.elems[j])
+        s = _spoly4(engine, basis.elems[i], basis.elems[j])
         if s is None:
             continue
-        steps = [] if track else None
-        nf, sig_f = basis.reduce(s, steps)
+        nf = basis.reduce(s, None)[0]
         if nf is None:
             continue
-        prov = None
-        if track:
-            # stored = sig_f * (s - sum steps) and s = sig_s * (ui*e_i - uj*e_j)
-            sf = sig_f * sig_s
-            prov = basis.flatten(((i, ui, sf), (j, uj, -sf)) + tuple(
-                (k, m, -sig_f * sg) for k, m, sg in steps
-            ))
-        colon = _gm_update(engine, basis, heap, nf, prov)
+        colon = _gm_update(engine, basis, heap, nf)
         for e in [e for e in deficit if e >= d]:
             if e > d + 1:
                 del deficit[e]
             else:
                 deficit[e] -= 1 if e == d else n - colon.bit_count()
-    return _interreduce(engine, basis.elems, basis.prov, track)
+    return _interreduce(engine, basis.elems)
 
 
 # Largest node that _hilbert_numerator memoizes.  Over the 35 series of
@@ -981,20 +941,17 @@ def _universe(binomials: Iterable[Binomial], extra: Iterable[Variable]) -> tuple
     return tuple(sorted(seen))
 
 
-def _cert_terms(engine: _Engine, gens, flat, sign: int = 1) -> tuple[CertTerm, ...]:
-    """The CertTerms of flat provenance over ``gens``, signs times ``sign``."""
-    return tuple(CertTerm(gens[k], engine.unpack(mp), sg * sign) for k, (_, mp), sg in flat)
-
-
 def _pack_basis(gens: tuple[Binomial, ...], order: TermOrder, f: Binomial):
-    """(engine, basis) holding ``gens`` over their variables and those of
-    ``f``, each element with its generator as provenance."""
+    """(engine, basis, flips): ``gens`` packed over their variables and
+    those of ``f``, element k holding gens[k] = flips[k] * element."""
     engine = _Engine(_universe(gens + (f,), order.last), order)
     b = _Basis(engine)
-    for k, g in enumerate(gens):
+    flips = []
+    for g in gens:
         g4, flip = engine.orient(g)
-        b.append(_Elem(engine, g4), ((k, (0, 0), flip),))
-    return engine, b
+        b.append(_Elem(engine, g4))
+        flips.append(flip)
+    return engine, b, flips
 
 
 def reduce(
@@ -1006,7 +963,9 @@ def reduce(
     """Normal form of f modulo the basis; with track, also a Certificate.
 
     The certificate satisfies f = normal_form + sum(sign * mult * gen)
-    over its terms, exactly at the exponent level.
+    over its terms, exactly at the exponent level.  It has one term per
+    division step, in the order taken, and each term's generator is the
+    divisor as given, sign included.
 
     A plain sequence is packed on each call.  A GroebnerBasis is packed
     once per order and the packed form is reused while the variables of
@@ -1031,7 +990,7 @@ def reduce(
         packed = _pack_basis(gens, order, f)
         memo.setdefault(order, packed)
         oriented = packed[0].orient(f)
-    engine, b = packed
+    engine, b, flips = packed
     f4, f_flip = oriented
     steps = [] if track else None
     nf4, sigma = b.reduce(f4, steps)
@@ -1043,14 +1002,15 @@ def reduce(
         nf = Binomial(nf.minus, nf.plus)
     if not track:
         return nf
-    return nf, Certificate(f, _cert_terms(engine, gens, b.flatten(steps), f_flip))
+    return nf, Certificate(f, tuple(
+        CertTerm(gens[k], engine.unpack(mp), sign * flips[k] * f_flip)
+        for k, (_, mp), sign in steps))
 
 
 def buchberger(
     gens: Sequence[Binomial],
     order: TermOrder = DEGREVLEX,
     budget: int | None = None,
-    track: bool = False,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by pure-difference
     binomials.
@@ -1060,19 +1020,12 @@ def buchberger(
     input order, since the intermediate degrees (checked against the
     engine's degree cap) and the number of S-pair reductions do.
     ``budget`` caps the number of S-pair reductions and raises
-    ResourceBudgetExceeded beyond it.  With ``track``, each basis element
-    carries a certificate over the input generators.
+    ResourceBudgetExceeded beyond it.
     """
     gens = _checked(gens)
     engine = _Engine(_universe(gens, order.last), order)
-    final, final_prov = _run_buchberger(
-        engine, [engine.orient(g) for g in gens], budget, track)
-    elements = tuple(engine.from_binomial4(b4) for b4 in final)
-    construction = None
-    if track:
-        construction = tuple(Certificate(b, _cert_terms(engine, gens, flat))
-                             for b, flat in zip(elements, final_prov))
-    return GroebnerBasis(order, elements, construction)
+    final = _run_buchberger(engine, [engine.orient(g)[0] for g in gens], budget)
+    return GroebnerBasis(order, tuple(engine.from_binomial4(b4) for b4 in final))
 
 
 def _field_map(src: _Engine, dst: _Engine) -> dict[int, tuple[int, int]]:
@@ -1123,7 +1076,7 @@ def _stabilizer(engine: _Engine, maps, basis) -> list:
         return kept
     reducer = _Basis(engine)
     for b4 in basis:
-        reducer.append(_Elem(engine, b4), None)
+        reducer.append(_Elem(engine, b4))
     H = engine.H
     for g in maps:
         target = [engine.index.get(g.get(u, u)) for u in engine.vars]
@@ -1198,28 +1151,28 @@ def saturate(
     while pending:
         step = _Engine(universe, TermOrder("degrevlex", last=tuple(reversed(pending))))
         if engine is None:
-            oriented = [step.orient(g) for g in gens]
+            gens4 = [step.orient(g)[0] for g in gens]
         else:
             # Every layout of one universe has the same guard bits.
             fields, H = _field_map(engine, step), step.H
-            oriented = [
-                step.orient_packed((ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))
+            gens4 = [
+                step.orient_packed((ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))[0]
                 for ld, lp, td, tp in current
             ]
-            if homogeneous and any(b4[0] > 2 for b4, _ in oriented):
+            if homogeneous and any(b4[0] > 2 for b4 in gens4):
                 # Drop what reduces to zero against the quadrics and below.
                 low = _Basis(step)
-                for b4, _ in oriented:
+                for b4 in gens4:
                     if b4[0] <= 2:
-                        low.append(_Elem(step, b4), None)
-                oriented = [g for g in oriented
-                            if g[0][0] <= 2 or low.reduce(g[0], None)[0] is not None]
+                        low.append(_Elem(step, b4))
+                gens4 = [b4 for b4 in gens4
+                         if b4[0] <= 2 or low.reduce(b4, None)[0] is not None]
         engine = step
         deficit = None
         if series is not None:
             n = len(universe)
-            leads = [b4[1] for b4, _ in oriented]
-            high = max((b4[0] for b4, _ in oriented), default=0)
+            leads = [b4[1] for b4 in gens4]
+            high = max((b4[0] for b4 in gens4), default=0)
             if high <= 2:
                 deficit = {d: h - _hilbert_value(series, n, d)
                            for d, h in enumerate(_low_hilbert(engine, leads), 1)}
@@ -1228,10 +1181,9 @@ def saturate(
                     _hilbert_numerator(engine, leads, memo), series, fillvalue=0)]
                 deficit = {d: _hilbert_value(gap, n, d) for d in range(1, 2 * high + 1)}
         if deficit is not None and not any(deficit.values()):
-            elems = [_Elem(engine, b4) for b4, _ in oriented]
-            reduced = _interreduce(engine, elems, [None] * len(elems), False)[0]
+            reduced = _interreduce(engine, [_Elem(engine, b4) for b4 in gens4])
         else:
-            reduced = _run_buchberger(engine, oriented, budget, False, deficit)[0]
+            reduced = _run_buchberger(engine, gens4, budget, deficit)
         current = []
         changed = False
         for ld, lp, td, tp in reduced:

@@ -20,14 +20,14 @@ from .binom import (
     DEGREVLEX,
     ZERO,
     Binomial,
-    CertTerm,
     Certificate,
+    GroebnerBasis,
     TermOrder,
     buchberger,
     certificate_is_exact,
     reduce as binom_reduce,
 )
-from .errors import NotInKernel, ResourceBudgetExceeded
+from .errors import NotInKernel, PolytoricError, ResourceBudgetExceeded
 from .grid import (
     GridInterval,
     GridPoint,
@@ -229,15 +229,29 @@ def check_theorem(
 
 
 class MembershipCertifier:
-    """Reusable certifier: tracked degrevlex Groebner basis of the inner
-    minors, ready to express kernel binomials as combinations of minors."""
+    """Reusable certifier: expresses kernel binomials as signed monomial
+    multiples of the inner minors.
+
+    The constructor checks that the reduced degrevlex basis of the minors
+    is the minors, up to the sign of each, or raises PolytoricError.  So
+    the minors are a Groebner basis, and ``certify`` divides by them as
+    given: each term names a minor.  The GroebnerBasis wrapper only keeps
+    one packed form across calls; ``reduce`` reads its elements in their
+    given order and signs, as it would a plain list.
+    """
 
     def __init__(self, cfg: RectDiffConfig):
         self.cfg = cfg
         self.labels = build_label_map(cfg)
         self.minors = enumerate_inner_minors(build_rect_diff(cfg))
-        self.basis = buchberger(self.minors, DEGREVLEX, track=True)
-        self._index = {g: k for k, g in enumerate(self.basis.elements)}
+        reduced = buchberger(self.minors, DEGREVLEX).elements
+        if (len(reduced) != len(self.minors)
+                or set(map(frozenset, reduced)) != set(map(frozenset, self.minors))):
+            raise PolytoricError(
+                f"the inner minors are not their own reduced Groebner basis: "
+                f"{len(self.minors)} minors, {len(reduced)} basis elements"
+            )
+        self.basis = GroebnerBasis(DEGREVLEX, tuple(self.minors))
 
     def certify(self, f: Binomial) -> Certificate:
         if phi_image(f.plus, self.labels) != phi_image(f.minus, self.labels):
@@ -246,20 +260,9 @@ class MembershipCertifier:
             )
         nf, cert = binom_reduce(f, self.basis, DEGREVLEX, track=True)
         if nf is not ZERO:
-            raise AssertionError(
-                f"kernel binomial {f} did not reduce to zero against the basis"
+            raise PolytoricError(
+                f"kernel binomial {f} does not reduce to zero against the inner minors"
             )
-        terms = []
-        for step in cert.terms:
-            for inner in self.basis.construction[self._index[step.generator]].terms:
-                terms.append(
-                    CertTerm(
-                        inner.generator,
-                        step.multiplier * inner.multiplier,
-                        step.sign * inner.sign,
-                    )
-                )
-        out = Certificate(f, tuple(terms))
-        if not certificate_is_exact(out):
+        if not certificate_is_exact(cert):
             raise AssertionError("certificate expansion does not telescope")
-        return out
+        return cert

@@ -229,11 +229,11 @@ def spoly(f: Binomial, g: Binomial, order: TermOrder = DEGREVLEX) -> BinomialOrZ
     engine = _Engine(_universe((f, g), order.last), order)
     ef = _Elem(engine, engine.orient(f)[0])
     eg = _Elem(engine, engine.orient(g)[0])
-    s = _spoly4(engine, ef, eg)[0]
+    s = _spoly4(engine, ef, eg)
     return ZERO if s is None else engine.from_binomial4(s)
 
 
-def reference_gm_update(engine, basis, heap, b4, prov):
+def reference_gm_update(engine, basis, heap, b4):
     """``binom._gm_update`` as it was before it read the occurrence
     index: every basis element gets a quotient, elements with equal
     quotients form a group, and a group holding an element coprime to
@@ -267,7 +267,7 @@ def reference_gm_update(engine, basis, heap, b4, prov):
         if any(basis.elems[i].mask & maskf == 0 for i in group):
             continue
         heappush(heap, (new_elem.ld + qdeg, group[0], m, lmf + q))
-    basis.append(new_elem, prov)
+    basis.append(new_elem)
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -528,8 +528,8 @@ def without_pruning(monkeypatch):
     pair."""
     run = binom._run_buchberger
     monkeypatch.setattr(binom, "_run_buchberger",
-                        lambda engine, oriented, budget, track, deficit=None:
-                        run(engine, oriented, budget, track))
+                        lambda engine, gens4, budget, deficit=None:
+                        run(engine, gens4, budget))
 
 
 def without_orbits(monkeypatch):

@@ -63,6 +63,7 @@ from polytoric.binom import (
 )
 from polytoric.errors import ParseError, ResourceBudgetExceeded
 from polytoric.grid import build_rect_diff, enumerate_inner_minors
+from polytoric.verify import MembershipCertifier
 
 # Generic variables x1..x8 for the classic examples; the default
 # priority ranks later points higher.
@@ -347,16 +348,6 @@ def test_buchberger_budget():
     minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
     with pytest.raises(ResourceBudgetExceeded):
         buchberger(minors, DEGREVLEX, budget=0)
-
-
-def test_buchberger_tracked_constructions_are_exact():
-    minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
-    gb = buchberger(minors, DEGREVLEX, track=True)
-    assert gb.construction is not None
-    assert len(gb.construction) == len(gb.elements)
-    for cert in gb.construction:
-        assert certificate_is_exact(cert)
-        assert all(t.generator in minors for t in cert.terms)
 
 
 def test_ideal_equal():
@@ -710,7 +701,7 @@ def test_find_reducer_matches_linear_scan(order, data):
     engine = _Engine(REDUCER_POOL, order)
     basis = _Basis(engine)
     for plus, minus in pairs:
-        basis.append(_Elem(engine, engine.orient(Binomial(plus, minus))[0]), None)
+        basis.append(_Elem(engine, engine.orient(Binomial(plus, minus))[0]))
     leads = [engine.unpack(e.lp) for e in basis.elems]
     ranked = sorted(range(len(leads)),
                     key=lambda k: engine.sort_key(*engine.pack(leads[k])) + (k,))
@@ -754,8 +745,8 @@ def test_gm_update_queues_the_pairs_of_the_full_walk(order, pairs):
     heap, reference_heap = [], []
     for plus, minus in pairs:
         b4 = engine.orient(Binomial(plus, minus))[0]
-        _gm_update(engine, basis, heap, b4, None)
-        reference_gm_update(engine, reference, reference_heap, b4, None)
+        _gm_update(engine, basis, heap, b4)
+        reference_gm_update(engine, reference, reference_heap, b4)
         assert sorted(heap) == sorted(reference_heap)
         assert_occurrences_match_leads(engine, basis)
 
@@ -774,7 +765,7 @@ def test_gm_update_returns_the_variables_of_the_colon(monomials):
     leads = []
     checked = 0
     for m in monomials:
-        colon = _gm_update(engine, basis, heap, engine.orient(Binomial(m, UNIT))[0], None)
+        colon = _gm_update(engine, basis, heap, engine.orient(Binomial(m, UNIT))[0])
         if not any(divides(lead, m) for lead in leads):
             checked += 1
             assert colon == sum(_GUARD << engine.shift[k] for k, v in enumerate(UPDATE_POOL)
@@ -805,8 +796,8 @@ def test_gm_update_coprime_lead_check():
 
     basis.find_reducer = spy
     for b4, _ in oriented:
-        _gm_update(engine, basis, heap, b4, None)
-        reference_gm_update(engine, reference, reference_heap, b4, None)
+        _gm_update(engine, basis, heap, b4)
+        reference_gm_update(engine, reference, reference_heap, b4)
     assert basis.occurs[_GUARD << engine.shift[engine.index[c]]] == [1, 2]
     assert checks[-1] == (Monomial([(a, 1)]), 0)
     assert sorted(heap) == sorted(reference_heap)
@@ -835,7 +826,7 @@ def test_criterion_b_needs_lcm_degree_two_above_the_lowest_lead(order, leads):
     basis = _Basis(engine)
     for lead in leads:
         deg, packed = engine.pack(lead)
-        basis.append(_Elem(engine, (deg, packed, 0, 0)), None)
+        basis.append(_Elem(engine, (deg, packed, 0, 0)))
     assert basis.min_ld == min(lead.degree for lead in leads)
     for j in range(len(leads)):
         for i in range(j):
@@ -958,13 +949,13 @@ def test_reduce_memo_with_variables_outside_the_basis():
 
 def test_groebner_basis_equality_ignores_the_memo():
     minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
-    for gb in (buchberger(minors, DEGREVLEX), buchberger(minors, DEGREVLEX, track=True)):
-        fresh = GroebnerBasis(gb.order, gb.elements, gb.construction)
-        for order in (DEGREVLEX, LEX):
-            for f in minors:
-                reduce(f, gb, order)
-        assert gb == fresh and hash(gb) == hash(fresh)
-        assert repr(gb) == repr(fresh)
+    gb = buchberger(minors, DEGREVLEX)
+    fresh = GroebnerBasis(gb.order, gb.elements)
+    for order in (DEGREVLEX, LEX):
+        for f in minors:
+            reduce(f, gb, order)
+    assert gb == fresh and hash(gb) == hash(fresh)
+    assert repr(gb) == repr(fresh)
 
 
 # -- binomial type and text syntax -------------------------------------------
@@ -1004,7 +995,7 @@ def test_value_texts_are_pinned():
     assert str(exc.value) == "zero binomial: use the ZERO sentinel instead"
     assert repr(GroebnerBasis(DEGREVLEX, (b,))) == (
         "GroebnerBasis(order=TermOrder(kind='degrevlex', last=()), "
-        "elements=(Binomial(x[1,1]*x[2,2] - x[1,2]*x[2,1]),), construction=None)"
+        "elements=(Binomial(x[1,1]*x[2,2] - x[1,2]*x[2,1]),))"
     )
 
 
@@ -1097,18 +1088,19 @@ def test_variable_is_a_value_type(vs):
 
 
 @pytest.fixture(scope="module")
-def tracked_basis():
-    minors = enumerate_inner_minors(build_rect_diff(cfg_of(SMALL)))
-    return buchberger(minors, DEGREVLEX, track=True)
+def certificate():
+    """The certifier's certificate of a cubic kernel binomial of SMALL."""
+    f = parse_binomial("x[1,2]*x[2,4]*x[4,1] - x[1,4]*x[2,1]*x[4,2]")
+    return MembershipCertifier(cfg_of(SMALL)).certify(f)
 
 
 @given(ms=st.lists(monomials, min_size=2, max_size=8, unique=True))
-def test_monomial_and_binomial_are_value_types(ms, tracked_basis):
+def test_monomial_and_binomial_are_value_types(ms, certificate):
     """A monomial is the tuple of its (variable, exponent) pairs and a
     binomial the pair (plus, minus): each hashes and compares as that
     plain tuple, ``<`` is tuple order, neither holds a per-instance dict
     or takes an assignment, the constructors keep their checks, and both
-    survive pickle and deepcopy, also inside a tracked GroebnerBasis."""
+    survive pickle and deepcopy, also inside a certificate."""
     bs = [Binomial(u, w) for u, w in zip(ms, ms[1:])]
     assert all(tuple(b) == (b.plus, b.minus) for b in bs)
     for values in (ms, bs):
@@ -1128,12 +1120,11 @@ def test_monomial_and_binomial_are_value_types(ms, tracked_basis):
         Monomial([(VAR_POOL[0], -1)])
     with pytest.raises(ValueError, match="zero binomial"):
         Binomial(ms[0], Monomial(tuple(ms[0])))
-    for restored in (pickle.loads(pickle.dumps(tracked_basis)), copy.deepcopy(tracked_basis)):
-        assert restored == tracked_basis
-        binomials = [*restored.elements]
-        for cert in restored.construction:
-            binomials += [cert.target, *(t.generator for t in cert.terms)]
-            assert all(type(t.multiplier) is Monomial for t in cert.terms)
+    assert len(certificate.terms) >= 2
+    for restored in (pickle.loads(pickle.dumps(certificate)), copy.deepcopy(certificate)):
+        assert restored == certificate
+        binomials = [restored.target, *(t.generator for t in restored.terms)]
+        assert all(type(t.multiplier) is Monomial for t in restored.terms)
         assert all(type(b) is Binomial for b in binomials)
         assert all(type(m) is Monomial for b in binomials for m in b)
 

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import FRAME_7X5, MEDIUM_A, SMALL, fraction_rank, sweep_configs
+from conftest import FRAME_7X5, MEDIUM_A, SMALL, cfg_of, fraction_rank, sweep_configs
 from helpers import (
     label_map_from_json_dict,
     lattice_toric_basis,
@@ -16,11 +16,11 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytoric import cli
+from polytoric import cli, verify
 from polytoric.binom import LEX, buchberger, parse_binomial
 from polytoric.cli import instance_from_dict, main
 from polytoric.errors import ParseError
-from polytoric.grid import MAX_SIDE
+from polytoric.grid import MAX_SIDE, GridPoint
 from polytoric.labelling import build_label_map
 from polytoric.toric import phi_image
 
@@ -294,6 +294,36 @@ def test_certify_beyond_engine_scale_exit_3(tmp_path, capsys, power):
     assert main(["certify", "--instance", path, binomial]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_certify_kernel_binomial_outside_the_ideal_exit_1(tmp_path, capsys, monkeypatch):
+    """Under a corrupted label map, with the labels of (1,1) and (4,4)
+    set to 2, the binomial of the box's corners has equal images but
+    lies outside I_P.  The certifier names it on one error line."""
+    lm = build_label_map(cfg_of(SMALL))
+    bad = lm.with_label(GridPoint(1, 1), 2).with_label(GridPoint(4, 4), 2)
+    monkeypatch.setattr(verify, "build_label_map", lambda cfg: bad)
+    path = write_instance(tmp_path, SMALL)
+    binomial = "x[1,1]*x[4,4] - x[1,4]*x[4,1]"
+    assert main(["certify", "--instance", path, binomial]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: kernel binomial {binomial} does not reduce to zero "
+                   "against the inner minors\n")
+
+
+def test_certify_minors_not_their_own_basis_exit_1(tmp_path, capsys, monkeypatch):
+    """With a degree-3 kernel binomial appended to the minors, their
+    reduced basis is not that set, and the certifier refuses to start."""
+    minors = verify.enumerate_inner_minors
+    cubic = parse_binomial("x[1,2]*x[2,4]*x[4,1] - x[1,4]*x[2,1]*x[4,2]")
+    monkeypatch.setattr(verify, "enumerate_inner_minors", lambda p: minors(p) + [cubic])
+    path = write_instance(tmp_path, SMALL)
+    assert main(["certify", "--instance", path, "x[1,1]*x[2,2] - x[1,2]*x[2,1]"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the inner minors are not their own reduced")
     assert len(err.splitlines()) == 1
 
 

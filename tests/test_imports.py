@@ -1,10 +1,16 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+top-level definition of the package is used in the package.
 
 Each module under ``src/polytoric/`` and ``tests/`` is parsed with
 ``ast``.  An imported name counts as used when it appears as a ``Name``
 anywhere in the module (``binom.ZERO`` uses ``binom``), or in a string
 annotation such as ``other: "GridPoint"``.  Only ``from __future__
 import annotations`` is exempt.
+
+A private top-level function or class of ``src/polytoric/`` (a name with
+one leading underscore) counts as used when a ``Name`` or an attribute
+of that name appears in some package module outside its own definition.
+Tests do not count: code that only tests call is dead code.
 """
 
 import ast
@@ -13,9 +19,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*(ROOT / "src" / "polytoric").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+SOURCES = sorted((ROOT / "src" / "polytoric").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +68,39 @@ def test_no_unused_imports(path):
 def test_scan_sees_modules():
     assert any(p.name == "binom.py" for p in MODULES)
     assert any(p.name == "test_imports.py" for p in MODULES)
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """"module:line name" of each private top-level function or class in
+    ``sources`` (module name -> text) that no other code there names."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    named = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or not node.name.startswith("_") or node.name.startswith("__")):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and key not in own for name, key in named):
+                out.append(f"{module}:{node.lineno} {node.name}")
+    return out
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    unreferenced = unreferenced_private_definitions(sources)
+    assert not unreferenced, "defined but never used: " + ", ".join(unreferenced)
+
+
+def test_private_definition_scan_sees_dead_code():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\n\ndef _recursive(n):\n"
+                "    return _recursive(n - 1)\n\n\nclass _Dead:\n    pass\n",
+        "b.py": "from a import _used\n\nVALUE = _used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py:5 _recursive", "a.py:9 _Dead"]

@@ -490,7 +490,7 @@ def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
 
 def test_spair_trace_minors_lex(monkeypatch):
     minors = enumerate_inner_minors(build_rect_diff(cfg_of(MEDIUM_A)))
-    trace = spair_trace(monkeypatch, lambda: buchberger(minors, binom.LEX, track=True))
+    trace = spair_trace(monkeypatch, lambda: buchberger(minors, binom.LEX))
     assert trace == (
         80, "61df7729f60ca38fd3bb566beedf23ad8d68875a23a353d88fbf49b4206d8e8e")
 
@@ -620,15 +620,15 @@ def count_decided_steps(monkeypatch, run):
         steps.append([engine, leads, None, None])
         return low(engine, leads)
 
-    def record_run(engine, oriented, budget, track, deficit=None):
+    def record_run(engine, gens4, budget, deficit=None):
         if steps and steps[-1][3] is None:
             steps[-1][2] = dict(deficit)
-        return full(engine, oriented, budget, track, deficit)
+        return full(engine, gens4, budget, deficit)
 
     def record_basis(*args):
         out = interreduce(*args)
         if steps and steps[-1][3] is None:
-            steps[-1][3] = [b4[1] for b4 in out[0]]
+            steps[-1][3] = [b4[1] for b4 in out]
         return out
 
     with monkeypatch.context() as m:
@@ -678,15 +678,15 @@ def test_tracked_deficit_matches_a_fresh_numerator(monkeypatch, start, coords):
     runs = []
     full, update, pop = binom._run_buchberger, binom._gm_update, binom.heappop
 
-    def record_run(engine, oriented, budget, track, deficit=None):
+    def record_run(engine, gens4, budget, deficit=None):
         runs.append({"deficit": deficit, "start": dict(deficit or {}), "d0": None, "at": None})
-        out = full(engine, oriented, budget, track, deficit)
-        runs[-1]["engine"], runs[-1]["basis"] = engine, [b4[1] for b4 in out[0]]
+        out = full(engine, gens4, budget, deficit)
+        runs[-1]["engine"], runs[-1]["basis"] = engine, [b4[1] for b4 in out]
         return out
 
-    def record_update(engine, basis, heap, b4, prov):
+    def record_update(engine, basis, heap, b4):
         runs[-1]["held"] = basis
-        return update(engine, basis, heap, b4, prov)
+        return update(engine, basis, heap, b4)
 
     def record_pop(heap):
         item = pop(heap)
@@ -737,8 +737,8 @@ def test_numerator_seam_turns_off_counts_skips_and_pruning(monkeypatch, coords):
     full = binom._run_buchberger
     monkeypatch.setattr(binom, "_low_hilbert", lambda *args: counted.append(args))
     monkeypatch.setattr(binom, "_run_buchberger",
-                        lambda engine, oriented, budget, track, deficit=None:
-                        deficits.append(deficit) or full(engine, oriented, budget, track, deficit))
+                        lambda engine, gens4, budget, deficit=None:
+                        deficits.append(deficit) or full(engine, gens4, budget, deficit))
     steps = pending_per_step(monkeypatch, lambda: toric_generators(lm))
     assert counted == []
     assert deficits == [None] * (len(steps) + 1)
@@ -754,9 +754,9 @@ def recorded_saturation(monkeypatch, gens, variables, certified=None, symmetries
     runs = []
     interreduce, run, uncertified = binom._interreduce, binom._run_buchberger, binom._uncertified
 
-    def record_step(engine, elems, prov, track):
-        out = interreduce(engine, elems, prov, track)
-        steps.append(tuple(engine.from_binomial4(b4) for b4 in out[0]))
+    def record_step(engine, elems):
+        out = interreduce(engine, elems)
+        steps.append(tuple(engine.from_binomial4(b4) for b4 in out))
         return out
 
     def count_run(*args):

@@ -287,9 +287,11 @@ def test_certifier_random_kernel_binomials():
     certifier = MembershipCertifier(cfg)
     pool = kernel_binomials_up_to_degree(lm, 3)
     rng = random.Random(1234)
+    minors = set(certifier.minors)
     for f in rng.sample(pool, 50):
         cert = certifier.certify(f)
         assert expand_certificate(cert) == {f.plus: 1, f.minus: -1}
+        assert all(t.generator in minors for t in cert.terms)
 
 
 def test_certifier_reuse_gives_identical_certificates():
@@ -303,17 +305,17 @@ def test_certifier_reuse_gives_identical_certificates():
     assert first == again == fresh
 
 
-def test_certifier_construction_digest():
-    """The tracked basis of MEDIUM_A's minors, every certificate term by
-    term, is pinned to its digest recorded before the Buchberger
-    bookkeeping moved to quotient masks, pop-time criterion B and a
-    bucketed reducer index."""
-    lines = []
-    for cert in MembershipCertifier(cfg_of(MEDIUM_A)).basis.construction:
-        lines.append(str(cert.target))
-        lines.extend(f"{t.sign:+d} {t.multiplier} * ({t.generator})" for t in cert.terms)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "a35a7adfdae106d0757cf3e33f157000243f47471a7a8f21a3bf51d1563f246b"
+@pytest.mark.parametrize("side", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_minors_are_their_reduced_basis_sweep(side):
+    """The inner minors are the reduced degrevlex basis of I_P, up to the
+    sign of each, on every configuration with a = (0,0) and b <= (side,
+    side): 100 for side 5, 400 for side 6.  This is the fact that lets
+    the certifier divide by the minors directly."""
+    for coords in sweep_configs(side):
+        minors = enumerate_inner_minors(build_rect_diff(cfg_of(coords)))
+        reduced = buchberger(minors, DEGREVLEX).elements
+        assert len(reduced) == len(minors), coords
+        assert set(map(frozenset, reduced)) == set(map(frozenset, minors)), coords
 
 
 @pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
