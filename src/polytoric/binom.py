@@ -12,6 +12,14 @@ an exponent vector into a single integer, 16 bits per variable, so that
 monomial multiplication is integer addition and divisibility is one
 masked subtraction; see :class:`_Engine` for the layout rules that make
 term-order comparison an integer comparison as well.
+
+:func:`saturate` saturates by a list of variables with one Buchberger
+run per step, not per variable.  A variable that divides no lead of a
+step's basis needs no step of its own, and neither does its image under
+a permutation of the variables that fixes the ideal.  A step whose input
+counts, in degrees 1 to 3, as many standard monomials as the ideal has
+is already a Groebner basis and is only interreduced.  The proofs are in
+``toric.saturate_generators``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ import re
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import zip_longest
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
@@ -422,7 +429,7 @@ class _Basis:
     indices of the elements whose lead holds it, ascending.  The elements
     sharing a variable with a monomial are those listed under its set
     bits; ``_gm_update``, its only reader, fills it and gives quotients
-    to those alone.  ``linear`` is the support mask of the degree-1 leads.
+    to those alone.
     """
 
     def __init__(self, engine: _Engine):
@@ -434,14 +441,11 @@ class _Basis:
         self.occurs: dict[int, list[int]] = {}
         # smallest lead degree held, the bound of criterion B
         self.min_ld = _DEGREE_CAP
-        self.linear = 0
 
     def append(self, e: _Elem) -> int:
         idx = len(self.elems)
         if e.ld < self.min_ld:
             self.min_ld = e.ld
-        if e.ld == 1:
-            self.linear |= e.mask
         self.elems.append(e)
         bucket = self.buckets.setdefault(e.mask & -e.mask, [])
         insort(bucket, (self.engine.sort_key(e.ld, e.lp) + (idx,), e))
@@ -599,11 +603,6 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4):
 
     Criterion B, which drops an older pair whose lcm a later lead
     divides, runs when the pair is popped (see ``_run_buchberger``).
-
-    Returns the support mask of the degree-1 quotients and of the
-    degree-1 leads held before the new one.  When lmf is outside the
-    ideal L of those leads, as a reduced lead is, these are exactly the
-    variables of L : lmf, since no quotient is then 1.
     """
     new_elem = _Elem(engine, b4)
     m = len(basis.elems)
@@ -637,9 +636,7 @@ def _gm_update(engine: _Engine, basis: _Basis, heap: list, b4):
             kept.append(q)
         if basis.find_reducer(qdeg, q, qmask) < 0:
             heappush(heap, (new_elem.ld + qdeg, first[q], m, lmf + q))
-    union |= basis.linear
     basis.append(new_elem)
-    return union
 
 
 def _interreduce(engine: _Engine, elems: list[_Elem]):
@@ -655,7 +652,7 @@ def _interreduce(engine: _Engine, elems: list[_Elem]):
     return [(e.ld, e.lp) + minimal.reduce_tail(e.td, e.tp, None, 1) for e in minimal.elems]
 
 
-def _run_buchberger(engine: _Engine, gens4, budget, deficit=None):
+def _run_buchberger(engine: _Engine, gens4, budget):
     """Buchberger completion with the Gebauer-Moeller criteria.
 
     ``gens4`` lists the generators as engine binomials, lead first;
@@ -675,26 +672,15 @@ def _run_buchberger(engine: _Engine, gens4, budget, deficit=None):
     A = lcm(i, m) and B = lcm(j, m) are proper divisors of L with
     lcm(A, B) = L and lead m dividing gcd(A, B); deg A + deg B =
     deg L + deg gcd(A, B) gives deg lead m <= deg L - 2.
-
-    ``deficit``, when given, maps some degrees d to HF(S / L)(d) -
-    HF(S / I)(d), with L the ideal of the leads held and I that of the
-    generators (see ``saturate``), and is kept exact in place.  A nonzero
-    reduction in degree d adds a lead m: it lowers the deficit in degree
-    d by 1 and the one in degree d + 1 by n minus the number of variables
-    of L : m, which ``_gm_update`` returns, and forgets the higher ones.
-    A pair popped in a degree whose deficit is 0 is dropped, uncounted
-    (proofs in ``toric.saturate_generators``).
     """
     basis = _Basis(engine)
     heap: list[tuple[int, int, int, int]] = []
     for b4 in gens4:
         _gm_update(engine, basis, heap, b4)
-    deficit = {} if deficit is None else deficit
-    n = len(engine.vars)
     reductions = 0
     while heap:
         d, i, j, lpk = heappop(heap)
-        if deficit.get(d) == 0 or d >= basis.min_ld + 2 and basis.dominated(i, j, lpk):
+        if d >= basis.min_ld + 2 and basis.dominated(i, j, lpk):
             continue
         reductions += 1
         if budget is not None and reductions > budget:
@@ -707,206 +693,45 @@ def _run_buchberger(engine: _Engine, gens4, budget, deficit=None):
         nf = basis.reduce(s, None)[0]
         if nf is None:
             continue
-        colon = _gm_update(engine, basis, heap, nf)
-        for e in [e for e in deficit if e >= d]:
-            if e > d + 1:
-                del deficit[e]
-            else:
-                deficit[e] -= 1 if e == d else n - colon.bit_count()
+        _gm_update(engine, basis, heap, nf)
     return _interreduce(engine, basis.elems)
 
 
-# Largest node that _hilbert_numerator memoizes.  Over the 35 series of
-# the 7x5 frame's saturation, 97 % of memo hits were on nodes of at most
-# 16 generators, and memoizing every node held 2.5 MB against 0.6 MB.
-_MEMO_SIZE = 16
-
-
-def _divisible(p: int, mask: int, gens: list[tuple[int, int]], H: int) -> bool:
-    """True iff one of the (packed, mask) ``gens`` divides ``p``."""
-    return any(qm & mask == qm and ((p | H) - q) & H == H for q, qm in gens)
-
-
-def _signed_digits(k: int, w: int) -> tuple[int, ...]:
-    """The coefficients, lowest first, of P with P(2**w) = k and each
-    coefficient in [-2**(w-1), 2**(w-1)), trailing zeros dropped."""
-    digits, mask, sign = [], (1 << w) - 1, 1 << (w - 1)
-    while k:
-        c = k & mask
-        c -= (c & sign) << 1
-        digits.append(c)
-        k = (k - c) >> w
-    return tuple(digits)
-
-
-def _hilbert_numerator(engine: _Engine, leads: Iterable[int], memo: dict) -> tuple[int, ...]:
-    """Numerator K of the Hilbert series K(t) / (1 - t)^n of S / <leads>,
-    for packed monomials ``leads`` of ``engine``: K's coefficients from
-    t^0 up, trailing zeros dropped.
-
-    Bigatti's pivot algorithm on minimal generators.  A generator that
-    shares no variable with the others splits off as a factor
-    1 - t^deg, the variable-disjoint components of the rest multiply,
-    and a connected set pivots on the variable x in most generators:
-    K(I) = (1 - t) K(J) + t K(I : x), with J the generators free of x
-    (I + <x> = J + <x>).  Both branches strictly lower the total degree
-    of the shared generators, so the splitting ends.  It runs on an
-    explicit stack, post-order, so no input can exhaust Python's
-    recursion limit.
-
-    A polynomial is Kronecker-packed as its value at t = 2**w, exact
-    since that is a ring map: a factor 1 - t^d is a shift, a product one
-    integer product, and only the root is decoded (``_signed_digits``).
-    With m minimal generators, K is the sum over their subsets s of
-    (-1)^|s| t^deg lcm(s) (Taylor's resolution), so no coefficient
-    exceeds 2**m in absolute value, and w = m + 2 decodes it.
-
-    ``memo`` maps a width w to a table from the frozenset of a node's
-    shared generators to its packed K, for nodes of at most
-    ``_MEMO_SIZE`` generators.  K does not change when variables are
-    renamed, and a packed set read in another layout of one universe is
-    that renaming, so one memo serves every layout of the universe;
-    ``saturate`` reads each step's series in that step's layout.
-    """
-    H, ONES = engine.H, engine.ONES
-    shift = _FIELD - 1
-    # Minimal generators, in degree order, bucketed by their lowest
-    # variable: p scans only the buckets of its own variables.  The unit
-    # monomial (mask 0) stays, isolated, and its factor 1 - t^0 makes K
-    # zero.
-    minimal: list[tuple[int, int]] = []
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for _, p in sorted((p % _FMASK, p) for p in set(leads)):
-        mask = ((p | H) - ONES) & H
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if _divisible(p, mask, buckets.get(low, ()), H):
-                break
-        else:
-            minimal.append((p, mask))
-            buckets.setdefault(mask & -mask, []).append((p, mask))
-    w = len(minimal) + 2
-    table = memo.setdefault(w, {})
-    # A task is a generator list to evaluate, or a combine step
-    # (None, (key, factor, parts)) that pops ``parts`` values, the
-    # components' K, or when parts is 0 the two values K(J), K(I : x).
-    values: list[int] = []
-    tasks: list = [(minimal, None)]
-    while tasks:
-        gens, step = tasks.pop()
-        if gens is None:
-            key, factor, parts = step
-            if parts:
-                k = 1
-                for _ in range(parts):
-                    k *= values.pop()
-            else:
-                free, colon = values.pop(), values.pop()
-                k = free + ((colon - free) << w)
-            if key is not None:
-                table[key] = k
-            values.append(factor * k)
-            continue
-        seen = twice = 0
-        for _, mask in gens:
-            twice |= seen & mask
-            seen |= mask
-        factor = 1
-        shared = []
-        for g in gens:
-            if g[1] & twice:
-                shared.append(g)
-            else:
-                factor -= factor << (w * (g[0] % _FMASK))
-        key = frozenset(p for p, _ in shared) if len(shared) <= _MEMO_SIZE else None
-        known = table.get(key)
-        if known is not None or not shared:
-            values.append(factor if known is None else factor * known)
-            continue
-        parts: list[tuple[int, list]] = []
-        for g in shared:
-            joined = [g]
-            cmask = g[1]
-            kept = []
-            for part in parts:
-                if part[0] & g[1]:
-                    cmask |= part[0]
-                    joined += part[1]
-                else:
-                    kept.append(part)
-            kept.append((cmask, joined))
-            parts = kept
-        if len(parts) > 1:
-            tasks.append((None, (key, factor, len(parts))))
-            tasks += [(part[1], None) for part in parts]
-            continue
-        # Per-field generator counts; a count past 2**16 - 1 carries into
-        # the next field, which only changes which shared variable is
-        # the pivot.
-        counts = sum(mask >> shift for _, mask in shared)
-        best = pivot = 0
-        rest = twice
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            c = (counts >> (low.bit_length() - 1 - shift)) & _FMASK
-            if c > best:
-                best, pivot = c, low
-        x = pivot >> shift
-        free = []
-        divided = []
-        for p, mask in shared:
-            if mask & pivot:
-                q = p - x
-                divided.append((q, ((q | H) - ONES) & H))
-            else:
-                free.append((p, mask))
-        # The divided generators divide none of each other, and no other
-        # generator divides one of them: both would break minimality.
-        linear = 0
-        heavier = []
-        for q, qm in divided:
-            if q % _FMASK == 1:
-                linear |= qm
-            else:
-                heavier.append((q, qm))
-        colon = divided + [
-            (p, mask) for p, mask in free
-            if not mask & linear and not _divisible(p, mask, heavier, H)
-        ]
-        tasks += [(None, (key, factor, 0)), (free, None), (colon, None)]
-    return _signed_digits(values.pop(), w)
-
-
-def _hilbert_value(numerator, n: int, d: int) -> int:
-    """The coefficient of t^d in numerator(t) / (1 - t)^n."""
-    return sum(c * comb(n - 1 + d - i, n - 1) for i, c in enumerate(numerator[:d + 1]))
-
-
 def _low_hilbert(engine: _Engine, leads: Iterable[int]) -> tuple[int, int, int]:
-    """HF(S / <leads>)(d) for d = 1, 2, 3, for packed ``leads`` of degree
-    1 or 2, by counting.  Setting the leads of degree 1 to zero leaves,
-    over the m other variables, the ideal of the set Q of the quadric
-    leads free of them.  Its degree-3 part is the union of the sets q S_1,
-    of size m each.  Two of them meet only when q and q' share a
-    variable, in their lcm; three only when q, q' and q'' are ab, bc and
-    ca, in abc; no cubic has four quadric divisors.  So by inclusion and
-    exclusion it has m |Q| - P + T elements, P the pairs of Q sharing a
-    variable and T the triangles of the graph of its squarefree leads."""
+    """HF(S / <leads>)(d) for d = 1, 2, 3, for packed ``leads`` of any
+    degree, by counting; leads of degree 4 or more do not reach degree 3.
+    Setting the leads of degree 1 to zero leaves, over the m other
+    variables, the ideal of the set Q of the quadric leads free of them
+    and of the set C of the cubic leads free of them.  The degree-3 part
+    of <Q> is the union of the sets q S_1, of size m each.  Two of them
+    meet only when q and q' share a variable, in their lcm; three only
+    when q, q' and q'' are ab, bc and ca, in abc; no cubic has four
+    quadric divisors.  So by inclusion and exclusion it has m |Q| - P + T
+    elements, P the pairs of Q sharing a variable and T the triangles of
+    the graph of its squarefree leads.  A cubic of C adds one more unless
+    c / x is in Q for a variable x of c."""
     H, ONES = engine.H, engine.ONES
     leads = set(leads)
     linear = sum(p for p in leads if p % _FMASK == 1)
     m = sum(not linear >> s & 1 for s in engine.shift)
-    quads = pairs = triangles = 0
+    quads = pairs = triangles = cubics = 0
     # guard bit -> the number of quadric leads holding it, and -> the
     # other variables of the squarefree ones
     held: dict[int, int] = {}
     near: dict[int, set] = {}
     for q in leads:
         mask = ((q | H) - ONES) & H
-        if q % _FMASK != 2 or mask >> (_FIELD - 1) & linear:
+        if q % _FMASK not in (2, 3) or mask >> (_FIELD - 1) & linear:
+            continue
+        if q % _FMASK == 3:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if q - (low >> (_FIELD - 1)) in leads:
+                    break
+            else:
+                cubics += 1
             continue
         quads += 1
         a, b = mask & -mask, mask & (mask - 1)
@@ -917,7 +742,7 @@ def _low_hilbert(engine: _Engine, leads: Iterable[int]) -> tuple[int, int, int]:
             triangles += len(near.setdefault(a, set()) & near.setdefault(b, set()))
             near[a].add(b)
             near[b].add(a)
-    return m, comb(m + 1, 2) - quads, comb(m + 2, 3) - (m * quads - pairs + triangles)
+    return m, comb(m + 1, 2) - quads, comb(m + 2, 3) - (m * quads - pairs + triangles) - cubics
 
 
 # --------------------------------------------------------------------------
@@ -1107,35 +932,32 @@ def saturate(
     For homogeneous ``gens``, v and every other variable of ``pending``
     that then divides no lead leave it (``_uncertified``); for
     inhomogeneous ones only v leaves, so every variable gets a step.
-    ``budget`` caps the S-pair reductions of each Buchberger run, not
-    counting the pairs that the Hilbert function proves zero.
+    ``budget`` caps the S-pair reductions of each Buchberger run.
 
     ``symmetries`` are candidate permutations of the variables, each a
     map from a variable to its image (unlisted variables stay put).  At
     the first step, if its division changed no element and ``gens`` are
     homogeneous, ``_stabilizer`` keeps those that fix the step's ideal.
-    From then on every image, under a kept map, of a variable certified
-    in a step leaves ``pending`` too, up to the first step whose
-    division changes an element; from there on no orbit is used.  The
-    default, no maps, certifies no orbit.
+    From then on, the whole orbits of the variables that a step
+    certifies, under the group that the kept maps generate, leave
+    ``pending`` with them; a search over the kept maps finds them.  This
+    holds up to the first step whose division changes an element; from
+    there on no orbit is used.  The default, no maps, certifies no
+    orbit.
 
     The basis stays packed from step to step, over one universe (the
     variables of ``gens`` and ``variables``), and each step moves it to
     its own layout with ``_repack``.  For homogeneous ``gens``, a step
     after the first drops each input element of degree 3 or more that
-    reduces to zero against those of degree 2 or less.  It then compares
-    the Hilbert functions of its input's leads and of the ideal in
-    degrees 1 to 2D, D the top degree of its input: for D <= 2 by
-    counting (``_low_hilbert``), else from the leads' series.  When they
-    agree it only interreduces its input, and otherwise it runs in full,
-    pruned by the differences (the theorems are in
-    ``toric.saturate_generators``).  The ideal's series is read off the
-    previous step's leads, again only when the division changed an
-    element, and never for inhomogeneous ``gens``, which the division
-    keeps no Groebner basis of.  Every series is read from
-    ``_hilbert_numerator``, each in its step's layout, with one memo for
-    all steps; patched to return None, it turns off the counts, the
-    skips and the pruning, but not the drop.
+    reduces to zero against those of degree 2 or less.  When what is
+    left has degree 2 or less and its leads have the Hilbert function of
+    the ideal in degrees 1 to 3, both counted by ``_low_hilbert``, the
+    step only interreduces its input; otherwise it runs Buchberger in
+    full (the theorems are in ``toric.saturate_generators``).  The
+    ideal's counts are read off the previous step's leads, again only
+    when the division changed an element, and never for inhomogeneous
+    ``gens``, which the division keeps no Groebner basis of.  Patched to
+    return None, ``_low_hilbert`` turns off the skips but not the drop.
     """
     gens = _checked(gens)
     pending = list(dict.fromkeys(variables))
@@ -1144,8 +966,7 @@ def saturate(
     universe = _universe(gens, pending)
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
-    memo: dict = {}
-    series = engine = None
+    counts = engine = None
     # The kept maps; None until the first step has tested them.
     group = None
     while pending:
@@ -1168,22 +989,11 @@ def saturate(
                 gens4 = [b4 for b4 in gens4
                          if b4[0] <= 2 or low.reduce(b4, None)[0] is not None]
         engine = step
-        deficit = None
-        if series is not None:
-            n = len(universe)
-            leads = [b4[1] for b4 in gens4]
-            high = max((b4[0] for b4 in gens4), default=0)
-            if high <= 2:
-                deficit = {d: h - _hilbert_value(series, n, d)
-                           for d, h in enumerate(_low_hilbert(engine, leads), 1)}
-            else:
-                gap = [a - b for a, b in zip_longest(
-                    _hilbert_numerator(engine, leads, memo), series, fillvalue=0)]
-                deficit = {d: _hilbert_value(gap, n, d) for d in range(1, 2 * high + 1)}
-        if deficit is not None and not any(deficit.values()):
+        if (counts is not None and all(b4[0] <= 2 for b4 in gens4)
+                and _low_hilbert(engine, [b4[1] for b4 in gens4]) == counts):
             reduced = _interreduce(engine, [_Elem(engine, b4) for b4 in gens4])
         else:
-            reduced = _run_buchberger(engine, gens4, budget, deficit)
+            reduced = _run_buchberger(engine, gens4, budget)
         current = []
         changed = False
         for ld, lp, td, tp in reduced:
@@ -1195,16 +1005,23 @@ def saturate(
         if not homogeneous:
             pending = pending[1:]
             continue
-        if series is None or changed:
-            series = _hilbert_numerator(engine, (b4[1] for b4 in current), memo)
+        if counts is None or changed:
+            counts = _low_hilbert(engine, [b4[1] for b4 in current])
         left = _uncertified(engine, pending, current)
         if changed:
             group = []
         elif group is None:
             group = _stabilizer(engine, symmetries, current)
         if group:
-            certified = set(pending).difference(left)
-            orbits = {g.get(u, u) for g in group for u in certified}
+            orbits = set(pending).difference(left)
+            search = list(orbits)
+            while search:
+                u = search.pop()
+                for g in group:
+                    w = g.get(u, u)
+                    if w not in orbits:
+                        orbits.add(w)
+                        search.append(w)
             left = [u for u in left if u not in orbits]
         pending = left
     return [engine.from_binomial4(b4) for b4 in current]

@@ -19,17 +19,18 @@ no lead is certified without a step of its own
 (:func:`saturate_generators`).  Every column of the matrix has the same
 sum, so every vector of L has sum 0 and every kernel binomial is
 homogeneous, which is what makes each step a saturation (Bayer and
-Stillman), and what the certificates and the Hilbert-series checks of
-the steps after the first rest on.
+Stillman), and what the certificates and the skip rule of the steps
+after the first rest on.
 
-The maps of the outer box that send the vertex set onto itself
-(:func:`_box_symmetries`) are offered to the saturation as candidate
-symmetries.  When the first step's division changes no element, it
-keeps those that fix its ideal, checked by reduction against its
-Groebner basis, and each certificate from then on covers the orbit of
-its variable under them, until a division changes an element.  This
-only cuts steps: the final reduced basis is canonical and does not
-change.
+The maps of the outer box and the swaps of adjacent grid lines within
+one band that send the vertex set onto itself
+(:func:`_candidate_symmetries`) are offered to the saturation as
+candidate symmetries.  When the first step's division changes no
+element, it keeps those that fix its ideal, checked by reduction
+against its Groebner basis, and each certificate from then on covers
+the orbit of its variable under the group they generate, until a
+division changes an element.  This only cuts steps: the final reduced
+basis is canonical and does not change.
 """
 
 from __future__ import annotations
@@ -241,21 +242,39 @@ def _fiber_binomials(lm: LabelMap, deg: int) -> list[Binomial]:
     return out
 
 
-def _box_symmetries(lm: LabelMap) -> list[dict[Variable, Variable]]:
-    """The maps of the outer box onto itself, other than the identity,
-    that send the vertex set onto itself, each as a permutation of the
-    vertex variables: of the two reflections and the half turn, and on a
-    square box also the two diagonal reflections and the quarter turns.
-    Whether a map also fixes the ideal is left to ``saturate``'s test."""
-    a, b = lm.cfg.a, lm.cfg.b
+def _candidate_symmetries(lm: LabelMap) -> list[dict[Variable, Variable]]:
+    """Candidate symmetries of the inner minors, each a permutation of the
+    vertex variables that sends the vertex set onto itself.
+
+    They are the maps of the outer box onto itself other than the
+    identity: the two reflections and the half turn, and on a square box
+    also the two diagonal reflections and the quarter turns.  They are
+    also the swaps of two adjacent grid lines of one band.  The vertical
+    lines fall into three bands: x <= a'.x, a'.x < x < b'.x and
+    x >= b'.x, with a' and b' the corners of the hole.  The horizontal
+    lines fall into three bands by y in the same way.  An interval is
+    inner exactly when its cells miss the hole's: when its two vertical
+    lines are both in the left band or both in the right band, or its
+    two horizontal lines are both in the bottom band or both in the top
+    band.  That depends only on the bands of the lines, so a swap within
+    a band maps the inner intervals onto inner intervals, and the minors
+    onto minors up to sign.  Each map is offered only when it sends the
+    vertex set onto itself.  Whether it also fixes the ideal is left to
+    ``saturate``'s test."""
+    a, b, lo, hi = lm.cfg.as_tuples()
     w, h = b.x - a.x, b.y - a.y
+    # The lower line i of each adjacent pair i, i + 1 within one band.
+    xs = [i for i in range(a.x, b.x) if i != lo.x and i + 1 != hi.x]
+    ys = [j for j in range(a.y, b.y) if j != lo.y and j + 1 != hi.y]
 
     def images(p: GridPoint) -> list[GridPoint]:
         u, v = p.x - a.x, p.y - a.y
         moved = [(w - u, v), (u, h - v), (w - u, h - v)]
         if w == h:
             moved += [(v, u), (w - v, w - u), (v, w - u), (w - v, u)]
-        return [GridPoint(a.x + i, a.y + j) for i, j in moved]
+        return ([GridPoint(a.x + i, a.y + j) for i, j in moved]
+                + [GridPoint(p.x + (p.x == i) - (p.x == i + 1), p.y) for i in xs]
+                + [GridPoint(p.x, p.y + (p.y == j) - (p.y == j + 1)) for j in ys])
 
     points = lm.points()
     return [
@@ -273,9 +292,9 @@ def saturate_generators(
 ) -> list[Binomial]:
     """Saturate the ideal of ``gens`` with respect to every variable of
     ``variables``, as a list of binomials; ``budget`` caps the S-pair
-    reductions of each Buchberger run, not counting the pairs the
-    pruning drops.  ``symmetries`` are candidate permutations of the
-    variables; certificate (c) says which of them are used, and when.
+    reductions of each Buchberger run.  ``symmetries`` are candidate
+    permutations of the variables; certificate (c) says which of them
+    are used, and when.
 
     Steps.  The variables not yet certified are ``pending``, in the
     given order.  With v = pending[0], step k computes the reduced
@@ -290,7 +309,8 @@ def saturate_generators(
     variable, holds it in its trail too, and that common power is gone.
     With inhomogeneous ``gens`` only v leaves, so every variable gets a
     step of its own.  While the ideal is the first step's, every image
-    of a certified variable under a kept symmetry is certified too.
+    of a certified variable under the group that the kept symmetries
+    generate is certified too.
 
     Certificates.  (a) If x divides no lead of a Groebner basis of an
     ideal I, under any term order, then x is a nonzerodivisor on S / I.
@@ -322,47 +342,35 @@ def saturate_generators(
     the ideal to I : v^inf, which g sends to I : g(v)^inf, in general a
     different ideal; the test says nothing about it, so from that step
     on no orbit is used.  The certificates given so far stay, by (b).
+    If g and h fix I, so does gh, so every element of the group that the
+    kept maps generate fixes I.  The group is finite, so the orbit of a
+    certified variable under it is its closure under the kept maps
+    alone, which ``saturate`` finds by a search over them.
 
     Skip rule.  Let G be the previous step's output and I its ideal.
     With ``gens`` homogeneous, the division keeps G a Groebner basis of
-    I for the previous order, whose leads give the series of S / I
-    (Macaulay, for any degree-compatible order).  Step k drops each
-    element of G of degree 3 or more that reduces to zero against those
-    of degree 2 or less, which leaves G' generating I.  Let D be the top
-    degree of G' and L the ideal of its leads under the new order; L <=
-    in(I), and the deficit HF(S / L) - HF(S / I) is never negative.
-    (i) Pair degrees.  Buchberger's criterion needs only the pairs whose
-    leads are not coprime, and their lcms have degree at most 2D - 1.
-    Such an S-pair lies in I, homogeneous of its lcm degree d, and where
-    L and in(I) agree in degree d its normal form is 0, or its lead
-    would be in in(I) and not in L.  So G' is a Groebner basis exactly
-    when the deficit is 0 up to degree 2D, and then interreducing it
-    gives the reduced basis G_k that a full run gives.  For D <= 2 that
-    is degrees 1 to 3, which ``_low_hilbert`` counts.  Degree 1 matters
-    only when two leads are one variable, but then it must be checked: a
-    linear form of I that no lead divides can hide while degrees 2 and 3
-    agree.  For D >= 3 HF(S / L) comes from the leads' series.  Any other
-    step runs Buchberger in full, with inhomogeneous ``gens`` every step
-    does, and no step is skipped only because the basis stopped changing.
-
-    Pruning rule.  A step run in full starts from the deficits up to
-    degree 2D (up to 3 when counted) and pops its pairs by lcm degree.
-    Only a nonzero reduction adds a lead, and in degree d it adds the
-    lead m of its normal form, outside L.  (ii) Exact sequence.  From 0
-    -> S / (L : m)(-d) -> S / L -> S / (L + m) -> 0 (multiplication by
-    m), HF(S / (L + m)) is 1 less in degree d and n - k less in degree
-    d + 1, with n variables and k of them in L : m.  L : m is generated
-    by the l / gcd(l, m) over the leads l, none of them 1, so its
-    variables are the degree-1 quotients of the leads sharing a variable
-    with m, which ``_gm_update`` has for the chain criterion, and the
-    degree-1 leads.  So the run keeps the deficits in degrees d and d + 1
-    exact and forgets the higher ones.  At deficit 0 in degree d, every
-    pair left there reduces to zero, by (i); it is dropped, uncounted by
-    ``budget``.  Zero reductions change neither the basis nor the queue,
-    so the step keeps its other pairs, their order and its output.  Both
-    rules are Traverso's Hilbert-driven Buchberger ("Hilbert functions
-    and the Buchberger algorithm", JSC 1996), with the series from
-    Bigatti's pivot algorithm (JPAA 1997).
+    I for the previous order, whose leads give the Hilbert function of
+    S / I (Macaulay, for any degree-compatible order).  In degrees 1 to
+    3 only the leads of degree 3 or less count, and ``_low_hilbert``
+    counts them.  Step k drops each element of G of degree 3 or more
+    that reduces to zero against those of degree 2 or less, which leaves
+    G' generating I.  Let D be the top degree of G' and L the ideal of
+    its leads under the new order; L <= in(I), so HF(S / L) >= HF(S / I)
+    in every degree, with equality where L and in(I) agree.  (i) Pair
+    degrees.  Buchberger's criterion needs only the pairs whose leads
+    are not coprime, and their lcms have degree at most 2D - 1.  Such an
+    S-pair lies in I, homogeneous of its lcm degree d, and where L and
+    in(I) agree in degree d its normal form is 0, or its lead would be
+    in in(I) and not in L.  So G' is a Groebner basis exactly when the
+    two Hilbert functions agree up to degree 2D - 1, and then
+    interreducing it gives the reduced basis G_k that a full run gives.
+    For D <= 2 that is degrees 1 to 3, which ``_low_hilbert`` counts for
+    L as well.  Degree 1 matters only when two leads are one variable,
+    but then it must be checked: a linear form of I that no lead divides
+    can hide while degrees 2 and 3 agree.  Any other step runs
+    Buchberger in full: one with D >= 3, or whose counts differ.  With
+    inhomogeneous ``gens`` every step does, and no step is skipped only
+    because the basis stopped changing.
     """
     return saturate(gens, variables, budget=budget, symmetries=symmetries)
 
@@ -387,7 +395,7 @@ def toric_generators(
     set of inner minors, so when I_P = J_P the first step starts from
     generators of J_P instead of rebuilding its quadrics from I(B).  B
     stays in the start because Q spans L only on a correct labelling,
-    and the lemma needs a basis of L.  The maps of ``_box_symmetries``
+    and the lemma needs a basis of L.  The maps of ``_candidate_symmetries``
     go to the saturation as candidates; it uses only those that it
     proves fix the ideal (certificate (c) of ``saturate_generators``)."""
     matrix = build_matrix(lm)
@@ -397,6 +405,6 @@ def toric_generators(
     if not gens:
         return []
     saturated = saturate_generators(gens, variables, budget=budget,
-                                    symmetries=_box_symmetries(lm))
+                                    symmetries=_candidate_symmetries(lm))
     final = buchberger(saturated, order, budget=budget)
     return list(final.elements)

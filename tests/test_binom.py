@@ -13,12 +13,9 @@ from helpers import (
     lcm,
     leading_monomials,
     normalized,
-    numerator_by_inclusion_exclusion,
     priority_sorted,
     quotient,
     reference_gm_update,
-    reference_hilbert_numerator,
-    series_coefficients,
     spoly,
     standard_monomial_counts,
     variable_sort_key,
@@ -32,14 +29,10 @@ from polytoric.binom import (
     _Basis,
     _Elem,
     _Engine,
-    _divisible,
     _field_map,
     _gm_update,
-    _hilbert_numerator,
-    _hilbert_value,
     _low_hilbert,
     _repack,
-    _signed_digits,
     DEGREVLEX,
     LEX,
     UNIT,
@@ -417,10 +410,14 @@ def test_packed_primitives_match_sparse_reference(order, case):
     # The lcm may pass the cap (up to twice it), so compare it unpacked.
     lcm_deg, packed_lcm = engine.lcm(pa[1], pb[1])
     assert engine.unpack(packed_lcm) == lcm(a, b) and lcm_deg == lcm(a, b).degree
-    # The guard-bit divisibility test that the Hilbert series runs.
+    # The guard-bit divisibility test of the reducer index; the engine
+    # never holds a unit lead.
     ma, mb = engine.mask_of(pa[1]), engine.mask_of(pb[1])
-    assert _divisible(pb[1], mb, [(pa[1], ma)], engine.H) == divides(a, b)
-    assert _divisible(pa[1], ma, [(pb[1], mb)], engine.H) == divides(b, a)
+    for x, y, px, py, my in ((a, b, pa, pb, mb), (b, a, pb, pa, ma)):
+        if x:
+            held = _Basis(engine)
+            held.append(_Elem(engine, px + (0, 0)))
+            assert (held.find_reducer(py[0], py[1], my) == 0) == divides(x, y)
     coprime = ma & mb == 0
     assert coprime == is_unit(gcd(a, b))
     assert ma | mb == engine.mask_of(packed_lcm)
@@ -491,136 +488,40 @@ def test_buchberger_degree_past_cap_raises(gens):
         buchberger([parse_binomial(g) for g in gens], DEGREVLEX)
 
 
-# -- Hilbert series ------------------------------------------------------------
+# -- Hilbert function counts -------------------------------------------------
 
 SERIES_POOL = ENGINE_POOL[:6]
-
-
-@st.composite
-def monomial_ideals(draw):
-    """At most six variables and up to seven generators with exponents up
-    to 3, the unit monomial included."""
-    n = draw(st.integers(min_value=1, max_value=len(SERIES_POOL)))
-    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=7))
-    return n, gens
 
 
 def packed(engine, exps) -> int:
     return engine.pack(Monomial(zip(engine.vars, exps)))[1]
 
 
-@given(ideal=monomial_ideals())
-@settings(max_examples=150, deadline=None)
-def test_hilbert_numerator_counts_standard_monomials(ideal):
-    n, gens = ideal
-    engine = _Engine(SERIES_POOL[:n], DEGREVLEX)
-    numerator = _hilbert_numerator(engine, [packed(engine, g) for g in gens], {})
-    assert not numerator or numerator[-1] != 0
-    assert series_coefficients(numerator, n, 8) == standard_monomial_counts(gens, n, 8)
-
-
-@given(ideal=monomial_ideals(), data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_hilbert_numerator_memo_holds_across_layouts(ideal, data):
-    """One memo serves two layouts of one universe: the packed sets of one
-    layout read in another are renamed ideals with the same series."""
-    n, gens = ideal
-    universe = SERIES_POOL[:n]
-    orders = [DEGREVLEX, TermOrder("degrevlex", last=(data.draw(st.sampled_from(universe)),))]
-    memo: dict = {}
-    for order in orders + orders[::-1]:
-        engine = _Engine(universe, order)
-        leads = [packed(engine, g) for g in gens]
-        assert _hilbert_numerator(engine, leads, memo) == _hilbert_numerator(engine, leads, {})
-
-
-@given(ideal=monomial_ideals())
-@settings(max_examples=150, deadline=None)
-def test_hilbert_numerator_matches_the_references(ideal):
-    """The Kronecker-packed numerator against the coefficient lists it
-    replaced and against inclusion-exclusion over the generators."""
-    n, gens = ideal
-    engine = _Engine(SERIES_POOL[:n], DEGREVLEX)
-    leads = [packed(engine, g) for g in gens]
-    numerator = _hilbert_numerator(engine, leads, {})
-    assert numerator == reference_hilbert_numerator(engine, leads, {})
-    assert numerator == numerator_by_inclusion_exclusion(gens)
-
-
 @st.composite
 def low_degree_leads(draw):
-    """At most six variables and up to ten leads of degree 1 or 2, as
-    exponent tuples: squares, repeated leads and linear leads."""
+    """At most six variables and up to sixteen leads of degree 1 to 4, as
+    exponent tuples: linear leads, squares, cubics, repeated leads, and
+    leads times one more variable, which the leads divide."""
     n = draw(st.integers(min_value=1, max_value=len(SERIES_POOL)))
     var = st.integers(0, n - 1)
-    picks = draw(st.lists(st.one_of(st.tuples(var), st.tuples(var, var)), max_size=10))
+    picks = draw(st.lists(st.lists(var, min_size=1, max_size=3), max_size=8))
+    picks += [pick + [draw(var)] for pick in picks if draw(st.booleans())]
+    if picks:
+        picks += draw(st.lists(st.sampled_from(picks), max_size=2))
     return n, [tuple(pick.count(i) for i in range(n)) for pick in picks]
 
 
 @given(ideal=low_degree_leads(), data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_low_hilbert_counts_match_the_numerator(ideal, data):
-    """HF(1), HF(2) and HF(3) by counting are the series coefficients of
-    the Bigatti numerator, in any layout; ``_hilbert_value`` reads them."""
+@settings(max_examples=300, deadline=None)
+def test_low_hilbert_counts_the_standard_monomials(ideal, data):
+    """HF(1), HF(2) and HF(3) by counting are the brute-force numbers of
+    standard monomials, in any layout."""
     n, gens = ideal
     universe = SERIES_POOL[:n]
     engine = _Engine(universe, TermOrder("degrevlex", last=tuple(
         data.draw(st.lists(st.sampled_from(universe), unique=True)))))
     leads = [packed(engine, g) for g in gens]
-    numerator = _hilbert_numerator(engine, leads, {})
-    series = series_coefficients(numerator, n, 3)
-    assert [_hilbert_value(numerator, n, d) for d in range(4)] == series
-    assert _low_hilbert(engine, leads) == tuple(series[1:])
-
-
-@pytest.mark.parametrize("w", [2, 3, 16, 76, 200])
-def test_signed_digits_decode_the_extreme_coefficients(w):
-    """A polynomial packed at t = 2**w decodes back when every
-    coefficient lies within 2**(w-1) - 1 of zero, both ends included."""
-    top = (1 << (w - 1)) - 1
-    for coeffs in ([top], [-top], [top, -top, 0, top], [-top, top, -top],
-                   [0, 0, -top], [1, -top, top, -1], [top] * 5 + [-top] * 5):
-        k = sum(c << (w * i) for i, c in enumerate(coeffs))
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        assert _signed_digits(k, w) == tuple(coeffs)
-    assert _signed_digits(0, w) == ()
-
-
-def _times(poly, d):
-    out = list(poly) + [0] * d
-    for k, c in enumerate(poly):
-        out[k + d] -= c
-    return out
-
-
-def test_hilbert_numerator_closed_forms():
-    engine = _Engine(SERIES_POOL, DEGREVLEX)
-    assert _hilbert_numerator(engine, [], {}) == (1,)
-    # The unit ideal: S / S is zero.
-    for gens in ([], [(0, 1, 0, 0, 0, 0)], [(1, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0)]):
-        leads = [0] + [packed(engine, g) for g in gens]
-        assert _hilbert_numerator(engine, leads, {}) == ()
-    # Pairwise coprime generators, and the same with redundant multiples.
-    coprime = [(2, 1, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0), (0, 0, 0, 1, 1, 1)]
-    expected = [1]
-    for g in coprime:
-        expected = _times(expected, sum(g))
-    redundant = [(2, 1, 1, 0, 0, 0), (0, 1, 3, 0, 0, 2)]
-    for gens in (coprime, coprime + redundant):
-        leads = [packed(engine, g) for g in gens]
-        assert _hilbert_numerator(engine, leads, {}) == tuple(expected)
-
-
-def test_hilbert_numerator_deep_pivot_chain():
-    # x is in most generators of <x^k y1, x^k y2, x^k y3, y1 y2>, and of
-    # its colon by x, so the pivots go k deep, past Python's default
-    # recursion limit of 1000.
-    k = 1500
-    gens = [(k, 1, 0, 0), (k, 0, 1, 0), (k, 0, 0, 1), (0, 1, 1, 0)]
-    engine = _Engine(SERIES_POOL[:4], DEGREVLEX)
-    leads = [packed(engine, g) for g in gens]
-    assert _hilbert_numerator(engine, leads, {}) == numerator_by_inclusion_exclusion(gens)
+    assert _low_hilbert(engine, leads) == tuple(standard_monomial_counts(gens, n, 3)[1:])
 
 
 @given(data=st.data())
@@ -749,29 +650,6 @@ def test_gm_update_queues_the_pairs_of_the_full_walk(order, pairs):
         reference_gm_update(engine, reference, reference_heap, b4)
         assert sorted(heap) == sorted(reference_heap)
         assert_occurrences_match_leads(engine, basis)
-
-
-@given(monomials=st.lists(st.one_of(
-    st.sampled_from([Monomial([(v, 1)]) for v in UPDATE_POOL]),
-    update_monomials.filter(bool)), min_size=1, max_size=14))
-@settings(max_examples=300, deadline=None)
-def test_gm_update_returns_the_variables_of_the_colon(monomials):
-    """Whenever the new lead m lies outside the ideal L of the leads held,
-    the update returns the variables x with x * m in L, as a mask; a
-    lead of degree 1 is one of them unless it divides m."""
-    engine = _Engine(UPDATE_POOL, DEGREVLEX)
-    basis = _Basis(engine)
-    heap = []
-    leads = []
-    checked = 0
-    for m in monomials:
-        colon = _gm_update(engine, basis, heap, engine.orient(Binomial(m, UNIT))[0])
-        if not any(divides(lead, m) for lead in leads):
-            checked += 1
-            assert colon == sum(_GUARD << engine.shift[k] for k, v in enumerate(UPDATE_POOL)
-                                if any(divides(lead, m * Monomial([(v, 1)])) for lead in leads))
-        leads.append(m)
-    assert checked
 
 
 def test_gm_update_coprime_lead_check():

@@ -11,7 +11,6 @@ from helpers import (
     label_map_from_json_dict,
     lattice_toric_basis,
     spairs_per_step,
-    without_pruning,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -462,22 +461,13 @@ def test_toric_budget_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_toric_budget_boundary_with_quadrics(tmp_path, capsys, monkeypatch):
-    # ``toric_generators``' own start: 53 since the steps after the first
-    # drop the generators that reduce to zero against the quadrics and
-    # prune the degree after the lowest too (79 before, since the
-    # saturation certifies the orbits of the box's symmetries; 59 before
-    # that, 63 before the block orders), with the full steps dropping the
-    # pairs that the Hilbert function proves zero, which no budget counts.
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 53)
-
-
-def test_toric_budget_boundary_with_quadrics_unpruned(tmp_path, capsys, monkeypatch):
-    # 84 with the pruning patched out, since the steps after the first
-    # drop the generators that reduce to zero against the quadrics (86
-    # since the saturation certifies the orbits of the box's symmetries,
-    # 77 before, 75 before the block orders).
-    without_pruning(monkeypatch)
-    assert_budget_boundary(tmp_path, capsys, monkeypatch, 84)
+    # ``toric_generators``' own start: 49 since the saturation certifies
+    # the orbits of the line swaps and runs no step pruned by the Hilbert
+    # series (53 before, with pruned pairs not counted; 79 before the
+    # steps after the first dropped generators and pruned the degree
+    # after the lowest; 59 before the box's orbits, 63 before the block
+    # orders).
+    assert_budget_boundary(tmp_path, capsys, monkeypatch, 49)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -11,6 +11,9 @@ A private top-level function or class of ``src/polytoric/`` (a name with
 one leading underscore) counts as used when a ``Name`` or an attribute
 of that name appears in some package module outside its own definition.
 Tests do not count: code that only tests call is dead code.
+
+Every top-level function or class of ``tests/helpers.py`` counts as used
+when a test module names it, or a helper that is used names it.
 """
 
 import ast
@@ -104,3 +107,40 @@ def test_private_definition_scan_sees_dead_code():
         "b.py": "from a import _used\n\nVALUE = _used()\n",
     }
     assert unreferenced_private_definitions(sources) == ["a.py:5 _recursive", "a.py:9 _Dead"]
+
+
+def unreferenced_helpers(helpers: str, tests: dict[str, str]) -> list[str]:
+    """"line name" of each top-level function or class in the module text
+    ``helpers`` that no module of ``tests`` (name -> text) names, either
+    directly or through helpers that are named."""
+
+    def names(node) -> set[str]:
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    defs = {node.name: node for node in ast.parse(helpers).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = set()
+    for text in tests.values():
+        used |= names(ast.parse(text)) & defs.keys()
+    search = list(used)
+    while search:
+        more = names(defs[search.pop()]) & defs.keys() - used
+        used |= more
+        search += more
+    return [f"{node.lineno} {name}" for name, node in defs.items() if name not in used]
+
+
+def test_every_helper_is_used_by_a_test():
+    tests = {p.name: p.read_text(encoding="utf-8")
+             for p in (ROOT / "tests").glob("*.py") if p.name != "helpers.py"}
+    helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    unreferenced = unreferenced_helpers(helpers, tests)
+    assert not unreferenced, "helpers that no test uses: " + ", ".join(unreferenced)
+
+
+def test_helper_scan_sees_dead_helpers():
+    helpers = ("def used():\n    return inner()\n\n\ndef inner():\n    return 1\n\n\n"
+               "def dead():\n    return only_dead()\n\n\ndef only_dead():\n    return 2\n")
+    tests = {"test_a.py": "from helpers import used\n\n\ndef test_a():\n    assert used()\n"}
+    assert unreferenced_helpers(helpers, tests) == ["9 dead", "13 only_dead"]

@@ -23,15 +23,14 @@ from helpers import (
     normalized,
     saturation_one_variable_reference,
     saturation_steps_reference,
-    series_coefficients,
     spairs_per_step,
     without_orbits,
-    without_pruning,
+    without_skips,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytoric import binom
+from polytoric import binom, toric
 from polytoric.binom import (
     DEGREVLEX,
     TermOrder,
@@ -56,11 +55,19 @@ from polytoric.toric import (
     lattice_kernel,
     lattice_vector_to_binomial,
     phi_image,
-    _box_symmetries,
+    _candidate_symmetries,
     saturate_generators,
     toric_generators,
 )
 from polytoric.verify import minors_balanced
+
+# The top rungs of the ladder: frames with a ring two or three cells
+# wide, and two off-centre holes that no box map fixes.
+WIDE_7X7 = ((1, 1), (7, 7), (3, 3), (5, 5))
+WIDE_8X8 = ((1, 1), (8, 8), (3, 3), (6, 6))
+WIDE_9X9 = ((1, 1), (9, 9), (4, 4), (6, 6))
+OFF_CENTRE_9X7 = ((0, 0), (9, 7), (1, 2), (6, 4))
+OFF_CENTRE_10X8 = ((0, 0), (10, 8), (2, 1), (7, 6))
 
 
 def test_matrix_shape_frame():
@@ -208,7 +215,7 @@ def test_lattice_kernel_on_random_matrices(a):
 
 @pytest.mark.parametrize("coords", list(sweep_configs()), ids=str)
 def test_toric_generators_match_the_unreduced_route(coords):
-    """``toric_generators`` (quadratic start, pruning, certified orbits)
+    """``toric_generators`` (quadratic start, skipped steps, certified orbits)
     and the saturation from ``lattice_kernel``'s basis alone reach the
     same basis on every sweep configuration."""
     lm = build_label_map(cfg_of(coords))
@@ -305,18 +312,29 @@ def sha256(text: str) -> str:
                  id="FRAME_7X5"),
     pytest.param(FRAME_8X5, 88,
                  "0cbb72b30c32373c74b8af07d83d1f67fd80d71f2b3f009df2491ae2df0577f5",
-                 id="FRAME_8X5", marks=pytest.mark.slow),
+                 id="FRAME_8X5"),
     pytest.param(THICK_FRAME, 144,
                  "b6f76a79c66a7a5a7d5909497840e236e4dee02f971afac09d5942a75259e694",
-                 id="THICK_FRAME", marks=pytest.mark.slow),
+                 id="THICK_FRAME"),
     # Frames with a ring two cells wide, recorded before the saturation
     # ran its steps under block orders.
-    pytest.param(((1, 1), (7, 7), (3, 3), (5, 5)), 216,
+    pytest.param(WIDE_7X7, 216,
                  "299c090de42f3046b6e9a4c166dd3c46915f35ee0f09da371b2be7da5f563882",
-                 id="WIDE_7X7", marks=pytest.mark.slow),
-    pytest.param(((1, 1), (8, 8), (3, 3), (6, 6)), 300,
+                 id="WIDE_7X7"),
+    pytest.param(WIDE_8X8, 300,
                  "074adc3406f71c12861d50f4cae541e6ccaaf62779d6b3c033d18fa5d2374871",
-                 id="WIDE_8X8", marks=pytest.mark.slow),
+                 id="WIDE_8X8"),
+    # The rungs that only the line swaps bring within a second, recorded
+    # before the saturation took the swaps.
+    pytest.param(WIDE_9X9, 720,
+                 "1711bebf74b79e7ade3106d7fccca7b86ab2c4715330ab91f9c9ec802a1450a8",
+                 id="WIDE_9X9"),
+    pytest.param(OFF_CENTRE_9X7, 538,
+                 "6fed32d2bfdc06ffbf5c716684351d870718b295c4147742dad4a0ce14764099",
+                 id="OFF_CENTRE_9X7"),
+    pytest.param(OFF_CENTRE_10X8, 508,
+                 "0f862abd070175ce68e22c9e6adcbb4630e207862f24cf5bef26e76a25af6d72",
+                 id="OFF_CENTRE_10X8"),
 ])
 def test_toric_basis_digest(coords, size, digest):
     basis = toric_generators(build_label_map(cfg_of(coords)))
@@ -389,14 +407,12 @@ def saturation_input(coords, raised=None):
 # The bases are canonical, so their digests cannot see a change in which
 # S-pairs the engine reduces; these traces can.  Recorded when the
 # saturation steps started to run under block orders and to certify
-# variables by the leads, with a full Buchberger run at every step:
-# ``_hilbert_numerator``, the one seam of the Hilbert-series skip rule
-# and pruning, is patched to return None, so no step is skipped or
-# pruned.  The input is ``lattice_kernel``'s basis alone, without the
-# quadratic kernel binomials that ``toric_generators`` adds (pinned
-# further below).  Re-recorded when each step after the first started to
-# drop the generators of degree 3 or more that reduce to zero against
-# those of degree 2 or less.
+# variables by the leads, with a full Buchberger run at every step
+# (``without_skips``).  The input is ``lattice_kernel``'s basis alone,
+# without the quadratic kernel binomials that ``toric_generators`` adds
+# (pinned further below).  Re-recorded when each step after the first
+# started to drop the generators of degree 3 or more that reduce to zero
+# against those of degree 2 or less.
 @pytest.mark.parametrize("coords, count, digest", [
     pytest.param(SMALL, 938,
                  "259db428dfc284201bca2ebbd4a1a38c7c2c0524673e676de10c025461b3de16",
@@ -406,85 +422,63 @@ def saturation_input(coords, raised=None):
                  id="MEDIUM_B"),
 ])
 def test_spair_trace_toric(monkeypatch, coords, count, digest):
-    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
+    without_skips(monkeypatch)
     lm = build_label_map(cfg_of(coords))
     assert spair_trace(monkeypatch, lambda: lattice_toric_basis(lm)) == (count, digest)
 
 
-# The same traces with the Hilbert-series check on: the skipped steps
-# reduce no S-pair (see test_skipped_steps_leave_the_other_steps_spairs_alone),
-# and the pruned steps drop only pairs that the series proves zero (see
-# test_pruning_drops_only_zero_reductions).  Recorded with the block
-# orders, as above, and again when the steps started to drop generators
-# (as above) and to prune the degree after the lowest too.
-@pytest.mark.parametrize("coords, pruning, count, digest", [
-    pytest.param(SMALL, True, 324,
-                 "584aa588cc12e837fcef849b00ef2db68ceb5e652ded0c6d63f31c01749aca5d",
+# The same traces with the skip rule on: the skipped steps reduce no
+# S-pair (see test_skipped_steps_leave_the_other_steps_spairs_alone).
+# Recorded with the block orders, as above, and again when the steps
+# started to drop generators (as above), and again when the skips came
+# to be decided by counting alone and no step was pruned any more.
+@pytest.mark.parametrize("coords, count, digest", [
+    pytest.param(SMALL, 842,
+                 "6a3139b31e22b263d4eff64125ed5e8cae1c7767e0502381fd2113d539a12561",
                  id="SMALL"),
-    pytest.param(MEDIUM_B, True, 987,
-                 "cba25a987eac8baaa277d5c39b2e743de1c0232725484d6fe16806e79020a853",
+    pytest.param(MEDIUM_B, 2763,
+                 "7a07f1c9daab818220d78d47ee4634dd7d5a40811280a64087aae640b92d9b20",
                  id="MEDIUM_B"),
-    pytest.param(SMALL, False, 540,
-                 "691587ca218b05ecb5a7be050b12d62f6644bcede7d99ca1815ec7615897e9c2",
-                 id="SMALL-unpruned"),
-    pytest.param(MEDIUM_B, False, 1558,
-                 "da2d515352e236e0b309eac5369a68be583b2bb446e4028ef6b6ff6f5a0f34b6",
-                 id="MEDIUM_B-unpruned"),
 ])
-def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, pruning, count, digest):
+def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest):
     lm = build_label_map(cfg_of(coords))
-    if not pruning:
-        without_pruning(monkeypatch)
     assert spair_trace(monkeypatch, lambda: lattice_toric_basis(lm)) == (count, digest)
 
 
 # ``toric_generators``' own S-pairs, from ``lattice_kernel``'s basis and
-# every quadratic kernel binomial: at every step (the seam patched to
-# return None), with skipped steps, and with skipped and pruned steps.
-# Recorded when the saturation started to certify the orbits of the
-# box's symmetries, which takes fewer steps, and again when the steps
-# after the first started to drop generators that reduce to zero against
-# the quadrics and to prune the degree after the lowest too.  SMALL's
-# skips cost no pair: with orbits, no step of it is skipped.
+# every quadratic kernel binomial: at every step (``without_skips``) and
+# with skipped steps.  Recorded when the saturation started to certify
+# the orbits of the line swaps as well as the box's maps, closed under
+# the group they generate, which leaves one Buchberger run per
+# saturation.  SMALL's skips cost no pair: no step of it is skipped.
 @pytest.mark.parametrize("coords, mode, count, digest", [
-    pytest.param(SMALL, "every-step", 261,
-                 "72a85e2725a6d8ab1b9df738c9855703ed61410a0615d32ff0ca38401133eb9a",
+    pytest.param(SMALL, "every-step", 97,
+                 "92106e251f16be2d6b4422afed4f5bcfc97628291316fc8d6aa7fa43daa9d7bf",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, "unpruned", 261,
-                 "72a85e2725a6d8ab1b9df738c9855703ed61410a0615d32ff0ca38401133eb9a",
-                 id="SMALL-skips-unpruned"),
-    pytest.param(SMALL, "skips", 187,
-                 "619d41e63fb0e7d4a2ffb592dfb99993690219ec575899ca50ef145dfd2bea68",
+    pytest.param(SMALL, "skips", 97,
+                 "92106e251f16be2d6b4422afed4f5bcfc97628291316fc8d6aa7fa43daa9d7bf",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, "every-step", 713,
-                 "7102f307b07d83efe8345ade5662bbf5c5b8226b44658fe96afb43e2d10706ff",
+    pytest.param(MEDIUM_B, "every-step", 349,
+                 "e07929fc8d57f64a79286a247ea329288f1d0e6576cc4ccd6c71f1e2dc9914f1",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, "unpruned", 597,
-                 "7e7dd705faafc515063855c1c09508ae841fe17b4b8cca67539e1bc0a1ab3877",
-                 id="MEDIUM_B-skips-unpruned"),
-    pytest.param(MEDIUM_B, "skips", 444,
-                 "2764081a57bf8f8a7a26c7cf0300243cff2e3e1aae37a0652fb198c0fc80509e",
+    pytest.param(MEDIUM_B, "skips", 233,
+                 "94b231800d1a05a5deb65c35bc077e1dcb74fb845bd9f17c701a5add590e093b",
                  id="MEDIUM_B-skips"),
-    pytest.param(FRAME_7X5, "unpruned", 2280,
-                 "eef6c9b80f8a45dbe451a8b8c949e1d9ab2c2ac4ddb72a76374a984b52f6d232",
-                 id="FRAME_7X5-skips-unpruned"),
-    pytest.param(FRAME_7X5, "skips", 1284,
-                 "10fc2811f865f9619c89f4112043e975136f9e06928a6b268feb9182e2e13c88",
+    pytest.param(FRAME_7X5, "every-step", 1136,
+                 "5e4271aae0bea151a69b3b843505106578c07fc06fb3409c87d7814b19b0a405",
+                 id="FRAME_7X5-every-step"),
+    pytest.param(FRAME_7X5, "skips", 758,
+                 "09314309c4299cb78a671f97e534c2b1b14b20f85a9980d90c769c68cec2daf6",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, "unpruned", 12998,
-                 "908e8c5fd1a9f24d6a7a1b8f2e9c14dbcea21204eb0369afd4a386f9c25438e6",
-                 id="THICK_FRAME-skips-unpruned", marks=pytest.mark.slow),
-    pytest.param(THICK_FRAME, "skips", 7249,
-                 "095d9e4c5fd7240e185af5195bf8854e10f765af4bc72e94d03e3432900b2672",
+    pytest.param(THICK_FRAME, "skips", 2364,
+                 "dc5f23c7ae0d7356138c2fce62a5e69abdc765948953868e908193a18a5aa983",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
                                                      count, digest):
     lm = build_label_map(cfg_of(coords))
     if mode == "every-step":
-        monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
-    elif mode == "unpruned":
-        without_pruning(monkeypatch)
+        without_skips(monkeypatch)
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
 
 
@@ -511,237 +505,27 @@ def pending_per_step(monkeypatch, run):
     return seen
 
 
-@pytest.mark.parametrize("coords, orbits", [
-    # With orbits no step of SMALL is skipped, so it runs without them.
-    pytest.param(SMALL, False, id="SMALL"),
-    pytest.param(MEDIUM_B, True, id="MEDIUM_B"),
-])
-def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords, orbits):
-    """With the pruning patched out, a step reduces either no S-pair
-    (skipped) or the S-pairs it reduces when no step is skipped.  Both
-    runs take the same steps, by the same variables: a step's reduced
-    basis, which certifies the variables, is the same skipped or run."""
+@pytest.mark.parametrize("coords", [SMALL, MEDIUM_B], ids=["SMALL", "MEDIUM_B"])
+def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
+    """A step reduces either no S-pair (skipped) or the S-pairs it
+    reduces when no step is skipped.  Both runs take the same steps, by
+    the same variables: a step's reduced basis, which certifies the
+    variables, is the same skipped or run.  The orbits are patched out,
+    since with them the instances take too few steps to skip one."""
     lm = build_label_map(cfg_of(coords))
-    without_pruning(monkeypatch)
-    if not orbits:
-        without_orbits(monkeypatch)
+    without_orbits(monkeypatch)
 
     def run():
         return toric_generators(lm)
 
     with_skips = spairs_per_step(monkeypatch, run)
     pending = pending_per_step(monkeypatch, run)
-    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
+    without_skips(monkeypatch)
     without = spairs_per_step(monkeypatch, run)
     assert pending_per_step(monkeypatch, run) == pending
     assert len(with_skips) == len(without) == len(pending) + 1
     skipped = [k for k, (a, b) in enumerate(zip(with_skips, without)) if a != b]
     assert skipped and all(with_skips[k] == [] for k in skipped)
-
-
-def reductions_per_step(monkeypatch, run):
-    """Per Buchberger run or skipped step, the S-pairs reduced during
-    ``run()`` in order, each as [lcm degree, lead, lead, nonzero]: a pair
-    is nonzero when the engine adds its normal form to the basis."""
-    steps = [[]]
-    spoly4, interreduce, update = binom._spoly4, binom._interreduce, binom._gm_update
-
-    def record_pair(engine, f, g):
-        steps[-1].append([engine.lcm(f.lp, g.lp)[0], engine.unpack(f.lp),
-                          engine.unpack(g.lp), False])
-        return spoly4(engine, f, g)
-
-    def record_nonzero(*args):
-        if steps[-1]:
-            steps[-1][-1][3] = True
-        return update(*args)
-
-    def close_step(*args):
-        steps.append([])
-        return interreduce(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(binom, "_spoly4", record_pair)
-        m.setattr(binom, "_gm_update", record_nonzero)
-        m.setattr(binom, "_interreduce", close_step)
-        run()
-    return steps[:-1]
-
-
-@pytest.mark.parametrize("coords", [
-    pytest.param(SMALL, id="SMALL"),
-    pytest.param(MEDIUM_B, id="MEDIUM_B"),
-    pytest.param(FRAME_7X5, id="FRAME_7X5"),
-    pytest.param(((0, 0), (5, 4), (1, 1), (3, 2)), id="no-orbit"),
-    pytest.param(THICK_FRAME, id="THICK_FRAME", marks=pytest.mark.slow),
-])
-def test_pruning_drops_only_zero_reductions(monkeypatch, coords):
-    """Each pruned step reduces the pairs of the unpruned step, in the
-    same order, minus some pairs of its lowest degree or the next, and
-    every pair it drops reduces to zero in the unpruned step.  Both runs
-    take the same steps, by the same variables."""
-    lm = build_label_map(cfg_of(coords))
-
-    def run():
-        return toric_generators(lm)
-
-    pruned = reductions_per_step(monkeypatch, run)
-    pending = pending_per_step(monkeypatch, run)
-    with monkeypatch.context() as m:
-        without_pruning(m)
-        full = reductions_per_step(m, run)
-        assert pending_per_step(m, run) == pending
-    assert len(pruned) == len(full) == len(pending) + 1
-    dropped = []
-    for kept, every in zip(pruned, full):
-        rest = iter(every)
-        for pair in kept:
-            for other in rest:
-                if other == pair:
-                    break
-                dropped.append((other, min(p[0] for p in every)))
-            else:
-                pytest.fail(f"{pair} is not in the unpruned step")
-        dropped += [(other, min(p[0] for p in every)) for other in rest]
-    assert dropped
-    assert all(pair[0] - d0 in (0, 1) and not pair[3] for pair, d0 in dropped)
-
-
-def count_decided_steps(monkeypatch, run):
-    """Per saturation step of ``run()`` that ``_low_hilbert`` decides:
-    (engine, the leads counted, the deficits the step's Buchberger run
-    starts from or None when the step is skipped, the leads of the
-    step's reduced basis)."""
-    steps = []
-    low, full, interreduce = binom._low_hilbert, binom._run_buchberger, binom._interreduce
-
-    def record_counts(engine, leads):
-        leads = list(leads)
-        steps.append([engine, leads, None, None])
-        return low(engine, leads)
-
-    def record_run(engine, gens4, budget, deficit=None):
-        if steps and steps[-1][3] is None:
-            steps[-1][2] = dict(deficit)
-        return full(engine, gens4, budget, deficit)
-
-    def record_basis(*args):
-        out = interreduce(*args)
-        if steps and steps[-1][3] is None:
-            steps[-1][3] = [b4[1] for b4 in out]
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(binom, "_low_hilbert", record_counts)
-        m.setattr(binom, "_run_buchberger", record_run)
-        m.setattr(binom, "_interreduce", record_basis)
-        run()
-    return steps
-
-
-def test_counts_decide_steps_as_the_numerator_would(monkeypatch):
-    """Every step decided by counting, on the standard instances and the
-    16 sweep configurations, has only leads of degree 2 or less.  It is
-    skipped exactly when its leads have the Hilbert series of its ideal,
-    read from the numerator of its reduced basis's leads, and otherwise
-    runs from the deficits in degrees 1 to 3 that the numerators give."""
-    decided = {True: 0, False: 0}
-    for coords in [SMALL, MEDIUM_B, FRAME_7X5, *sweep_configs()]:
-        lm = build_label_map(cfg_of(coords))
-        for engine, leads, deficit, basis in count_decided_steps(
-                monkeypatch, lambda: toric_generators(lm)):
-            n = len(engine.vars)
-            assert all(p % binom._FMASK <= 2 for p in leads)
-            ours = binom._hilbert_numerator(engine, leads, {})
-            ideal = binom._hilbert_numerator(engine, basis, {})
-            assert (deficit is None) == (ours == ideal), coords
-            if deficit is not None:
-                gap = [a - b for a, b in zip(series_coefficients(ours, n, 3),
-                                             series_coefficients(ideal, n, 3))]
-                assert deficit == {d: gap[d] for d in (1, 2, 3)}, coords
-            decided[deficit is None] += 1
-    assert decided[True] and decided[False]
-
-
-@pytest.mark.parametrize("start, coords", [
-    pytest.param(lattice_toric_basis, SMALL, id="SMALL-lattice"),
-    pytest.param(lattice_toric_basis, MEDIUM_B, id="MEDIUM_B-lattice"),
-    pytest.param(toric_generators, ((0, 0), (5, 4), (1, 1), (3, 2)), id="no-orbit"),
-    pytest.param(toric_generators, THICK_FRAME, id="THICK_FRAME"),
-])
-def test_tracked_deficit_matches_a_fresh_numerator(monkeypatch, start, coords):
-    """When a pruned run pops its first pair of degree d0 + 1, d0 the
-    degree of its first pair, the deficit it tracks there is the one
-    that fresh numerators give: of the leads it holds then, and of its
-    reduced basis's leads, whose series is its ideal's."""
-    lm = build_label_map(cfg_of(coords))
-    runs = []
-    full, update, pop = binom._run_buchberger, binom._gm_update, binom.heappop
-
-    def record_run(engine, gens4, budget, deficit=None):
-        runs.append({"deficit": deficit, "start": dict(deficit or {}), "d0": None, "at": None})
-        out = full(engine, gens4, budget, deficit)
-        runs[-1]["engine"], runs[-1]["basis"] = engine, [b4[1] for b4 in out]
-        return out
-
-    def record_update(engine, basis, heap, b4):
-        runs[-1]["held"] = basis
-        return update(engine, basis, heap, b4)
-
-    def record_pop(heap):
-        item = pop(heap)
-        run = runs[-1]
-        if run["d0"] is None:
-            run["d0"] = item[0]
-        elif run["at"] is None and item[0] == run["d0"] + 1 and item[0] in (run["deficit"] or {}):
-            run["at"] = (run["deficit"][item[0]], [e.lp for e in run["held"].elems])
-        return item
-
-    with monkeypatch.context() as m:
-        m.setattr(binom, "_run_buchberger", record_run)
-        m.setattr(binom, "_gm_update", record_update)
-        m.setattr(binom, "heappop", record_pop)
-        start(lm)
-    checked = [run for run in runs if run["at"] is not None]
-    assert checked
-    for run in checked:
-        engine, d = run["engine"], run["d0"] + 1
-        n = len(engine.vars)
-        tracked, held = run["at"]
-        fresh = (series_coefficients(binom._hilbert_numerator(engine, held, {}), n, d)[d]
-                 - series_coefficients(binom._hilbert_numerator(engine, run["basis"], {}), n, d)[d])
-        assert tracked == fresh
-    assert any(run["at"][0] != run["start"][run["d0"] + 1] for run in checked)
-
-
-def test_frame_7x5_reads_one_numerator(monkeypatch):
-    """The count rule decides every step of the 7x5 frame after the
-    first, whose generators are all quadrics: the one Hilbert numerator
-    is the series of the first step's ideal."""
-    lm = build_label_map(cfg_of(FRAME_7X5))
-    calls = []
-    numerator = binom._hilbert_numerator
-    monkeypatch.setattr(binom, "_hilbert_numerator",
-                        lambda *args: calls.append(None) or numerator(*args))
-    toric_generators(lm)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("coords", [MEDIUM_B, FRAME_7X5], ids=["MEDIUM_B", "FRAME_7X5"])
-def test_numerator_seam_turns_off_counts_skips_and_pruning(monkeypatch, coords):
-    """With ``_hilbert_numerator`` patched to return None, no step is
-    counted or skipped and no run gets a deficit."""
-    lm = build_label_map(cfg_of(coords))
-    monkeypatch.setattr(binom, "_hilbert_numerator", lambda *args: None)
-    counted, deficits = [], []
-    full = binom._run_buchberger
-    monkeypatch.setattr(binom, "_low_hilbert", lambda *args: counted.append(args))
-    monkeypatch.setattr(binom, "_run_buchberger",
-                        lambda engine, gens4, budget, deficit=None:
-                        deficits.append(deficit) or full(engine, gens4, budget, deficit))
-    steps = pending_per_step(monkeypatch, lambda: toric_generators(lm))
-    assert counted == []
-    assert deficits == [None] * (len(steps) + 1)
 
 
 def recorded_saturation(monkeypatch, gens, variables, certified=None, symmetries=()):
@@ -780,8 +564,8 @@ def recorded_saturation(monkeypatch, gens, variables, certified=None, symmetries
 
 def _saturation_cases():
     yield pytest.param(SMALL, None, id="SMALL")
-    # The ideal changes between steps here, so the series is read again
-    # and later steps are pruned against the new one.
+    # The ideal changes between steps here, so its counts are read again
+    # and later steps are decided against the new ones.
     yield pytest.param(SMALL, GridPoint(1, 1), id="SMALL-raised")
     yield pytest.param(MEDIUM_B, None, id="MEDIUM_B")
     yield pytest.param(FRAME_7X5, None, id="FRAME_7X5")
@@ -793,7 +577,7 @@ def _saturation_cases():
 
 @pytest.mark.parametrize("coords, raised", list(_saturation_cases()))
 def test_saturation_steps_match_full_runs(monkeypatch, coords, raised):
-    """Every step's reduced basis, skipped, pruned or run, is the one a
+    """Every step's reduced basis, skipped or run, is the one a
     full Buchberger run from the previous step's output gives."""
     gens, variables = saturation_input(coords, raised)
     out, steps, _ = recorded_saturation(monkeypatch, gens, variables)
@@ -804,11 +588,14 @@ def test_saturation_steps_match_full_runs(monkeypatch, coords, raised):
 
 # Full Buchberger runs and skipped steps of the saturation, recorded when
 # the steps started to run under block orders and to certify by the
-# leads; the first step always runs.
+# leads; the first step always runs.  Re-recorded when only steps whose
+# generators are all quadrics or below could be skipped, by counting (5
+# + 6, 5 + 9 and 7 + 10 before, with the steps of higher degree decided
+# by the Hilbert series).
 @pytest.mark.parametrize("coords, runs, skips", [
-    pytest.param(SMALL, 5, 6, id="SMALL"),
-    pytest.param(MEDIUM_B, 5, 9, id="MEDIUM_B"),
-    pytest.param(FRAME_7X5, 7, 10, id="FRAME_7X5"),
+    pytest.param(SMALL, 9, 2, id="SMALL"),
+    pytest.param(MEDIUM_B, 11, 3, id="MEDIUM_B"),
+    pytest.param(FRAME_7X5, 14, 3, id="FRAME_7X5"),
 ])
 def test_saturation_skips_steps(monkeypatch, coords, runs, skips):
     gens, variables = saturation_input(coords)
@@ -914,24 +701,49 @@ def image(g, b: Binomial) -> Binomial:
 
 
 @pytest.mark.parametrize("coords, count", [
-    pytest.param(SMALL, 7, id="SMALL"),
-    pytest.param(THIN_6X6, 7, id="THIN_6X6"),
-    pytest.param(MEDIUM_A, 3, id="MEDIUM_A"),
-    pytest.param(FRAME_7X5, 1, id="FRAME_7X5"),
-    pytest.param(((0, 0), (6, 5), (1, 1), (3, 3)), 0, id="corner_hole"),
+    pytest.param(SMALL, 7 + 4, id="SMALL"),
+    pytest.param(THIN_6X6, 7 + 6, id="THIN_6X6"),
+    pytest.param(MEDIUM_A, 3 + 4, id="MEDIUM_A"),
+    pytest.param(FRAME_7X5, 1 + 6, id="FRAME_7X5"),
+    pytest.param(((0, 0), (6, 5), (1, 1), (3, 3)), 0 + 7, id="corner_hole"),
 ])
 def test_box_symmetries_permute_the_vertices(coords, count):
-    """The box's maps that fix the vertex set: all seven of the square's
-    on a centred square hole, the reflections and the half turn on a
-    hole centred in a wider box, one reflection on the 7x5 frame."""
+    """The candidates fix the vertex set.  They are the box's maps that
+    fix it: all seven of the square's on a centred square hole, the
+    reflections and the half turn on a hole centred in a wider box, one
+    reflection on the 7x5 frame.  They are also the swaps of adjacent
+    lines within a band, the second term of each count."""
     lm = build_label_map(cfg_of(coords))
     variables = {vertex_var(p) for p in lm.points()}
-    maps = _box_symmetries(lm)
+    maps = _candidate_symmetries(lm)
     assert len(maps) == count
     for g in maps:
         assert set(g) == set(g.values()) == variables
         assert any(g[v] != v for v in g)
     assert len({tuple(sorted(g.items())) for g in maps}) == count
+
+
+def line_swap(lm, axis: int, i: int) -> dict:
+    """The map of the vertex variables that swaps the grid lines i and
+    i + 1 of ``axis``, 0 for the vertical lines and 1 for the horizontal
+    ones.  It may send a vertex to a point that is no vertex."""
+    def moved(p):
+        q = list(p)
+        q[axis] += (p[axis] == i) - (p[axis] == i + 1)
+        return vertex_var(q)
+
+    return {vertex_var(p): moved(p) for p in lm.points()}
+
+
+def orbit_closure(maps, seeds) -> set:
+    """The images of ``seeds`` under every product of ``maps``, each map
+    given on every variable."""
+    closed = set(seeds)
+    while True:
+        more = {g[u] for g in maps for u in closed} - closed
+        if not more:
+            return closed
+        closed |= more
 
 
 def orbit_steps(monkeypatch, run):
@@ -964,23 +776,25 @@ def orbit_steps(monkeypatch, run):
     pytest.param(THIN_6X6, id="THIN_6X6"),
 ])
 def test_one_step_certifies_a_whole_orbit(monkeypatch, coords):
-    """On a frame whose square box's seven maps fix the ideal, the first
-    step keeps all of them, and some step certifies more variables than
-    ``_uncertified`` left it: the images of those it certified.  Each
-    variable certified by an orbit alone passes the Bayer-Stillman test
-    on that step's basis: under degrevlex with it last, no element of
-    the reduced basis has it in both terms."""
+    """On a frame whose square box's seven maps and line swaps fix the
+    ideal, the first step keeps all of them, and some step certifies
+    more variables than ``_uncertified`` left it: the images of those it
+    certified under the group the maps generate.  Each variable
+    certified by an orbit alone passes the Bayer-Stillman test on that
+    step's basis: under degrevlex with it last, no element of the
+    reduced basis has it in both terms."""
     lm = build_label_map(cfg_of(coords))
-    maps = _box_symmetries(lm)
+    maps = _candidate_symmetries(lm)
     steps, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
-    assert [(len(offered), kept) for offered, kept, _ in tests] == [(7, maps)]
+    assert [(offered, kept) for offered, kept, _ in tests] == [(maps, maps)]
+    assert len(maps) > 7
     by_orbit = 0
     for k, (pending, left, basis) in enumerate(steps):
         after = steps[k + 1][0] if k + 1 < len(steps) else []
         assert set(after) <= set(left)
         certified = set(pending) - set(left)
         for u in set(left) - set(after):
-            assert any(g[c] == u for g in maps for c in certified), u
+            assert u in orbit_closure(maps, certified), u
             gb = buchberger(basis, TermOrder("degrevlex", last=(u,)))
             assert not any(exponent(g.plus, u) and exponent(g.minus, u)
                            for g in gb.elements), u
@@ -1008,7 +822,7 @@ def test_the_stabilizer_keeps_exactly_the_maps_that_fix_the_ideal(monkeypatch, c
     for bad in labellings:
         _, tests, with_orbits = orbit_steps(monkeypatch, lambda: toric_generators(bad))
         for offered, kept, basis in tests:
-            assert offered == _box_symmetries(bad)
+            assert offered == _candidate_symmetries(bad)
             gb = buchberger(basis).elements
             fixing = [g for g in offered
                       if buchberger([image(g, b) for b in basis]).elements == gb]
@@ -1023,16 +837,83 @@ def test_the_stabilizer_keeps_exactly_the_maps_that_fix_the_ideal(monkeypatch, c
 def test_no_orbit_when_every_box_map_moves_the_hole(monkeypatch):
     """(0,0),(5,4),(1,1),(3,2): the hole is one cell high, so it holds no
     vertex and the box's three maps fix the vertex set, but each moves
-    the hole.  The test keeps none of them, and the S-pairs are the ones
-    recorded before the saturation took symmetries, less the pairs that
-    the dropped generators and the pruning of the degree after the
-    lowest take out (4067 before)."""
+    the hole.  The test keeps none of them; it keeps the line swaps.
+    The S-pairs were recorded when the saturation took the line swaps
+    (3403 before, and 4067 before it took symmetries at all)."""
     lm = build_label_map(cfg_of(((0, 0), (5, 4), (1, 1), (3, 2))))
-    assert len(_box_symmetries(lm)) == 3
+    box = [{vertex_var(p): vertex_var(q(*p)) for p in lm.points()}
+           for q in (lambda x, y: (5 - x, y), lambda x, y: (x, 4 - y),
+                     lambda x, y: (5 - x, 4 - y))]
+    offered = _candidate_symmetries(lm)
+    assert all(g in offered for g in box)
     _, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
-    assert [kept for _, kept, _ in tests] == [[]]
+    [(_, kept, _)] = tests
+    assert kept and not any(g in kept for g in box)
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (
-        3403, "3d96f25640d31f230c3a93ee436415cbf7c1f441ff93dd036bf2e30a6fb9da93")
+        1018, "3330997c45749998fe8d2361eac85f2ca84c5bc29958b19ddca7308696e840cc")
+
+
+@pytest.mark.parametrize("coords", [SMALL, FRAME_7X5], ids=["SMALL", "FRAME_7X5"])
+def test_a_swap_across_a_band_boundary_is_never_kept(monkeypatch, coords):
+    """The lines x = a'.x and x = a'.x + 1 lie in two bands.  No candidate
+    swaps two lines across a band boundary, and offered the swap of those
+    two, ``_stabilizer`` rejects it and keeps every candidate.  On SMALL
+    the swap fixes the vertex set but not the ideal; on the 7x5 frame it
+    sends a vertex into the hole."""
+    lm = build_label_map(cfg_of(coords))
+    _, _, lo, hi = lm.cfg.as_tuples()
+    offered = _candidate_symmetries(lm)
+    crossing = [line_swap(lm, axis, i) for axis in (0, 1) for i in (lo[axis], hi[axis] - 1)]
+    assert not any(g in offered for g in crossing)
+    swap = line_swap(lm, 0, lo.x)
+    monkeypatch.setattr(toric, "_candidate_symmetries", lambda lm: offered + [swap])
+    _, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
+    assert [(maps, kept) for maps, kept, _ in tests] == [(offered + [swap], offered)]
+
+
+def _ladder():
+    for name, coords in [("SMALL", SMALL), ("MEDIUM_A", MEDIUM_A), ("MEDIUM_B", MEDIUM_B),
+                         ("FRAME_7X5", FRAME_7X5), ("THIN_6X6", THIN_6X6),
+                         ("FRAME_8X5", FRAME_8X5), ("THICK_FRAME", THICK_FRAME),
+                         ("WIDE_7X7", WIDE_7X7), ("WIDE_8X8", WIDE_8X8), ("WIDE_9X9", WIDE_9X9),
+                         ("OFF_CENTRE_9X7", OFF_CENTRE_9X7),
+                         ("OFF_CENTRE_10X8", OFF_CENTRE_10X8)]:
+        yield pytest.param(coords, id=name)
+    for coords in sweep_configs():
+        yield pytest.param(coords, id=str(coords))
+
+
+@pytest.mark.parametrize("coords", list(_ladder()))
+def test_candidate_swaps_are_the_swaps_that_fix_the_minors(coords):
+    """By brute force over the inner minors, with no saturation: the line
+    swaps among the candidates are exactly the swaps of two adjacent
+    lines that send the vertex set onto itself and the minors onto the
+    minors up to sign.  The other candidates are at most the box's seven
+    maps."""
+    lm = build_label_map(cfg_of(coords))
+    minors = enumerate_inner_minors(build_rect_diff(lm.cfg))
+    signless = {frozenset(m) for m in minors}
+    a, b, _, _ = lm.cfg.as_tuples()
+    swaps = [line_swap(lm, axis, i) for axis in (0, 1) for i in range(a[axis], b[axis])]
+    fixing = [g for g in swaps if set(g.values()) == set(g)
+              and {frozenset(image(g, m)) for m in minors} == signless]
+    offered = _candidate_symmetries(lm)
+    assert [g for g in offered if g in swaps] == fixing
+    assert len(offered) - len(fixing) <= 7
+
+
+def test_the_first_step_certifies_whole_orbits(monkeypatch):
+    """On the 7x5 frame the first step certifies a few variables by its
+    leads, and with them their orbits under the group that the kept maps
+    generate: the set it certifies is a union of whole orbits, more than
+    the leads give and less than every variable."""
+    lm = build_label_map(cfg_of(FRAME_7X5))
+    steps, tests, _ = orbit_steps(monkeypatch, lambda: toric_generators(lm))
+    [(_, kept, _)] = tests
+    (pending, left, _), (after, _, _) = steps[:2]
+    first = set(pending) - set(after)
+    assert orbit_closure(kept, first) == first
+    assert set(pending) - set(left) < first < set(pending)
 
 
 def test_inhomogeneous_input_takes_no_orbit(monkeypatch):
