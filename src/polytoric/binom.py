@@ -13,13 +13,13 @@ monomial multiplication is integer addition and divisibility is one
 masked subtraction; see :class:`_Engine` for the layout rules that make
 term-order comparison an integer comparison as well.
 
-:func:`saturate` saturates by a list of variables with one Buchberger
-run per step, not per variable.  A variable that divides no lead of a
-step's basis needs no step of its own, and neither does its image under
-a permutation of the variables that fixes the ideal.  A step whose input
-counts, in degrees 1 to 3, as many standard monomials as the ideal has
-is already a Groebner basis and is only interreduced.  The proofs are in
-``toric.saturate_generators``.
+:func:`saturate` saturates by a list of variables, one step per block
+of them: a variable that divides no lead of a step's basis, or is the
+image of one under a permutation that fixes the ideal, needs no step.
+A step whose input counts as many standard monomials in degrees 1 to 3
+as the ideal has is only interreduced, and a step laid out in the order
+of a GroebnerBasis it starts from takes that basis as it is.  The proofs
+are in ``toric.saturate_generators``.
 """
 
 from __future__ import annotations
@@ -335,6 +335,9 @@ class _Engine:
         fields = range(n) if order.kind == "degrevlex" else reversed(range(n))
         slot = dict(zip(by_priority, fields))
         self.shift = tuple(_FIELD * slot[i] for i in range(n))
+        self.layout = (order.kind, self.shift)
+        # guard bit of a field -> (its shift, its variable), for unpack
+        self.fields = {_GUARD << s: (s, v) for s, v in zip(self.shift, self.vars)}
         self.H = sum(_GUARD << (_FIELD * s) for s in range(n))
         self.ONES = self.H >> (_FIELD - 1)
         self._drl = order.kind == "degrevlex"
@@ -356,10 +359,12 @@ class _Engine:
 
     def unpack(self, packed: int) -> Monomial:
         pairs = []
-        for i, v in enumerate(self.vars):
-            e = (packed >> self.shift[i]) & _FMASK
-            if e:
-                pairs.append((v, e))
+        rest = self.mask_of(packed)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s, v = self.fields[low]
+            pairs.append((v, (packed >> s) & _FMASK))
         return Monomial(pairs)
 
     def mask_of(self, packed: int) -> int:
@@ -429,10 +434,10 @@ class _Basis:
     indices of the elements whose lead holds it, ascending.  The elements
     sharing a variable with a monomial are those listed under its set
     bits; ``_gm_update``, its only reader, fills it and gives quotients
-    to those alone.
+    to those alone.  A basis starts with the engine binomials ``basis``.
     """
 
-    def __init__(self, engine: _Engine):
+    def __init__(self, engine: _Engine, basis=()):
         self.engine = engine
         self.elems: list[_Elem] = []
         # lowest guard bit -> sorted [(reducer key, element)]
@@ -441,6 +446,8 @@ class _Basis:
         self.occurs: dict[int, list[int]] = {}
         # smallest lead degree held, the bound of criterion B
         self.min_ld = _DEGREE_CAP
+        for b4 in basis:
+            self.append(_Elem(engine, b4))
 
     def append(self, e: _Elem) -> int:
         idx = len(self.elems)
@@ -665,13 +672,9 @@ def _run_buchberger(engine: _Engine, gens4, budget):
     elements added while the pair waited in the queue, and the test
     reads only leads, which never change, so it drops the same pairs as
     testing each new element against every queued pair would.  A pair
-    dropped there does not count against ``budget``.
-
-    The test is skipped when the lcm degree d is below ``basis.min_ld``
-    + 2, where it cannot hold.  If m drops the pair with lcm L, then
-    A = lcm(i, m) and B = lcm(j, m) are proper divisors of L with
-    lcm(A, B) = L and lead m dividing gcd(A, B); deg A + deg B =
-    deg L + deg gcd(A, B) gives deg lead m <= deg L - 2.
+    dropped there does not count against ``budget``.  The test is
+    skipped when the lcm degree is below ``basis.min_ld`` + 2, where it
+    cannot hold (see ``_Basis.dominated``).
     """
     basis = _Basis(engine)
     heap: list[tuple[int, int, int, int]] = []
@@ -770,13 +773,8 @@ def _pack_basis(gens: tuple[Binomial, ...], order: TermOrder, f: Binomial):
     """(engine, basis, flips): ``gens`` packed over their variables and
     those of ``f``, element k holding gens[k] = flips[k] * element."""
     engine = _Engine(_universe(gens + (f,), order.last), order)
-    b = _Basis(engine)
-    flips = []
-    for g in gens:
-        g4, flip = engine.orient(g)
-        b.append(_Elem(engine, g4))
-        flips.append(flip)
-    return engine, b, flips
+    oriented = [engine.orient(g) for g in gens]
+    return engine, _Basis(engine, [g4 for g4, _ in oriented]), [flip for _, flip in oriented]
 
 
 def reduce(
@@ -892,108 +890,105 @@ def _stabilizer(engine: _Engine, maps, basis) -> list:
     """The permutations of ``maps`` that fix the ideal of ``basis``, a
     Groebner basis as engine binomials: a map is kept when it permutes
     the universe and sends every element to a binomial that reduces to
-    zero against ``basis`` (proof in ``toric.saturate_generators``).
-    This is the seam of the certification by orbits: patched to return
-    [], it certifies no orbit, and every step certifies what it would
-    certify with no maps given."""
+    zero against ``basis`` (proof in ``toric.saturate_generators``); an
+    image that is itself an element does, and is not reduced.  This is
+    the seam of the certification by orbits: patched to return [], it
+    certifies no orbit, and every step certifies what it would certify
+    with no maps given."""
     kept = []
-    if not maps:
-        return kept
-    reducer = _Basis(engine)
-    for b4 in basis:
-        reducer.append(_Elem(engine, b4))
+    members = set(basis)
+    reducer = None
     H = engine.H
     for g in maps:
         target = [engine.index.get(g.get(u, u)) for u in engine.vars]
         if None in target or len(set(target)) != len(target):
             continue
         fields = {_GUARD << a: (a, engine.shift[i]) for a, i in zip(engine.shift, target)}
-        if all(
-            reducer.reduce(engine.orient_packed(
-                (ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))[0], None)[0] is None
-            for ld, lp, td, tp in basis
-        ):
+        missed = {engine.orient_packed(
+            (ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))[0]
+            for ld, lp, td, tp in basis} - members
+        if missed and reducer is None:
+            reducer = _Basis(engine, basis)
+        if all(reducer.reduce(b4, None)[0] is None for b4 in missed):
             kept.append(g)
     return kept
 
 
 def saturate(
-    gens: Sequence[Binomial],
+    gens: Sequence[Binomial] | GroebnerBasis,
     variables: Sequence[Variable],
     budget: int | None = None,
     symmetries: Sequence[Mapping[Variable, Variable]] = (),
 ) -> list[Binomial]:
     """Saturate by every variable of ``variables``, a block of them per
-    step.  ``pending`` holds the variables not yet certified, in the
-    given order, and with v = pending[0] a step takes the reduced
-    Groebner basis under degrevlex with ``pending`` last, v lowest and
-    the others just above it in their natural priority, then divides
-    every element by the largest power of v dividing both its terms.
-    For homogeneous ``gens``, v and every other variable of ``pending``
-    that then divides no lead leave it (``_uncertified``); for
-    inhomogeneous ones only v leaves, so every variable gets a step.
-    ``budget`` caps the S-pair reductions of each Buchberger run.
+    step: ``toric.saturate_generators`` states the steps, the skip rule
+    and the certificates, and proves them.  ``budget`` caps the S-pair
+    reductions of each Buchberger run.  ``symmetries`` are candidate
+    permutations of the variables, each a map from a variable to its
+    image (unlisted variables stay put); the default certifies no orbit.
 
-    ``symmetries`` are candidate permutations of the variables, each a
-    map from a variable to its image (unlisted variables stay put).  At
-    the first step, if its division changed no element and ``gens`` are
-    homogeneous, ``_stabilizer`` keeps those that fix the step's ideal.
-    From then on, the whole orbits of the variables that a step
-    certifies, under the group that the kept maps generate, leave
-    ``pending`` with them; a search over the kept maps finds them.  This
-    holds up to the first step whose division changes an element; from
-    there on no orbit is used.  The default, no maps, certifies no
-    orbit.
+    ``gens`` may be a GroebnerBasis, trusted to be the reduced basis of
+    its order.  The result is then the reduced basis of the saturation
+    in that order; from a plain list it is the last step's basis.
 
-    The basis stays packed from step to step, over one universe (the
-    variables of ``gens`` and ``variables``), and each step moves it to
-    its own layout with ``_repack``.  For homogeneous ``gens``, a step
-    after the first drops each input element of degree 3 or more that
-    reduces to zero against those of degree 2 or less.  When what is
-    left has degree 2 or less and its leads have the Hilbert function of
-    the ideal in degrees 1 to 3, both counted by ``_low_hilbert``, the
-    step only interreduces its input; otherwise it runs Buchberger in
-    full (the theorems are in ``toric.saturate_generators``).  The
-    ideal's counts are read off the previous step's leads, again only
-    when the division changed an element, and never for inhomogeneous
-    ``gens``, which the division keeps no Groebner basis of.  Patched to
-    return None, ``_low_hilbert`` turns off the skips but not the drop.
+    The basis stays packed over one universe (the variables of ``gens``
+    and ``variables``), and each step moves it to its own layout with
+    ``_repack``.  The seams are ``_uncertified`` (certification by the
+    leads), ``_stabilizer`` (by orbits) and ``_low_hilbert`` (the skip
+    rule), which, patched to return None, turns off the skips but not
+    the drop.
     """
-    gens = _checked(gens)
+    given = gens if isinstance(gens, GroebnerBasis) else None
+    gens = _checked(gens.elements if given is not None else gens)
     pending = list(dict.fromkeys(variables))
     if not pending:
         return list(gens)
     universe = _universe(gens, pending)
     top = _FIELD * (len(universe) - 1)
     homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
-    counts = engine = None
+    counts = engine = settled = None
     # The kept maps; None until the first step has tested them.
     group = None
-    while pending:
-        step = _Engine(universe, TermOrder("degrevlex", last=tuple(reversed(pending))))
-        if engine is None:
-            gens4 = [step.orient(g)[0] for g in gens]
+    grown = False
+    if given is not None:
+        engine = own = _Engine(universe, given.order)
+        current = [engine.orient(g)[0] for g in gens]
+        # The layout that ``current`` is a reduced basis in.
+        settled = engine.layout
+        if homogeneous:
+            counts = _low_hilbert(engine, [b4[1] for b4 in current])
+    while True:
+        if pending:
+            step = _Engine(universe, TermOrder("degrevlex", last=tuple(reversed(pending))))
+        elif grown and given is not None:
+            step = own
         else:
-            # Every layout of one universe has the same guard bits.
-            fields, H = _field_map(engine, step), step.H
-            gens4 = [
-                step.orient_packed((ld, _repack(lp, fields, H)), (td, _repack(tp, fields, H)))[0]
-                for ld, lp, td, tp in current
-            ]
-            if homogeneous and any(b4[0] > 2 for b4 in gens4):
-                # Drop what reduces to zero against the quadrics and below.
-                low = _Basis(step)
-                for b4 in gens4:
-                    if b4[0] <= 2:
-                        low.append(_Elem(step, b4))
-                gens4 = [b4 for b4 in gens4
-                         if b4[0] <= 2 or low.reduce(b4, None)[0] is not None]
+            break
+        if step.layout == settled:
+            reduced = current
+        else:
+            if engine is None:
+                gens4 = [step.orient(g)[0] for g in gens]
+            else:
+                # Every layout of one universe has the same guard bits.
+                fields, H = _field_map(engine, step), step.H
+                gens4 = [step.orient_packed((ld, _repack(lp, fields, H)),
+                                            (td, _repack(tp, fields, H)))[0]
+                         for ld, lp, td, tp in current]
+                if homogeneous and any(b4[0] > 2 for b4 in gens4):
+                    # Drop what reduces to zero against the quadrics and below.
+                    low = _Basis(step, [b4 for b4 in gens4 if b4[0] <= 2])
+                    gens4 = [b4 for b4 in gens4
+                             if b4[0] <= 2 or low.reduce(b4, None)[0] is not None]
+            if (counts is not None and all(b4[0] <= 2 for b4 in gens4)
+                    and _low_hilbert(step, [b4[1] for b4 in gens4]) == counts):
+                reduced = _interreduce(step, [_Elem(step, b4) for b4 in gens4])
+            else:
+                reduced = _run_buchberger(step, gens4, budget)
         engine = step
-        if (counts is not None and all(b4[0] <= 2 for b4 in gens4)
-                and _low_hilbert(engine, [b4[1] for b4 in gens4]) == counts):
-            reduced = _interreduce(engine, [_Elem(engine, b4) for b4 in gens4])
-        else:
-            reduced = _run_buchberger(engine, gens4, budget)
+        if not pending:
+            current = reduced
+            break
         current = []
         changed = False
         for ld, lp, td, tp in reduced:
@@ -1002,6 +997,8 @@ def saturate(
                 changed = True
                 ld, lp, td, tp = ld - k, lp - (k << top), td - k, tp - (k << top)
             current.append((ld, lp, td, tp))
+        grown |= changed
+        settled = None if changed else engine.layout
         if not homogeneous:
             pending = pending[1:]
             continue
@@ -1013,17 +1010,14 @@ def saturate(
         elif group is None:
             group = _stabilizer(engine, symmetries, current)
         if group:
-            orbits = set(pending).difference(left)
-            search = list(orbits)
+            orbits, search = set(), set(pending).difference(left)
             while search:
-                u = search.pop()
-                for g in group:
-                    w = g.get(u, u)
-                    if w not in orbits:
-                        orbits.add(w)
-                        search.append(w)
+                orbits |= search
+                search = {g.get(u, u) for g in group for u in search} - orbits
             left = [u for u in left if u not in orbits]
         pending = left
+    if given is not None and not grown:
+        return list(gens)
     return [engine.from_binomial4(b4) for b4 in current]
 
 

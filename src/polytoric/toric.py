@@ -10,27 +10,19 @@ Polytopes", Lemma 12.2; Hosten and Sturmfels, "GRIN", IPCO 1995).
 
 Everything is exact integer arithmetic.  The kernel comes from
 fraction-free column elimination (Hermite-style).  The saturation
-starts from its binomials together with Q, every degree-2 binomial
-u - w whose two sides have the same image, read off the fibers of A
-alone (:func:`_fibers`); see :func:`toric_generators`.  Each step
-saturates by one vertex variable, under an order that puts all the
-variables still uncertified last, and every variable that then divides
-no lead is certified without a step of its own
-(:func:`saturate_generators`).  Every column of the matrix has the same
-sum, so every vector of L has sum 0 and every kernel binomial is
-homogeneous, which is what makes each step a saturation (Bayer and
-Stillman), and what the certificates and the skip rule of the steps
-after the first rest on.
+(:func:`saturate_generators`) starts from the reduced degrevlex basis
+of its binomials and of every quadric u - w whose two sides have the
+same image (:func:`toric_generators`), and certifies the vertex
+variables a block per step, ending on the reduced degrevlex basis.
+Every column of the matrix has the same sum, so every kernel binomial
+is homogeneous, which is what makes each step a saturation (Bayer and
+Stillman), and what the certificates and the skip rule rest on.
 
 The maps of the outer box and the swaps of adjacent grid lines within
 one band that send the vertex set onto itself
-(:func:`_candidate_symmetries`) are offered to the saturation as
-candidate symmetries.  When the first step's division changes no
-element, it keeps those that fix its ideal, checked by reduction
-against its Groebner basis, and each certificate from then on covers
-the orbit of its variable under the group they generate, until a
-division changes an element.  This only cuts steps: the final reduced
-basis is canonical and does not change.
+(:func:`_candidate_symmetries`) go to the saturation as candidate
+symmetries, and it certifies whole orbits under those it proves fix
+the ideal.  This only cuts steps: the reduced basis is canonical.
 """
 
 from __future__ import annotations
@@ -43,6 +35,7 @@ from typing import Mapping, Sequence
 from .binom import (
     DEGREVLEX,
     Binomial,
+    GroebnerBasis,
     Monomial,
     TermOrder,
     Variable,
@@ -113,7 +106,7 @@ def lattice_kernel(a: ExponentMatrix) -> list[tuple[int, ...]]:
     reduce A to column echelon form while the same operations act on an
     identity block; columns that end up zero in A yield the basis.  The
     kernel of an integer matrix is saturated by definition, and every
-    returned vector is re-checked by multiplication.
+    returned vector is re-checked against each row's nonzero entries.
     """
     m, n = a.shape()
     acols = [list(a.column(j)) for j in range(n)]
@@ -143,10 +136,10 @@ def lattice_kernel(a: ExponentMatrix) -> list[tuple[int, ...]]:
             vec = [-x for x in vec]
         basis.append(tuple(vec))
     basis.sort()
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a.entries]
     for vec in basis:
-        for i in range(m):
-            if sum(a.entries[i][j] * vec[j] for j in range(n)) != 0:
-                raise AssertionError("kernel vector fails A z = 0")
+        if any(sum(x * vec[j] for j, x in row) for row in rows):
+            raise AssertionError("kernel vector fails A z = 0")
     return basis
 
 
@@ -285,7 +278,7 @@ def _candidate_symmetries(lm: LabelMap) -> list[dict[Variable, Variable]]:
 
 
 def saturate_generators(
-    gens: Sequence[Binomial],
+    gens: Sequence[Binomial] | GroebnerBasis,
     variables: Sequence[Variable],
     budget: int | None = None,
     symmetries: Sequence[Mapping[Variable, Variable]] = (),
@@ -294,7 +287,8 @@ def saturate_generators(
     ``variables``, as a list of binomials; ``budget`` caps the S-pair
     reductions of each Buchberger run.  ``symmetries`` are candidate
     permutations of the variables; certificate (c) says which of them
-    are used, and when.
+    are used, and when.  ``gens`` may be a GroebnerBasis; certificate
+    (d) says how the saturation starts from it and ends in its order.
 
     Steps.  The variables not yet certified are ``pending``, in the
     given order.  With v = pending[0], step k computes the reduced
@@ -327,32 +321,39 @@ def saturate_generators(
     ring automorphism of S, with g(I) = I.  Then x is a nonzerodivisor
     on S / I exactly when g(x) is: from g(x) f in I, x g^-1(f) is in
     g^-1(I) = I, so g^-1(f) is in I and f is in g(I) = I.  The test of
-    g: let G be a Groebner basis of I; reduction to zero against G is
-    membership in I, both ways, so every g(b), b in G, reduces to zero
-    exactly when g maps generators of I into I, that is g(I) <= I.  A
-    permutation has finite order m, so I = g^m(I) <= g(I) <= I.  So the
-    test keeps exactly the candidates that fix I, and a candidate that
-    permutes the vertices but not the ideal (a corrupted labelling, say)
-    is dropped.  The first step is tested, and only when its division
-    changed no element: then its divided basis is a Groebner basis of
-    its input ideal I.  While no division changes an element every step
-    works on that same I, so a kept g sends each variable certified in
-    a step to one certified by the same certificate, and (b) carries it
-    through the later steps.  A division that changes an element grows
-    the ideal to I : v^inf, which g sends to I : g(v)^inf, in general a
-    different ideal; the test says nothing about it, so from that step
-    on no orbit is used.  The certificates given so far stay, by (b).
-    If g and h fix I, so does gh, so every element of the group that the
-    kept maps generate fixes I.  The group is finite, so the orbit of a
-    certified variable under it is its closure under the kept maps
-    alone, which ``saturate`` finds by a search over them.
+    g: for a Groebner basis G of I, every g(b), b in G, reduces to zero
+    against G (as an element of G does) exactly when g(I) <= I, and g
+    has finite order m, so I = g^m(I) <= g(I) <= I.  So the test keeps
+    exactly the candidates that fix I; one that permutes the vertices
+    but not the ideal (a corrupted labelling, say) is dropped.  The
+    first step is tested, and only when its division changed no
+    element, so that its divided basis is a Groebner basis of its input
+    ideal I.  While no division changes an element every step works on
+    that same I, so a kept g sends each variable certified in a step to
+    one certified by the same certificate, and (b) carries it through
+    the later steps.  A division that changes an element grows the
+    ideal to I : v^inf, which g sends to I : g(v)^inf, in general
+    another ideal, so from that step on no orbit is used; the
+    certificates given so far stay, by (b).  The kept maps generate a
+    finite group that fixes I, and the orbit of a certified variable
+    under it is its closure under the kept maps, which ``saturate``
+    finds by a search over them.
+    (d) Start and end.  Let ``gens`` be G, the reduced basis of I for an
+    order <.  A step laid out as < has G as its G_k with no run, and G's
+    leads give the counts of I, as a previous step's would.  If no
+    division changes an element, I is saturated and G is the result.
+    Otherwise the last division leaves the saturation J with a Groebner
+    basis for the last step's order (homogeneous ``gens``), and one more
+    step in <, with no division, gives J's reduced basis for <: as it
+    stands if that last step was laid out as < and changed nothing, else
+    by the skip rule, with J's counts, or by a run.
 
     Skip rule.  Let G be the previous step's output and I its ideal.
     With ``gens`` homogeneous, the division keeps G a Groebner basis of
     I for the previous order, whose leads give the Hilbert function of
-    S / I (Macaulay, for any degree-compatible order).  In degrees 1 to
-    3 only the leads of degree 3 or less count, and ``_low_hilbert``
-    counts them.  Step k drops each element of G of degree 3 or more
+    S / I (Macaulay; for a homogeneous I, under any order).  In degrees
+    1 to 3 only the leads of degree 3 or less count, and
+    ``_low_hilbert`` counts them.  Step k drops each element of G of degree 3 or more
     that reduces to zero against those of degree 2 or less, which leaves
     G' generating I.  Let D be the top degree of G' and L the ideal of
     its leads under the new order; L <= in(I), so HF(S / L) >= HF(S / I)
@@ -389,22 +390,25 @@ def toric_generators(
     matrix A alone.  With L = ker_Z A, I(B) <= I(B) + I(Q) <= J_P = I_L,
     and J_P is saturated, so (I(B) + I(Q)) : (prod of all x_v)^infinity
     = J_P (Sturmfels, "Groebner Bases and Convex Polytopes", Lemma 12.2).
-    ``saturate_generators`` reaches it, and the final
-    reduced basis is canonical, so the result does not depend on the
+    The reduced basis is canonical, so the result does not depend on the
     starting set.  Only the cost does.  On a correct labelling Q is the
-    set of inner minors, so when I_P = J_P the first step starts from
-    generators of J_P instead of rebuilding its quadrics from I(B).  B
-    stays in the start because Q spans L only on a correct labelling,
-    and the lemma needs a basis of L.  The maps of ``_candidate_symmetries``
-    go to the saturation as candidates; it uses only those that it
-    proves fix the ideal (certificate (c) of ``saturate_generators``)."""
+    set of inner minors, so when I_P = J_P the start generates J_P.  B
+    stays in it because Q spans L only on a correct labelling, and the
+    lemma needs a basis of L.  The public ``buchberger`` run on B and Q
+    under degrevlex is the saturation's first step, and the saturation
+    ends on the reduced degrevlex basis (certificate (d) of
+    ``saturate_generators``), so only another ``order`` takes a run
+    after it.  The maps of ``_candidate_symmetries`` go to the
+    saturation as candidates; it uses only those that it proves fix the
+    ideal (certificate (c))."""
     matrix = build_matrix(lm)
     lattice = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     gens = list(dict.fromkeys(lattice + _fiber_binomials(lm, 2)))
     variables = [vertex_var(p) for p in matrix.cols]
     if not gens:
         return []
-    saturated = saturate_generators(gens, variables, budget=budget,
-                                    symmetries=_candidate_symmetries(lm))
-    final = buchberger(saturated, order, budget=budget)
-    return list(final.elements)
+    saturated = saturate_generators(buchberger(gens, DEGREVLEX, budget=budget), variables,
+                                    budget=budget, symmetries=_candidate_symmetries(lm))
+    if order != DEGREVLEX:
+        return list(buchberger(saturated, order, budget=budget).elements)
+    return saturated

@@ -368,9 +368,11 @@ def saturation_one_variable_reference(gens, variables):
 def lattice_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomial]:
     """``toric_generators`` without the quadratic kernel binomials in its
     start: the saturation from the binomials of ``lattice_kernel``'s
-    basis alone, then the final degrevlex run.  The saturation reaches
-    the same toric ideal from either start, so the two routes give the
-    same basis by different S-pairs."""
+    basis alone, as a plain list, then a final degrevlex run.  It is the
+    only route left with that final run: ``toric_generators`` starts
+    from a degrevlex basis, and the saturation ends on one.  The
+    saturation reaches the same toric ideal from either start, so the
+    two routes give the same basis by different S-pairs."""
     matrix = build_matrix(lm)
     gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     variables = [vertex_var(p) for p in matrix.cols]

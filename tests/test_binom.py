@@ -447,6 +447,46 @@ def test_buchberger_random_input_order_is_irrelevant(order, data):
     assert buchberger(shuffled, order).elements == buchberger(gens, order).elements
 
 
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, TermOrder("degrevlex", last=(PERM_POOL[0],))])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_saturate_from_a_groebner_basis_ends_in_its_order(order, data):
+    """Saturated from ``buchberger(gens, order)``, the result is the
+    reduced basis in that order of the saturation from the plain list,
+    whether a step takes the given basis as its own or not, and whether
+    a division grows the ideal or none does."""
+    gens = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=5))
+    variables = data.draw(st.lists(st.sampled_from(PERM_POOL), min_size=1, max_size=3,
+                                   unique=True))
+    expected = buchberger(saturate(gens, variables), order).elements
+    assert tuple(saturate(buchberger(gens, order), variables)) == expected
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+def test_saturate_from_a_groebner_basis_of_inhomogeneous_input(order):
+    gens = [parse_binomial(g) for g in (
+        "r[2]*r[3] - r[1]^2*r[3]",
+        "r[1]*r[2]^2*r[3]^2 - r[1]*r[2]*r[4]",
+        "r[1]*r[2]*r[3]^2 - r[2]^2*r[4]",
+    )]
+    variables = [r_var(1), r_var(2)]
+    expected = buchberger(saturate(gens, variables), order).elements
+    assert tuple(saturate(buchberger(gens, order), variables)) == expected
+
+
+def test_a_grown_ideal_is_finished_by_counting(monkeypatch):
+    """x1 (x2 - x3) saturated by x1 from its degrevlex basis: the one
+    step is laid out as degrevlex (x1 is its lowest variable) and takes
+    the basis as given, its division leaves x3 - x2, and the last step,
+    in degrevlex, only interreduces, since its counts agree: no
+    Buchberger run at all."""
+    gb = buchberger([bino((1, 2), (1, 3))])
+    runs = []
+    monkeypatch.setattr("polytoric.binom._run_buchberger", lambda *args: runs.append(args))
+    assert saturate(gb, [X[1]]) == [bino((3,), (2,))]
+    assert runs == []
+
+
 # Inhomogeneous lex input near the degree cap: 60 of the 120 input orders
 # return the basis below, the other 60 pass the cap on the way.
 _LEX_NEAR_CAP = [

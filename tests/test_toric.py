@@ -158,6 +158,26 @@ def test_lattice_kernel_exactness_and_dimension(coords):
     assert len(kernel) == n - fraction_rank(a.entries)
 
 
+@pytest.mark.parametrize("entries, spanning", [
+    # 4a + 6b = 0: the kernel is spanned by (3, -2), not by (6, -4).
+    (((4, 6, 0), (0, 0, 0)), [(3, -2, 0), (0, 0, 1)]),
+    # a = 3c - 2b, d = b, e = 5a, with b and c free.
+    (((2, 4, -6, 0, 0), (0, 3, 0, -3, 0), (5, 0, 0, 0, -1)),
+     [(-2, 1, 0, 1, -10), (3, 0, 1, 0, 15)]),
+], ids=["one-row", "three-rows"])
+def test_lattice_kernel_on_entries_outside_zero_one(entries, spanning):
+    """A hand-built matrix with entries other than 0 and 1: the kernel
+    basis spans the lattice of a basis worked out by hand, and passes
+    the re-check that reads only each row's nonzero entries."""
+    a = ExponentMatrix(tuple(r_var(i) for i in range(1, len(entries) + 1)),
+                       tuple(GridPoint(j, 0) for j in range(len(entries[0]))),
+                       entries)
+    kernel = lattice_kernel(a)
+    for z in spanning:
+        assert all(sum(e * c for e, c in zip(row, z)) == 0 for row in entries)
+    assert hermite_normal_form(kernel) == hermite_normal_form(spanning)
+
+
 def test_lattice_vector_to_binomial():
     cols = (GridPoint(1, 1), GridPoint(1, 2), GridPoint(2, 1))
     b = lattice_vector_to_binomial((2, -1, -1), cols)
@@ -450,28 +470,32 @@ def test_spair_trace_toric_with_skipped_steps(monkeypatch, coords, count, digest
 # with skipped steps.  Recorded when the saturation started to certify
 # the orbits of the line swaps as well as the box's maps, closed under
 # the group they generate, which leaves one Buchberger run per
-# saturation.  SMALL's skips cost no pair: no step of it is skipped.
+# saturation.  Re-recorded when that run became the public degrevlex
+# run the saturation starts from, and the final run went: each trace is
+# the old one (97, 97, 349, 233, 1136, 758 and 2364 pairs) with the
+# final run's pairs cut off its end.  SMALL's skips cost no pair: no
+# step of it is skipped.
 @pytest.mark.parametrize("coords, mode, count, digest", [
-    pytest.param(SMALL, "every-step", 97,
-                 "92106e251f16be2d6b4422afed4f5bcfc97628291316fc8d6aa7fa43daa9d7bf",
+    pytest.param(SMALL, "every-step", 49,
+                 "1c1cd9962c991d63be9f5db0d96f329e5168d81db2bb2d19f4391e3396ac7bee",
                  id="SMALL-every-step"),
-    pytest.param(SMALL, "skips", 97,
-                 "92106e251f16be2d6b4422afed4f5bcfc97628291316fc8d6aa7fa43daa9d7bf",
+    pytest.param(SMALL, "skips", 49,
+                 "1c1cd9962c991d63be9f5db0d96f329e5168d81db2bb2d19f4391e3396ac7bee",
                  id="SMALL-skips"),
-    pytest.param(MEDIUM_B, "every-step", 349,
-                 "e07929fc8d57f64a79286a247ea329288f1d0e6576cc4ccd6c71f1e2dc9914f1",
+    pytest.param(MEDIUM_B, "every-step", 233,
+                 "5a4e42ec203b77c6b63885bd83893ea47f5308e041fdb86873f3a25cc773faec",
                  id="MEDIUM_B-every-step"),
-    pytest.param(MEDIUM_B, "skips", 233,
-                 "94b231800d1a05a5deb65c35bc077e1dcb74fb845bd9f17c701a5add590e093b",
+    pytest.param(MEDIUM_B, "skips", 117,
+                 "ab1dc86fbc2b983fb9429e3cd0aae1a75ba56c8f4d3de903e2b2cad986409ae8",
                  id="MEDIUM_B-skips"),
-    pytest.param(FRAME_7X5, "every-step", 1136,
-                 "5e4271aae0bea151a69b3b843505106578c07fc06fb3409c87d7814b19b0a405",
+    pytest.param(FRAME_7X5, "every-step", 758,
+                 "3059287ccc57204b5d9847966c9507ead7aaddda3a08f6ed27175ce363fde4a7",
                  id="FRAME_7X5-every-step"),
-    pytest.param(FRAME_7X5, "skips", 758,
-                 "09314309c4299cb78a671f97e534c2b1b14b20f85a9980d90c769c68cec2daf6",
+    pytest.param(FRAME_7X5, "skips", 380,
+                 "ba752223728d246a435ee5555f53fa167ba8ea302d311ead7e5d99ad799134e0",
                  id="FRAME_7X5-skips"),
-    pytest.param(THICK_FRAME, "skips", 2364,
-                 "dc5f23c7ae0d7356138c2fce62a5e69abdc765948953868e908193a18a5aa983",
+    pytest.param(THICK_FRAME, "skips", 1184,
+                 "57013f7108660905da5a7540b929bdef1443744368f6f4d703838bc163c1225d",
                  id="THICK_FRAME-skips", marks=pytest.mark.slow),
 ])
 def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
@@ -480,6 +504,62 @@ def test_spair_trace_toric_generators_with_quadrics(monkeypatch, coords, mode,
     if mode == "every-step":
         without_skips(monkeypatch)
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (count, digest)
+
+
+@pytest.mark.parametrize("coords", [FRAME_7X5, WIDE_8X8, WIDE_9X9, OFF_CENTRE_9X7,
+                                    OFF_CENTRE_10X8],
+                         ids=["FRAME_7X5", "WIDE_8X8", "WIDE_9X9", "OFF_CENTRE_9X7",
+                              "OFF_CENTRE_10X8"])
+def test_toric_generators_runs_buchberger_once(monkeypatch, coords):
+    """On a correct labelling the public degrevlex run the saturation
+    starts from is the only Buchberger run: every step after it is
+    certified or decided by counting, and no final run follows."""
+    runs = []
+    run = binom._run_buchberger
+    monkeypatch.setattr(binom, "_run_buchberger", lambda *args: runs.append(None) or run(*args))
+    toric_generators(build_label_map(cfg_of(coords)))
+    assert len(runs) == 1
+
+
+def final_steps(monkeypatch, run):
+    """The interreductions (each closing a skipped step or a run) that
+    come after the last division of the saturation in ``run()``, each as
+    whether its layout is the one of ``DEGREVLEX``."""
+    events = []
+    interreduce, uncertified = binom._interreduce, binom._uncertified
+
+    def record_step(engine, elems):
+        plain = binom._Engine(engine.vars, DEGREVLEX)
+        events.append(engine.layout == plain.layout)
+        return interreduce(engine, elems)
+
+    def record_division(engine, pending, basis):
+        events.clear()
+        return uncertified(engine, pending, basis)
+
+    with monkeypatch.context() as m:
+        m.setattr(binom, "_interreduce", record_step)
+        m.setattr(binom, "_uncertified", record_division)
+        run()
+    return events
+
+
+def test_a_grown_ideal_takes_one_last_step(monkeypatch):
+    """When a division changes an element, the saturation ends with one
+    step in degrevlex and no division; when none does, it returns the
+    basis it started from and takes no such step.  On SMALL no division
+    changes an element; on some labellings with one label raised by 1
+    one does, and ``test_quadratic_start_changes_no_basis`` checks their
+    bases against the saturation from the lattice basis alone."""
+    lm = build_label_map(cfg_of(SMALL))
+    assert final_steps(monkeypatch, lambda: toric_generators(lm)) == []
+    grown = 0
+    for v in lm.points():
+        bad = lm.with_label(v, lm.labels[v] + 1)
+        last = final_steps(monkeypatch, lambda: toric_generators(bad))
+        assert last in ([], [True])
+        grown += last == [True]
+    assert grown
 
 
 def test_spair_trace_minors_lex(monkeypatch):
@@ -510,8 +590,10 @@ def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
     """A step reduces either no S-pair (skipped) or the S-pairs it
     reduces when no step is skipped.  Both runs take the same steps, by
     the same variables: a step's reduced basis, which certifies the
-    variables, is the same skipped or run.  The orbits are patched out,
-    since with them the instances take too few steps to skip one."""
+    variables, is the same skipped or run.  One interreduction per step:
+    the first step's is the degrevlex run the saturation starts from,
+    and no final run follows.  The orbits are patched out, since with
+    them the instances take too few steps to skip one."""
     lm = build_label_map(cfg_of(coords))
     without_orbits(monkeypatch)
 
@@ -523,7 +605,7 @@ def test_skipped_steps_leave_the_other_steps_spairs_alone(monkeypatch, coords):
     without_skips(monkeypatch)
     without = spairs_per_step(monkeypatch, run)
     assert pending_per_step(monkeypatch, run) == pending
-    assert len(with_skips) == len(without) == len(pending) + 1
+    assert len(with_skips) == len(without) == len(pending)
     skipped = [k for k, (a, b) in enumerate(zip(with_skips, without)) if a != b]
     assert skipped and all(with_skips[k] == [] for k in skipped)
 
@@ -838,8 +920,9 @@ def test_no_orbit_when_every_box_map_moves_the_hole(monkeypatch):
     """(0,0),(5,4),(1,1),(3,2): the hole is one cell high, so it holds no
     vertex and the box's three maps fix the vertex set, but each moves
     the hole.  The test keeps none of them; it keeps the line swaps.
-    The S-pairs were recorded when the saturation took the line swaps
-    (3403 before, and 4067 before it took symmetries at all)."""
+    The S-pairs were recorded when the final degrevlex run went (1018
+    before, 3403 before the line swaps, and 4067 before the saturation
+    took symmetries at all)."""
     lm = build_label_map(cfg_of(((0, 0), (5, 4), (1, 1), (3, 2))))
     box = [{vertex_var(p): vertex_var(q(*p)) for p in lm.points()}
            for q in (lambda x, y: (5 - x, y), lambda x, y: (x, 4 - y),
@@ -850,7 +933,7 @@ def test_no_orbit_when_every_box_map_moves_the_hole(monkeypatch):
     [(_, kept, _)] = tests
     assert kept and not any(g in kept for g in box)
     assert spair_trace(monkeypatch, lambda: toric_generators(lm)) == (
-        1018, "3330997c45749998fe8d2361eac85f2ca84c5bc29958b19ddca7308696e840cc")
+        511, "312fd19ecf9832449e8e5f595d71ddc78ac9564becf8eee6abb4b1249ffdb25b")
 
 
 @pytest.mark.parametrize("coords", [SMALL, FRAME_7X5], ids=["SMALL", "FRAME_7X5"])
