@@ -352,8 +352,8 @@ def saturate_generators(
     With ``gens`` homogeneous, the division keeps G a Groebner basis of
     I for the previous order, whose leads give the Hilbert function of
     S / I (Macaulay; for a homogeneous I, under any order).  In degrees
-    1 to 3 only the leads of degree 3 or less count, and
-    ``_low_hilbert`` counts them.  Step k drops each element of G of degree 3 or more
+    1 to 3 only the leads of degree 3 or less count, and ``_low_hilbert``
+    counts them.  Step k drops each element of G of degree 3 or more
     that reduces to zero against those of degree 2 or less, which leaves
     G' generating I.  Let D be the top degree of G' and L the ideal of
     its leads under the new order; L <= in(I), so HF(S / L) >= HF(S / I)
