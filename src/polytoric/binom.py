@@ -13,13 +13,13 @@ monomial multiplication is integer addition and divisibility is one
 masked subtraction; see :class:`_Engine` for the layout rules that make
 term-order comparison an integer comparison as well.
 
-:func:`saturate` saturates by a list of variables, one step per block
-of them: a variable that divides no lead of a step's basis, or is the
-image of one under a permutation that fixes the ideal, needs no step.
-A step whose input counts as many standard monomials in degrees 1 to 3
-as the ideal has is only interreduced, and a step laid out in the order
-of a GroebnerBasis it starts from takes that basis as it is.  The proofs
-are in ``toric.saturate_generators``.
+:func:`saturate` saturates a homogeneous ideal, given by its reduced
+basis, by a list of variables, one step per block of them: a variable
+that divides no lead of a step's basis, or is the image of one under a
+permutation that fixes the ideal, needs no step.  A step whose input
+counts as many standard monomials in degrees 1 to 3 as the ideal has is
+only interreduced, and a step laid out in the order of the basis it
+starts from takes that basis as it is.  Its docstring has the proofs.
 """
 
 from __future__ import annotations
@@ -875,8 +875,8 @@ def _uncertified(engine: _Engine, pending: list[Variable], basis) -> list[Variab
     """The variables of ``pending`` after the first that divide a lead of
     ``basis``, a Groebner basis as engine binomials.  A variable that
     divides no lead is a nonzerodivisor modulo the ideal of ``basis``,
-    which saturating by it would leave as it is (proof in
-    ``toric.saturate_generators``).  This is the seam of the
+    which saturating by it would leave as it is (certificate (a) of
+    ``saturate``).  This is the seam of the
     certification by leads; ``_stabilizer`` is the seam of the
     certification by orbits.  Patched to return ``pending[1:]``, it
     certifies only each step's own variable and the orbits of those."""
@@ -890,7 +890,7 @@ def _stabilizer(engine: _Engine, maps, basis) -> list:
     """The permutations of ``maps`` that fix the ideal of ``basis``, a
     Groebner basis as engine binomials: a map is kept when it permutes
     the universe and sends every element to a binomial that reduces to
-    zero against ``basis`` (proof in ``toric.saturate_generators``); an
+    zero against ``basis`` (certificate (c) of ``saturate``); an
     image that is itself an element does, and is not reduced.  This is
     the seam of the certification by orbits: patched to return [], it
     certifies no orbit, and every step certifies what it would certify
@@ -915,21 +915,101 @@ def _stabilizer(engine: _Engine, maps, basis) -> list:
 
 
 def saturate(
-    gens: Sequence[Binomial] | GroebnerBasis,
+    gens: GroebnerBasis,
     variables: Sequence[Variable],
     budget: int | None = None,
     symmetries: Sequence[Mapping[Variable, Variable]] = (),
 ) -> list[Binomial]:
-    """Saturate by every variable of ``variables``, a block of them per
-    step: ``toric.saturate_generators`` states the steps, the skip rule
-    and the certificates, and proves them.  ``budget`` caps the S-pair
-    reductions of each Buchberger run.  ``symmetries`` are candidate
-    permutations of the variables, each a map from a variable to its
-    image (unlisted variables stay put); the default certifies no orbit.
+    """The reduced basis, in ``gens.order``, of the saturation of the
+    ideal I of ``gens`` by every variable of ``variables``, a block of
+    them per step.  ``gens`` is trusted to be the reduced basis of I in
+    its order, and must be homogeneous, or ValueError is raised: every
+    step rests on Bayer and Stillman, which needs a homogeneous ideal,
+    and the reduced basis of one is homogeneous.  ``budget`` caps the
+    S-pair reductions of each Buchberger run.  ``symmetries`` are
+    candidate permutations of the variables, each a map from a variable
+    to its image (unlisted variables stay put); certificate (c) says
+    which of them are used, and when.
 
-    ``gens`` may be a GroebnerBasis, trusted to be the reduced basis of
-    its order.  The result is then the reduced basis of the saturation
-    in that order; from a plain list it is the last step's basis.
+    Steps.  The variables not yet certified are ``pending``, in the
+    given order.  With v = pending[0], step k computes the reduced
+    Groebner basis G_k under degrevlex with ``pending`` last, v lowest,
+    then divides every element by the largest power of v dividing both
+    its terms.  The result is a Groebner basis, for that order, of the
+    ideal saturated by v (Bayer and Stillman: v is the lowest variable
+    of a degrevlex order; which variables sit above it does not matter).
+    Then every variable of ``pending`` that divides no lead of the
+    divided basis is certified and leaves it.  v always does: a
+    homogeneous binomial whose lead holds v, the lowest variable, holds
+    it in its trail too, and that common power is gone.  While the ideal
+    is the first step's, every image of a certified variable under the
+    group that the kept symmetries generate is certified too.
+
+    Certificates.  (a) If x divides no lead of a Groebner basis of an
+    ideal I, under any term order, then x is a nonzerodivisor on S / I.
+    Take f in normal form, nonzero, with x f in I.  Then x lt(f) is in
+    in(I), which is generated by leads free of x, so lt(f) is in in(I):
+    a contradiction, since no term of a normal form is.  So I : x^inf = I.
+    (b) If I = I : x^inf, then (I : v^inf) : x^inf = I : v^inf: from
+    x^a f in I : v^inf, v^b x^a f is in I, so v^b f is in I : x^inf = I
+    and f is in I : v^inf.  So a certified variable stays certified
+    through the later steps, and the last step ends with an ideal J,
+    between I and I : (prod of the variables)^inf, that every variable
+    is a nonzerodivisor on, which makes J that saturation.
+    (c) Orbits.  Let g be a permutation of the variables, extended to a
+    ring automorphism of S, with g(I) = I.  Then x is a nonzerodivisor
+    on S / I exactly when g(x) is: from g(x) f in I, x g^-1(f) is in
+    g^-1(I) = I, so g^-1(f) is in I and f is in g(I) = I.  The test of
+    g: for a Groebner basis G of I, every g(b), b in G, reduces to zero
+    against G (as an element of G does) exactly when g(I) <= I, and g
+    has finite order m, so I = g^m(I) <= g(I) <= I.  So the test keeps
+    exactly the candidates that fix I; one that permutes the vertices
+    but not the ideal (a corrupted labelling, say) is dropped.  The
+    first step is tested, and only when its division changed no
+    element, so that its divided basis is a Groebner basis of its input
+    ideal I.  While no division changes an element every step works on
+    that same I, so a kept g sends each variable certified in a step to
+    one certified by the same certificate, and (b) carries it through
+    the later steps.  A division that changes an element grows the
+    ideal to I : v^inf, which g sends to I : g(v)^inf, in general
+    another ideal, so from that step on no orbit is used; the
+    certificates given so far stay, by (b).  The kept maps generate a
+    finite group that fixes I, and the orbit of a certified variable
+    under it is its closure under the kept maps, found by a search over
+    them.
+    (d) Start and end.  Let ``gens`` be G, the reduced basis of I for an
+    order <.  A step laid out as < has G as its G_k with no run, and G's
+    leads give the counts of I, as a previous step's would.  If no
+    division changes an element, I is saturated and G is the result.
+    Otherwise the last division leaves the saturation J with a Groebner
+    basis for the last step's order, and one more step in <, with no
+    division, gives J's reduced basis for <: as it stands if that last
+    step was laid out as < and changed nothing, else by the skip rule,
+    with J's counts, or by a run.
+
+    Skip rule.  Let G be the previous step's output and I its ideal.
+    The division keeps G a Groebner basis of I for the previous order,
+    whose leads give the Hilbert function of S / I (Macaulay; for a
+    homogeneous I, under any order).  In degrees 1 to 3 only the leads
+    of degree 3 or less count, and ``_low_hilbert`` counts them.  Step k
+    drops each element of G of degree 3 or more that reduces to zero
+    against those of degree 2 or less, which leaves G' generating I.
+    Let D be the top degree of G' and L the ideal of its leads under the
+    new order; L <= in(I), so HF(S / L) >= HF(S / I) in every degree,
+    with equality where L and in(I) agree.  (i) Pair degrees.
+    Buchberger's criterion needs only the pairs whose leads are not
+    coprime, and their lcms have degree at most 2D - 1.  Such an S-pair
+    lies in I, homogeneous of its lcm degree d, and where L and in(I)
+    agree in degree d its normal form is 0, or its lead would be in
+    in(I) and not in L.  So G' is a Groebner basis exactly when the two
+    Hilbert functions agree up to degree 2D - 1, and then interreducing
+    it gives the reduced basis G_k that a full run gives.  For D <= 2
+    that is degrees 1 to 3, which ``_low_hilbert`` counts for L as well.
+    Degree 1 matters only when two leads are one variable, but then it
+    must be checked: a linear form of I that no lead divides can hide
+    while degrees 2 and 3 agree.  Any other step runs Buchberger in
+    full: one with D >= 3, or whose counts differ.  No step is skipped
+    only because the basis stopped changing.
 
     The basis stays packed over one universe (the variables of ``gens``
     and ``variables``), and each step moves it to its own layout with
@@ -938,48 +1018,38 @@ def saturate(
     rule), which, patched to return None, turns off the skips but not
     the drop.
     """
-    given = gens if isinstance(gens, GroebnerBasis) else None
-    gens = _checked(gens.elements if given is not None else gens)
+    elements = _checked(gens.elements)
+    if any(g.plus.degree != g.minus.degree for g in elements):
+        raise ValueError("saturate needs the basis of a homogeneous ideal")
     pending = list(dict.fromkeys(variables))
-    if not pending:
-        return list(gens)
-    universe = _universe(gens, pending)
+    universe = _universe(elements, pending)
     top = _FIELD * (len(universe) - 1)
-    homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
-    counts = engine = settled = None
+    engine = own = _Engine(universe, gens.order)
+    current = [engine.orient(g)[0] for g in elements]
+    # The layout that ``current`` is a reduced basis in.
+    settled = engine.layout
+    counts = _low_hilbert(engine, [b4[1] for b4 in current])
     # The kept maps; None until the first step has tested them.
     group = None
     grown = False
-    if given is not None:
-        engine = own = _Engine(universe, given.order)
-        current = [engine.orient(g)[0] for g in gens]
-        # The layout that ``current`` is a reduced basis in.
-        settled = engine.layout
-        if homogeneous:
-            counts = _low_hilbert(engine, [b4[1] for b4 in current])
-    while True:
+    while pending or grown:
         if pending:
             step = _Engine(universe, TermOrder("degrevlex", last=tuple(reversed(pending))))
-        elif grown and given is not None:
-            step = own
         else:
-            break
+            step = own
         if step.layout == settled:
             reduced = current
         else:
-            if engine is None:
-                gens4 = [step.orient(g)[0] for g in gens]
-            else:
-                # Every layout of one universe has the same guard bits.
-                fields, H = _field_map(engine, step), step.H
-                gens4 = [step.orient_packed((ld, _repack(lp, fields, H)),
-                                            (td, _repack(tp, fields, H)))[0]
-                         for ld, lp, td, tp in current]
-                if homogeneous and any(b4[0] > 2 for b4 in gens4):
-                    # Drop what reduces to zero against the quadrics and below.
-                    low = _Basis(step, [b4 for b4 in gens4 if b4[0] <= 2])
-                    gens4 = [b4 for b4 in gens4
-                             if b4[0] <= 2 or low.reduce(b4, None)[0] is not None]
+            # Every layout of one universe has the same guard bits.
+            fields, H = _field_map(engine, step), step.H
+            gens4 = [step.orient_packed((ld, _repack(lp, fields, H)),
+                                        (td, _repack(tp, fields, H)))[0]
+                     for ld, lp, td, tp in current]
+            if any(b4[0] > 2 for b4 in gens4):
+                # Drop what reduces to zero against the quadrics and below.
+                low = _Basis(step, [b4 for b4 in gens4 if b4[0] <= 2])
+                gens4 = [b4 for b4 in gens4
+                         if b4[0] <= 2 or low.reduce(b4, None)[0] is not None]
             if (counts is not None and all(b4[0] <= 2 for b4 in gens4)
                     and _low_hilbert(step, [b4[1] for b4 in gens4]) == counts):
                 reduced = _interreduce(step, [_Elem(step, b4) for b4 in gens4])
@@ -999,16 +1069,12 @@ def saturate(
             current.append((ld, lp, td, tp))
         grown |= changed
         settled = None if changed else engine.layout
-        if not homogeneous:
-            pending = pending[1:]
-            continue
-        if counts is None or changed:
-            counts = _low_hilbert(engine, [b4[1] for b4 in current])
-        left = _uncertified(engine, pending, current)
         if changed:
+            counts = _low_hilbert(engine, [b4[1] for b4 in current])
             group = []
         elif group is None:
             group = _stabilizer(engine, symmetries, current)
+        left = _uncertified(engine, pending, current)
         if group:
             orbits, search = set(), set(pending).difference(left)
             while search:
@@ -1016,8 +1082,8 @@ def saturate(
                 search = {g.get(u, u) for g in group for u in search} - orbits
             left = [u for u in left if u not in orbits]
         pending = left
-    if given is not None and not grown:
-        return list(gens)
+    if not grown:
+        return list(elements)
     return [engine.from_binomial4(b4) for b4 in current]
 
 
@@ -1043,11 +1109,15 @@ def parse_monomial(text: str) -> Monomial:
         m = _FACTOR_RE.match(factor)
         if not m:
             raise ParseError(f"bad monomial factor: {factor.strip()!r}")
-        if m.group(1):
-            v = Variable("x", int(m.group(2)), int(m.group(3)))
-        else:
-            v = Variable(m.group(4), int(m.group(5)))
-        e = int(m.group(6)) if m.group(6) else 1
+        try:
+            if m.group(1):
+                v = Variable("x", int(m.group(2)), int(m.group(3)))
+            else:
+                v = Variable(m.group(4), int(m.group(5)))
+            e = int(m.group(6)) if m.group(6) else 1
+        except ValueError:
+            # int() refuses a string past Python's digit limit.
+            raise ParseError("bad monomial factor: a number too long to read") from None
         if e == 0:
             raise ParseError(f"zero exponent in factor: {factor.strip()!r}")
         exps.append((v, e))

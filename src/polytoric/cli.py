@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(payload)
     if report.budget_exceeded_stage is not None:
-        print(f"budget exceeded in stage {report.budget_exceeded_stage}",
+        print(f"error: budget exceeded in stage {report.budget_exceeded_stage}",
               file=sys.stderr)
         return 3
     return 0 if report.ideals_equal else 1

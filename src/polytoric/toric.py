@@ -278,101 +278,16 @@ def _candidate_symmetries(lm: LabelMap) -> list[dict[Variable, Variable]]:
 
 
 def saturate_generators(
-    gens: Sequence[Binomial] | GroebnerBasis,
+    gens: GroebnerBasis,
     variables: Sequence[Variable],
     budget: int | None = None,
     symmetries: Sequence[Mapping[Variable, Variable]] = (),
 ) -> list[Binomial]:
-    """Saturate the ideal of ``gens`` with respect to every variable of
-    ``variables``, as a list of binomials; ``budget`` caps the S-pair
-    reductions of each Buchberger run.  ``symmetries`` are candidate
-    permutations of the variables; certificate (c) says which of them
-    are used, and when.  ``gens`` may be a GroebnerBasis; certificate
-    (d) says how the saturation starts from it and ends in its order.
-
-    Steps.  The variables not yet certified are ``pending``, in the
-    given order.  With v = pending[0], step k computes the reduced
-    Groebner basis G_k under degrevlex with ``pending`` last, v lowest,
-    then divides every element by the largest power of v dividing both
-    its terms.  For homogeneous ``gens`` the result is a Groebner basis,
-    for that order, of the ideal saturated by v (Bayer and Stillman: v
-    is the lowest variable of a degrevlex order; which variables sit
-    above it does not matter).  Then every variable of ``pending`` that
-    divides no lead of the divided basis is certified and leaves it.  v
-    always does: a homogeneous binomial whose lead holds v, the lowest
-    variable, holds it in its trail too, and that common power is gone.
-    With inhomogeneous ``gens`` only v leaves, so every variable gets a
-    step of its own.  While the ideal is the first step's, every image
-    of a certified variable under the group that the kept symmetries
-    generate is certified too.
-
-    Certificates.  (a) If x divides no lead of a Groebner basis of an
-    ideal I, under any term order, then x is a nonzerodivisor on S / I.
-    Take f in normal form, nonzero, with x f in I.  Then x lt(f) is in
-    in(I), which is generated by leads free of x, so lt(f) is in in(I):
-    a contradiction, since no term of a normal form is.  So I : x^inf = I.
-    (b) If I = I : x^inf, then (I : v^inf) : x^inf = I : v^inf: from
-    x^a f in I : v^inf, v^b x^a f is in I, so v^b f is in I : x^inf = I
-    and f is in I : v^inf.  So a certified variable stays certified
-    through the later steps, and the last step ends with an ideal J,
-    between I and I : (prod of the variables)^inf, that every variable
-    is a nonzerodivisor on, which makes J that saturation.
-    (c) Orbits.  Let g be a permutation of the variables, extended to a
-    ring automorphism of S, with g(I) = I.  Then x is a nonzerodivisor
-    on S / I exactly when g(x) is: from g(x) f in I, x g^-1(f) is in
-    g^-1(I) = I, so g^-1(f) is in I and f is in g(I) = I.  The test of
-    g: for a Groebner basis G of I, every g(b), b in G, reduces to zero
-    against G (as an element of G does) exactly when g(I) <= I, and g
-    has finite order m, so I = g^m(I) <= g(I) <= I.  So the test keeps
-    exactly the candidates that fix I; one that permutes the vertices
-    but not the ideal (a corrupted labelling, say) is dropped.  The
-    first step is tested, and only when its division changed no
-    element, so that its divided basis is a Groebner basis of its input
-    ideal I.  While no division changes an element every step works on
-    that same I, so a kept g sends each variable certified in a step to
-    one certified by the same certificate, and (b) carries it through
-    the later steps.  A division that changes an element grows the
-    ideal to I : v^inf, which g sends to I : g(v)^inf, in general
-    another ideal, so from that step on no orbit is used; the
-    certificates given so far stay, by (b).  The kept maps generate a
-    finite group that fixes I, and the orbit of a certified variable
-    under it is its closure under the kept maps, which ``saturate``
-    finds by a search over them.
-    (d) Start and end.  Let ``gens`` be G, the reduced basis of I for an
-    order <.  A step laid out as < has G as its G_k with no run, and G's
-    leads give the counts of I, as a previous step's would.  If no
-    division changes an element, I is saturated and G is the result.
-    Otherwise the last division leaves the saturation J with a Groebner
-    basis for the last step's order (homogeneous ``gens``), and one more
-    step in <, with no division, gives J's reduced basis for <: as it
-    stands if that last step was laid out as < and changed nothing, else
-    by the skip rule, with J's counts, or by a run.
-
-    Skip rule.  Let G be the previous step's output and I its ideal.
-    With ``gens`` homogeneous, the division keeps G a Groebner basis of
-    I for the previous order, whose leads give the Hilbert function of
-    S / I (Macaulay; for a homogeneous I, under any order).  In degrees
-    1 to 3 only the leads of degree 3 or less count, and ``_low_hilbert``
-    counts them.  Step k drops each element of G of degree 3 or more
-    that reduces to zero against those of degree 2 or less, which leaves
-    G' generating I.  Let D be the top degree of G' and L the ideal of
-    its leads under the new order; L <= in(I), so HF(S / L) >= HF(S / I)
-    in every degree, with equality where L and in(I) agree.  (i) Pair
-    degrees.  Buchberger's criterion needs only the pairs whose leads
-    are not coprime, and their lcms have degree at most 2D - 1.  Such an
-    S-pair lies in I, homogeneous of its lcm degree d, and where L and
-    in(I) agree in degree d its normal form is 0, or its lead would be
-    in in(I) and not in L.  So G' is a Groebner basis exactly when the
-    two Hilbert functions agree up to degree 2D - 1, and then
-    interreducing it gives the reduced basis G_k that a full run gives.
-    For D <= 2 that is degrees 1 to 3, which ``_low_hilbert`` counts for
-    L as well.  Degree 1 matters only when two leads are one variable,
-    but then it must be checked: a linear form of I that no lead divides
-    can hide while degrees 2 and 3 agree.  Any other step runs
-    Buchberger in full: one with D >= 3, or whose counts differ.  With
-    inhomogeneous ``gens`` every step does, and no step is skipped only
-    because the basis stopped changing.
-    """
+    """``binom.saturate``, under the name that the benchmark traces: the
+    reduced basis, in ``gens.order``, of the saturation of the
+    homogeneous ideal whose reduced basis is ``gens`` by every variable
+    of ``variables``.  ``binom.saturate`` states the steps, the
+    certificates and the skip rule, and proves them."""
     return saturate(gens, variables, budget=budget, symmetries=symmetries)
 
 
@@ -397,7 +312,7 @@ def toric_generators(
     lemma needs a basis of L.  The public ``buchberger`` run on B and Q
     under degrevlex is the saturation's first step, and the saturation
     ends on the reduced degrevlex basis (certificate (d) of
-    ``saturate_generators``), so only another ``order`` takes a run
+    ``binom.saturate``), so only another ``order`` takes a run
     after it.  The maps of ``_candidate_symmetries`` go to the
     saturation as candidates; it uses only those that it proves fix the
     ideal (certificate (c))."""

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 from polytoric import binom
 from polytoric.binom import (
     DEGREVLEX,
+    UNIT,
     ZERO,
     Binomial,
     BinomialOrZero,
@@ -26,6 +27,7 @@ from polytoric.binom import (
     _spoly4,
     _universe,
     buchberger,
+    t_var,
     vertex_var,
 )
 from polytoric.errors import DegenerateInterval, EmptyCollection
@@ -325,29 +327,51 @@ def divide_common_power(g: Binomial, v: Variable) -> Binomial:
     return Binomial(quotient(g.plus, power), quotient(g.minus, power))
 
 
-def saturation_steps_reference(gens, variables):
+def saturation_steps_reference(gens, variables, order=DEGREVLEX):
     """``binom.saturate``'s loop with a full Buchberger run at every step,
-    over the sparse types: each step's reduced basis under degrevlex with
-    the uncertified variables last (before the common power of the lowest
-    one, v, is divided out) and the loop's output.  After the division,
-    for homogeneous ``gens``, every uncertified variable that divides no
-    lead is certified, v among them; otherwise only v is."""
+    over the sparse types, from homogeneous ``gens``: each step's reduced
+    basis under degrevlex with the uncertified variables last (before the
+    common power of the lowest one, v, is divided out), and the reduced
+    basis of the saturation in ``order``.  After the division every
+    uncertified variable that divides no lead is certified, v among them.
+    When a division changed an element, the run in ``order`` that ends
+    the loop is one more step."""
     steps = []
     current = list(gens)
     pending = list(dict.fromkeys(variables))
-    homogeneous = all(g.plus.degree == g.minus.degree for g in gens)
+    grown = False
     while pending:
         v = pending[0]
         gb = buchberger(current, TermOrder("degrevlex", last=tuple(reversed(pending))))
         steps.append(gb.elements)
         current = [divide_common_power(g, v) for g in gb.elements]
-        if homogeneous:
-            in_leads = {u for g in current for u, _ in g.plus}
-            pending = [u for u in pending if u in in_leads]
-            assert v not in pending, f"{v} divides a lead after its own step"
-        else:
-            pending = pending[1:]
-    return steps, current
+        grown |= current != list(gb.elements)
+        in_leads = {u for g in current for u, _ in g.plus}
+        pending = [u for u in pending if u in in_leads]
+        assert v not in pending, f"{v} divides a lead after its own step"
+    out = buchberger(current, order).elements
+    if grown:
+        steps.append(out)
+    return steps, list(out)
+
+
+def saturation_by_elimination(gens, variables) -> tuple[Binomial, ...]:
+    """The reduced degrevlex basis of the saturation of the ideal I of
+    ``gens`` by each variable of ``variables`` in turn, by elimination:
+    I : v^inf = (I + <v t - 1>) meet k[x] for a new variable t (Cox,
+    Little and O'Shea, "Ideals, Varieties, and Algorithms", 4.4).  Under
+    lex with t ranked first, the elements of the reduced basis free of t
+    generate that intersection.  No step divides out a common power and
+    nothing is certified, so it shares no argument with
+    ``binom.saturate``, and it holds for inhomogeneous ``gens`` too."""
+    current = list(gens)
+    xs = _universe(current, variables)
+    t = t_var(1 + max((u.i for u in xs if u.kind == "t"), default=0))
+    eliminate_t = TermOrder("lex", last=tuple(reversed(xs)))
+    for v in dict.fromkeys(variables):
+        gb = buchberger(current + [Binomial(Monomial([(v, 1), (t, 1)]), UNIT)], eliminate_t)
+        current = [g for g in gb.elements if all(u != t for u, _ in g.plus + g.minus)]
+    return buchberger(current, DEGREVLEX).elements
 
 
 def saturation_one_variable_reference(gens, variables):
@@ -367,17 +391,15 @@ def saturation_one_variable_reference(gens, variables):
 
 def lattice_toric_basis(lm: LabelMap, budget: int | None = None) -> list[Binomial]:
     """``toric_generators`` without the quadratic kernel binomials in its
-    start: the saturation from the binomials of ``lattice_kernel``'s
-    basis alone, as a plain list, then a final degrevlex run.  It is the
-    only route left with that final run: ``toric_generators`` starts
-    from a degrevlex basis, and the saturation ends on one.  The
-    saturation reaches the same toric ideal from either start, so the
-    two routes give the same basis by different S-pairs."""
+    start: the saturation from the reduced degrevlex basis of the
+    binomials of ``lattice_kernel``'s basis alone.  The saturation reaches
+    the same toric ideal from either start, so the two routes give the
+    same basis by different S-pairs."""
     matrix = build_matrix(lm)
     gens = [lattice_vector_to_binomial(z, matrix.cols) for z in lattice_kernel(matrix)]
     variables = [vertex_var(p) for p in matrix.cols]
-    saturated = saturate_generators(gens, variables, budget=budget)
-    return list(buchberger(saturated, DEGREVLEX, budget=budget).elements)
+    return saturate_generators(buchberger(gens, DEGREVLEX, budget=budget), variables,
+                               budget=budget)
 
 
 def without_skips(monkeypatch):

@@ -16,6 +16,8 @@ from helpers import (
     priority_sorted,
     quotient,
     reference_gm_update,
+    saturation_by_elimination,
+    saturation_steps_reference,
     spoly,
     standard_monomial_counts,
     variable_sort_key,
@@ -452,26 +454,37 @@ def test_buchberger_random_input_order_is_irrelevant(order, data):
 @settings(max_examples=60, deadline=None)
 def test_saturate_from_a_groebner_basis_ends_in_its_order(order, data):
     """Saturated from ``buchberger(gens, order)``, the result is the
-    reduced basis in that order of the saturation from the plain list,
-    whether a step takes the given basis as its own or not, and whether
-    a division grows the ideal or none does."""
+    reduced basis in that order of the saturation by full runs, whether
+    a step takes the given basis as its own or not, and whether a
+    division grows the ideal or none does."""
     gens = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=5))
     variables = data.draw(st.lists(st.sampled_from(PERM_POOL), min_size=1, max_size=3,
                                    unique=True))
-    expected = buchberger(saturate(gens, variables), order).elements
-    assert tuple(saturate(buchberger(gens, order), variables)) == expected
+    expected = saturation_steps_reference(gens, variables, order)[1]
+    assert saturate(buchberger(gens, order), variables) == expected
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
-def test_saturate_from_a_groebner_basis_of_inhomogeneous_input(order):
-    gens = [parse_binomial(g) for g in (
-        "r[2]*r[3] - r[1]^2*r[3]",
-        "r[1]*r[2]^2*r[3]^2 - r[1]*r[2]*r[4]",
-        "r[1]*r[2]*r[3]^2 - r[2]^2*r[4]",
-    )]
-    variables = [r_var(1), r_var(2)]
-    expected = buchberger(saturate(gens, variables), order).elements
-    assert tuple(saturate(buchberger(gens, order), variables)) == expected
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_saturate_matches_elimination(data):
+    """``saturate`` against iterated elimination, which shares neither
+    its steps nor its certificates."""
+    gens = data.draw(st.lists(homogeneous_binomials(), min_size=1, max_size=5))
+    variables = data.draw(st.lists(st.sampled_from(PERM_POOL), min_size=1, max_size=3,
+                                   unique=True))
+    expected = saturation_by_elimination(gens, variables)
+    assert tuple(saturate(buchberger(gens), variables)) == expected
+
+
+def test_saturate_rejects_an_inhomogeneous_ideal():
+    """r1^2 (r1 - r2^2) = (r1^3 - r1 r3) + r1 (r3 - r1 r2^2) lies in I, so
+    I : r1^inf holds r2^2 - r1, as elimination finds; dividing the
+    common powers out of a basis does not find it, since Bayer and
+    Stillman need a homogeneous ideal."""
+    gens = [parse_binomial("r[1]^3 - r[1]*r[3]"), parse_binomial("r[3] - r[1]*r[2]^2")]
+    assert parse_binomial("r[2]^2 - r[1]") in saturation_by_elimination(gens, [r_var(1)])
+    with pytest.raises(ValueError, match="homogeneous"):
+        saturate(buchberger(gens), [r_var(1)])
 
 
 def test_a_grown_ideal_is_finished_by_counting(monkeypatch):
@@ -881,8 +894,8 @@ def test_groebner_basis_equality_ignores_the_memo():
 
 @pytest.mark.parametrize("entry", [
     buchberger,
-    lambda gens: saturate(gens, [X[1]]),
-    lambda gens: saturate(gens, []),
+    lambda gens: saturate(GroebnerBasis(DEGREVLEX, tuple(gens)), [X[1]]),
+    lambda gens: saturate(GroebnerBasis(DEGREVLEX, tuple(gens)), []),
     lambda gens: reduce(bino((1,), (2,)), gens),
     lambda gens: reduce(ZERO, gens),
 ], ids=["buchberger", "saturate", "saturate_no_variables", "reduce", "reduce_zero"])

@@ -154,6 +154,7 @@ def test_verify_budget_exit_3(tmp_path, capsys):
     code = main(["verify", "--instance", path, "--budget", "0",
                  "--report", str(report_path)])
     assert code == 3
+    assert capsys.readouterr().err == "error: budget exceeded in stage toric_generators\n"
     report = json.loads(report_path.read_text())
     assert report["budget_exceeded_stage"] == "toric_generators"
 
@@ -283,6 +284,17 @@ def test_point_messages_pinned(tmp_path, capsys, coords, args, message):
     path = write_instance(tmp_path, coords)
     assert main([args[0], "--instance", path, *args[1:]]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("binomial", [
+    "x[1,1]^" + "1" * 5000 + " - x[1,2]",
+    "x[" + "1" * 5000 + ",1] - x[1,2]",
+], ids=["exponent", "index"])
+def test_certify_number_past_the_digit_limit_exit_2(tmp_path, capsys, binomial):
+    # int() of more than 4300 digits raises ValueError in Python itself.
+    path = write_instance(tmp_path, SMALL)
+    assert main(["certify", "--instance", path, binomial]) == 2
+    assert capsys.readouterr().err == "error: bad monomial factor: a number too long to read\n"
 
 
 @pytest.mark.parametrize("power", [2100, 40000])  # both past the degree cap

@@ -1,4 +1,4 @@
-"""Every name a module imports is used in that module, and every private
+"""Every name a module imports is used in that module, and every
 top-level definition of the package is used in the package.
 
 Each module under ``src/polytoric/`` and ``tests/`` is parsed with
@@ -7,10 +7,12 @@ anywhere in the module (``binom.ZERO`` uses ``binom``), or in a string
 annotation such as ``other: "GridPoint"``.  Only ``from __future__
 import annotations`` is exempt.
 
-A private top-level function or class of ``src/polytoric/`` (a name with
-one leading underscore) counts as used when a ``Name`` or an attribute
-of that name appears in some package module outside its own definition.
-Tests do not count: code that only tests call is dead code.
+A top-level function or class of ``src/polytoric/``, private (a name
+with one leading underscore) or public, counts as used when a ``Name``
+or an attribute of that name appears in some package module outside its
+own definition.  Tests do not count: code that only tests call is dead
+code, and a public name that only tests call is a capability that the
+package does not need.
 
 Every top-level function or class of ``tests/helpers.py`` counts as used
 when a test module names it, or a helper that is used names it.
@@ -73,9 +75,10 @@ def test_scan_sees_modules():
     assert any(p.name == "test_imports.py" for p in MODULES)
 
 
-def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """"module:line name" of each private top-level function or class in
-    ``sources`` (module name -> text) that no other code there names."""
+def unreferenced_definitions(sources: dict[str, str], private: bool) -> list[str]:
+    """"module:line name" of each top-level function or class in
+    ``sources`` (module name -> text), private or public as ``private``
+    says, that no other code there names."""
     trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
     named = [
         (node.id if isinstance(node, ast.Name) else node.attr, id(node))
@@ -86,7 +89,7 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     for module, tree in trees.items():
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    or not node.name.startswith("_") or node.name.startswith("__")):
+                    or node.name.startswith("_") != private or node.name.startswith("__")):
                 continue
             own = {id(n) for n in ast.walk(node)}
             if not any(name == node.name and key not in own for name, key in named):
@@ -96,8 +99,14 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
 
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
-    unreferenced = unreferenced_private_definitions(sources)
+    unreferenced = unreferenced_definitions(sources, private=True)
     assert not unreferenced, "defined but never used: " + ", ".join(unreferenced)
+
+
+def test_no_unreferenced_public_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    unreferenced = unreferenced_definitions(sources, private=False)
+    assert not unreferenced, "defined but never used by the package: " + ", ".join(unreferenced)
 
 
 def test_private_definition_scan_sees_dead_code():
@@ -106,7 +115,16 @@ def test_private_definition_scan_sees_dead_code():
                 "    return _recursive(n - 1)\n\n\nclass _Dead:\n    pass\n",
         "b.py": "from a import _used\n\nVALUE = _used()\n",
     }
-    assert unreferenced_private_definitions(sources) == ["a.py:5 _recursive", "a.py:9 _Dead"]
+    assert unreferenced_definitions(sources, private=True) == [
+        "a.py:5 _recursive", "a.py:9 _Dead"]
+
+
+def test_public_definition_scan_sees_dead_code():
+    sources = {
+        "a.py": "def used():\n    return 1\n\n\ndef only_tested():\n    return used()\n",
+        "b.py": "from a import used\n\nVALUE = used()\n",
+    }
+    assert unreferenced_definitions(sources, private=False) == ["a.py:5 only_tested"]
 
 
 def unreferenced_helpers(helpers: str, tests: dict[str, str]) -> list[str]:
